@@ -148,7 +148,7 @@ def cmd_profile(cfg: RunConfig) -> int:
             "delta_rad": prof.delta,
             "resolution": prof.resolution,
             "spec": {"pitch_mm": spec.p, "eta": spec.eta, "roller_radius_mm": spec.r,
-                     "lobes": spec.n, "cam_count": spec.m,
+                     "cam_count": spec.m,
                      "contact_width_mm": spec.L, "eccentricity_mm": spec.e,
                      "camshaft_diameter_mm": spec.d_cs},
             "feasibility": {"eta_valid": report.eta_valid,
@@ -203,30 +203,28 @@ def cmd_metrics(cfg: RunConfig) -> int:
     if not report.ok:
         _print_report(report)
         return EXIT_INFEASIBLE
-    delta = report.delta
-    seg = mechanics.active_segment(spec, delta)
-    psis = seg.grid()
-    mus = np.abs(mechanics.pressure_angle_series(psis, spec.eta, spec.n))
-    i_mu = int(np.argmax(mus))
-    mu_max = float(mus[i_mu])
-    try:
-        P_max, psi_P = mechanics.max_hertz_pressure(spec, load, cam_mat, roller_mat)
-    except ModelError as exc:
-        print(f"infeasible mechanism: {exc}", file=sys.stderr)
+    K_sum = (mechanics.material_coefficient(cam_mat)
+             + mechanics.material_coefficient(roller_mat))
+    seg = mechanics.design_segment(spec, load.torque, K_sum)
+    if not seg.ok:
+        print("infeasible mechanism: cam curvature radius is non-positive on "
+              "the driving arc; the Hertz model does not apply", file=sys.stderr)
         _print_report(report)
         return EXIT_INFEASIBLE
+    mu_max, psi_mu, psi_P = seg.mu_max, seg.psi_mu, seg.psi_P
+    P_max = seg.P_max / math.sqrt(spec.L)
     S_M = mechanics.mechanism_size(spec.m, spec.L)
     allowable = P_max <= cam_mat.P_allow and P_max <= roller_mat.P_allow
     angle_ok = (not load.high_speed) or mu_max <= math.radians(30.0)
     payload = {
         **_meta(cfg),
-        "delta_rad": delta,
+        "delta_rad": seg.delta,
         "mu_max_deg": math.degrees(mu_max),
-        "psi_at_mu_max_rad": float(psis[i_mu]),
+        "psi_at_mu_max_rad": psi_mu,
         "p_max_mpa": P_max,
         "psi_at_p_max_rad": psi_P,
         "size_mm": S_M,
-        "segment_rad": [seg.psi_start, seg.psi_end],
+        "segment_rad": list(geometry.driving_window(seg.delta, spec.m)),
         "fully_convex": report.fully_convex,
         "profile_feasible": report.profile_feasible,
         "blocking": report.blocking,
@@ -246,9 +244,9 @@ def cmd_metrics(cfg: RunConfig) -> int:
                    ["mu_max_deg", "psi_at_mu_max_rad", "p_max_mpa",
                     "psi_at_p_max_rad", "size_mm", "fully_convex",
                     "profile_feasible", "allowable_pressure_ok"],
-                   [[math.degrees(mu_max), float(psis[i_mu]), P_max, psi_P, S_M,
+                   [[math.degrees(mu_max), psi_mu, P_max, psi_P, S_M,
                      report.fully_convex, report.profile_feasible, allowable]])
-    print(f"mu_max   = {math.degrees(mu_max):.4f} deg at psi = {float(psis[i_mu]):.4f} rad")
+    print(f"mu_max   = {math.degrees(mu_max):.4f} deg at psi = {psi_mu:.4f} rad")
     print(f"P_max    = {P_max:.4f} MPa at psi = {psi_P:.4f} rad")
     print(f"S_M      = {S_M:.4f} mm")
     print(f"convex   = {report.fully_convex}, feasible = {report.profile_feasible}")

@@ -14,9 +14,10 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
-from .geometry import TransmissionSpec
+from .geometry import MIN_PROFILE_RESOLUTION, TransmissionSpec
 from .mechanics import LoadCase, Material, builtin_materials, find_material, load_materials
 from .optimize import DesignSpace
+from .sensitivity import MIN_PROFILE_SAMPLES, MIN_RMS_NODES
 
 FORMATS = ("csv", "json", "svg")
 
@@ -27,7 +28,6 @@ class MechanismConfig:
     eta: float = 0.18
     roller_radius_mm: float = 4.0
     contact_width_mm: float = 10.0
-    lobes: int = 1
     cam_count: int = 2
 
 
@@ -102,8 +102,7 @@ class RunConfig:
 
     def spec(self) -> TransmissionSpec:
         mech = self.mechanism
-        return TransmissionSpec(p=mech.pitch_mm, eta=mech.eta,
-                                r=mech.roller_radius_mm, n=mech.lobes,
+        return TransmissionSpec(p=mech.pitch_mm, eta=mech.eta, r=mech.roller_radius_mm,
                                 m=mech.cam_count, L=mech.contact_width_mm)
 
     def load_case(self) -> LoadCase:
@@ -125,7 +124,7 @@ class RunConfig:
         return DesignSpace(
             d_cs_range=sc.d_cs_mm, r_range=sc.r_mm, L_range=sc.L_mm,
             m_values=sc.m, resolution=sc.resolution, pitch=sc.pitch_mm,
-            lobes=self.mechanism.lobes, load=self.load_case(),
+            load=self.load_case(),
             cam_material=cam, roller_material=roller,
             mu_cap=math.radians(sc.mu_cap_deg), P_cap=sc.p_cap_mpa,
             S_cap=sc.s_cap_mm, workers=sc.workers,
@@ -248,6 +247,13 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"design_space.m must hold integers, got {sc.m}")
     if cfg.contour.m < 2:
         raise ConfigError(f"contour.m must be at least 2, got {cfg.contour.m}")
+    for label, value, least in (
+        ("profile.resolution", cfg.profile.resolution, MIN_PROFILE_RESOLUTION),
+        ("sensitivity.samples", cfg.sensitivity.samples, MIN_PROFILE_SAMPLES),
+        ("sensitivity.rms_nodes", cfg.sensitivity.rms_nodes, MIN_RMS_NODES),
+    ):
+        if value < least:
+            raise ConfigError(f"{label} must be at least {least}, got {value}")
 
 
 def apply_overrides(cfg: RunConfig, command: str, *, out=None, resolution=None,
@@ -274,4 +280,5 @@ def apply_overrides(cfg: RunConfig, command: str, *, out=None, resolution=None,
                                                     resolution=resolution))
         elif command == "contour":
             cfg = replace(cfg, contour=replace(cfg.contour, resolution=resolution))
+    _validate(cfg)
     return cfg

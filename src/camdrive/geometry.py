@@ -4,8 +4,12 @@ The mechanism converts a uniform camshaft rotation into a uniform follower
 translation through pure-rolling contact between conjugate cams and rollers.
 Angles are in radians, lengths in millimetres, curvatures in 1/mm.
 
-All functions are pure; profile points and curvatures accept numpy arrays
-for the rotation angle and broadcast elementwise.
+Each quantity has one formula here, written for numpy arrays: the profile
+ordinate v_c, the closure root, the pitch curvature, the cam curvature
+radius and the driving window. The batched segment kernel in `mechanics`
+and the scalar functions below call the same formulas. Checks that raise
+apply to scalar arguments; array arguments carry NaN or inf through, and
+batched callers mask those samples themselves.
 """
 from __future__ import annotations
 
@@ -21,9 +25,16 @@ TAU = 2.0 * math.pi
 # eta within this distance of 1/(2*pi) makes the coefficient equations blow up
 ETA_SINGULAR_TOL = 1e-9
 
-# closure-angle root find: scan subdivisions on [-pi, 0), then bisection width
+# closure-angle root find: sign scan on [-pi, 0], then each pass rescans the
+# bracket on ROOT_REFINE_NODES nodes until it is narrower than ROOT_TOL
 ROOT_SCAN_NODES = 1025
-ROOT_BISECT_TOL = 1e-12
+ROOT_REFINE_NODES = 33
+ROOT_TOL = 1e-12
+_ROOT_PASSES = math.ceil(math.log(math.pi / (ROOT_SCAN_NODES - 1) / ROOT_TOL,
+                                  ROOT_REFINE_NODES - 1))
+
+# samples of one cam's driving arc in every segment scan
+SEGMENT_SCAN_SAMPLES = 4096
 
 DEFAULT_PROFILE_RESOLUTION = 2048
 MIN_PROFILE_RESOLUTION = 16
@@ -31,12 +42,11 @@ MIN_PROFILE_RESOLUTION = 16
 
 @dataclass(frozen=True)
 class TransmissionSpec:
-    """One candidate transmission.
+    """One candidate transmission with single-lobe cams.
 
     p    pitch (follower travel per cam turn), mm
     eta  eccentricity ratio e/p, dimensionless
     r    roller radius, mm
-    n    lobes per cam
     m    conjugate cams on the camshaft
     L    cam/roller contact width, mm
     """
@@ -44,7 +54,6 @@ class TransmissionSpec:
     p: float
     eta: float
     r: float
-    n: int = 1
     m: int = 2
     L: float = 10.0
 
@@ -55,8 +64,6 @@ class TransmissionSpec:
             raise InvalidSpec(f"roller radius must be positive, got {self.r}")
         if self.L <= 0.0:
             raise InvalidSpec(f"contact width must be positive, got {self.L}")
-        if int(self.n) != self.n or self.n < 1:
-            raise InvalidSpec(f"lobe count must be a positive integer, got {self.n}")
         if int(self.m) != self.m or self.m < 1:
             raise InvalidSpec(f"cam count must be a positive integer, got {self.m}")
         if self.e <= self.r:
@@ -131,7 +138,7 @@ def follower_displacement(psi, p):
 
 
 def _check_eta(eta):
-    if abs(TAU * eta - 1.0) < ETA_SINGULAR_TOL:
+    if np.ndim(eta) == 0 and abs(TAU * eta - 1.0) < ETA_SINGULAR_TOL:
         raise EtaSingular(
             f"eta={eta!r} is within {ETA_SINGULAR_TOL} of 1/(2*pi); "
             "profile coefficients are singular there"
@@ -148,19 +155,24 @@ def profile_coefficients(psi, p, eta):
     q = TAU * eta - 1.0
     w = np.asarray(psi, dtype=float) - math.pi
     b1 = p / TAU
-    b2 = b1 * np.hypot(q, w)
+    b2 = b1 * np.sqrt(q * q + w * w)
     delta_angle = np.arctan(w / q)
     if np.ndim(psi) == 0:
         return b1, float(b2), float(delta_angle)
     return b1, b2, delta_angle
 
 
+def _ordinate(psi, p, eta, r):
+    """Profile ordinate v_c of the contact point in the cam frame, mm."""
+    b1, b2, d = profile_coefficients(psi, p, eta)
+    return -b1 * np.sin(psi) + (b2 - r) * np.sin(d - psi)
+
+
 def cam_profile_point(psi, spec: TransmissionSpec):
     """Contact point C in the cam-fixed frame: (u_c, v_c), mm."""
     b1, b2, d = profile_coefficients(psi, spec.p, spec.eta)
     u_c = b1 * np.cos(psi) + (b2 - spec.r) * np.cos(d - psi)
-    v_c = -b1 * np.sin(psi) + (b2 - spec.r) * np.sin(d - psi)
-    return u_c, v_c
+    return u_c, _ordinate(psi, spec.p, spec.eta, spec.r)
 
 
 def pitch_curve_point(psi, spec: TransmissionSpec):
@@ -186,79 +198,86 @@ def pitch_curvature(psi, p, eta):
     return (TAU / p) * num / den
 
 
+def cam_curvature_radius(kappa_p, r):
+    """Signed cam curvature radius (1 - r*kappa_p)/kappa_p, mm.
+
+    Satisfies rho_p = rho_c + r for the signed curvature radii; +/-inf where
+    the pitch curve is straight (kappa_p = 0).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.divide(1.0 - r * kappa_p, kappa_p)
+
+
 def cam_curvature(kappa_p, r):
     """Cam-profile curvature from pitch curvature: offset by the roller radius.
 
-    Satisfies rho_p = rho_c + r for the signed curvature radii.
+    The reciprocal of the cam curvature radius. A scalar kappa_p where
+    1 - r*kappa_p vanishes raises RollerBlocksCam.
     """
     denom = 1.0 - r * kappa_p
-    if abs(denom) < 1e-9:
+    if np.ndim(denom) == 0 and abs(denom) < 1e-9:
         raise RollerBlocksCam(
             f"1 - r*kappa_p = {denom:.3e}: curvature radius of the cam passes "
             "through zero (roller radius equals the pitch radius of curvature)"
         )
-    return kappa_p / denom
+    return 1.0 / cam_curvature_radius(kappa_p, r)
 
 
-def _cam_curvature_radius_arr(kappa_p: np.ndarray, r: float) -> np.ndarray:
-    """Vectorised signed rho_c = (1 - r*kappa_p)/kappa_p; +/-inf at kappa_p=0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (1.0 - r * kappa_p) / kappa_p
+def _last_sign_change(v):
+    """Per row of v: index of the last interval where v changes sign, and
+    whether there is one. The last change is the root nearest zero."""
+    change = v[:, :-1] * v[:, 1:] <= 0.0
+    return change.shape[1] - 1 - change[:, ::-1].argmax(axis=1), change.any(axis=1)
 
 
-def _vc_scalar(psi: float, b1: float, q: float, r: float) -> float:
-    w = psi - math.pi
-    b2 = b1 * math.hypot(q, w)
-    d = math.atan(w / q)
-    return -b1 * math.sin(psi) + (b2 - r) * math.sin(d - psi)
+def closure_angles(p, eta, r) -> np.ndarray:
+    """Closure angle of each (eta, r) pair: the root of v_c on [-pi, 0] nearest zero.
+
+    A sign scan brackets the root and rescans shrink the bracket below
+    ROOT_TOL. Every step is elementwise per pair, so a pair's root does not
+    depend on the batch it is solved in. NaN where v_c has no sign change
+    (the profile does not close) and where eta or r is NaN.
+    """
+    eta, r = np.broadcast_arrays(np.atleast_1d(np.asarray(eta, dtype=float)),
+                                 np.atleast_1d(np.asarray(r, dtype=float)))
+    eta, r = eta[:, None], r[:, None]
+    nodes = np.linspace(-math.pi, 0.0, ROOT_SCAN_NODES)
+    k, found = _last_sign_change(_ordinate(nodes, p, eta, r))
+    lo, hi = nodes[k], nodes[k + 1]
+    t = np.linspace(0.0, 1.0, ROOT_REFINE_NODES)
+    rows = np.arange(len(eta))
+    for _ in range(_ROOT_PASSES):
+        x = lo[:, None] * (1.0 - t) + hi[:, None] * t  # exact at both ends
+        k, _ = _last_sign_change(_ordinate(x, p, eta, r))
+        lo, hi = x[rows, k], x[rows, k + 1]
+    return np.where(found, 0.5 * (lo + hi), np.nan)
 
 
 def extended_angle(spec: TransmissionSpec) -> float:
     """Negative root of v_c(psi) = 0 nearest zero: the profile closure angle.
 
-    A sign scan over [-pi, 0) brackets the root, bisection polishes it to
-    1e-12; bisection is unconditionally convergent on the smooth v_c.
+    The batch-of-one call of `closure_angles`; raises NoRootFound when the
+    profile does not close.
     """
     _check_eta(spec.eta)
-    b1 = spec.p / TAU
-    q = TAU * spec.eta - 1.0
-    nodes = np.linspace(-math.pi, 0.0, ROOT_SCAN_NODES)
-    w = nodes - math.pi
-    b2 = b1 * np.sqrt(q * q + w * w)
-    d = np.arctan(w / q)
-    vals = -b1 * np.sin(nodes) + (b2 - spec.r) * np.sin(d - nodes)
-    prod = vals[:-1] * vals[1:]
-    change = np.flatnonzero(prod <= 0.0)
-    if change.size == 0:
+    delta = float(closure_angles(spec.p, spec.eta, spec.r)[0])
+    if math.isnan(delta):
         raise NoRootFound(
             f"v_c has no sign change on [-pi, 0) for p={spec.p}, eta={spec.eta}, "
             f"r={spec.r}: the profile does not close"
         )
-    i = int(change[-1])  # nearest zero
-    a, b = float(nodes[i]), float(nodes[i + 1])
-    fa = _vc_scalar(a, b1, q, spec.r)
-    if fa == 0.0:
-        return a
-    while b - a > ROOT_BISECT_TOL:
-        mid = 0.5 * (a + b)
-        fm = _vc_scalar(mid, b1, q, spec.r)
-        if fm == 0.0:
-            return mid
-        if fa * fm < 0.0:
-            b = mid
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
+    return delta
 
 
-def driving_window(spec: TransmissionSpec, delta: float) -> tuple[float, float]:
-    """Rotation arc over which this cam drives the roller.
+def driving_window(delta, m):
+    """Rotation arc (start, end) over which one of m conjugate cams drives.
 
-    Right-anchored at 2*pi/n - delta with length 2*pi/(n*m), so the
-    maximum-pressure end pi/n - delta is the left endpoint when m = 2.
+    Right-anchored at 2*pi - delta with length 2*pi/m, so the
+    maximum-pressure end pi - delta is the left endpoint when m = 2.
+    Broadcasts over delta.
     """
-    end = TAU / spec.n - delta
-    return end - TAU / (spec.n * spec.m), end
+    end = TAU - delta
+    return end - TAU / m, end
 
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -281,31 +300,32 @@ def _golden_min(f, a, b, tol=1e-10):
     return x, f(x)
 
 
-def min_profile_radius(spec: TransmissionSpec, samples: int = 4096) -> tuple[float, float]:
+def _min_radius(spec: TransmissionSpec, delta: float) -> tuple[float, float]:
+    a, b = driving_window(delta, spec.m)
+    psis = np.linspace(a, b, SEGMENT_SCAN_SAMPLES)
+
+    def rho_at(x):
+        return cam_curvature_radius(pitch_curvature(x, spec.p, spec.eta), spec.r)
+
+    rho = rho_at(psis)
+    i = int(np.argmin(rho))
+    lo = psis[max(i - 1, 0)]
+    hi = psis[min(i + 1, SEGMENT_SCAN_SAMPLES - 1)]
+    psi_min, rho_min = _golden_min(lambda x: float(rho_at(x)), float(lo), float(hi))
+    # golden section cannot leave the bracket, but the grid node may be better
+    if rho[i] < rho_min:
+        psi_min, rho_min = float(psis[i]), float(rho[i])
+    return psi_min, rho_min
+
+
+def min_profile_radius(spec: TransmissionSpec) -> tuple[float, float]:
     """Angle and value of the smallest cam curvature radius on the driving arc.
 
     Grid minimum refined by golden section; no usable closed form exists for
     this angle, so the location is always found numerically. For two
     conjugate cams with a monotone radius the minimum sits at the arc start.
     """
-    delta = extended_angle(spec)
-    a, b = driving_window(spec, delta)
-    psis = np.linspace(a, b, samples)
-    kp = pitch_curvature(psis, spec.p, spec.eta)
-    rho = _cam_curvature_radius_arr(kp, spec.r)
-    i = int(np.argmin(rho))
-
-    def rho_at(x):
-        return float(_cam_curvature_radius_arr(
-            np.asarray(pitch_curvature(x, spec.p, spec.eta)), spec.r))
-
-    lo = psis[max(i - 1, 0)]
-    hi = psis[min(i + 1, samples - 1)]
-    psi_min, rho_min = _golden_min(rho_at, float(lo), float(hi))
-    # golden section cannot leave the bracket, but the grid node may be better
-    if rho[i] < rho_min:
-        psi_min, rho_min = float(psis[i]), float(rho[i])
-    return psi_min, rho_min
+    return _min_radius(spec, extended_angle(spec))
 
 
 BLOCKING_REL_TOL = 1e-6
@@ -331,7 +351,7 @@ def feasibility_check(spec: TransmissionSpec) -> FeasibilityReport:
             eta_valid=True, profile_feasible=False, fully_convex=fully_convex,
             blocking=False, notes=("profile does not close: no root of v_c on [-pi, 0)",),
         )
-    psi_min, rho_min = min_profile_radius(spec)
+    psi_min, rho_min = _min_radius(spec, delta)
     blocking = abs(rho_min) <= BLOCKING_REL_TOL * spec.r
     feasible = rho_min > 0.0 and not blocking
     notes = ()
@@ -361,7 +381,7 @@ def sample_profile(spec: TransmissionSpec,
     u_c, v_c = cam_profile_point(psi, spec)
     u_p, v_p = pitch_curve_point(psi, spec)
     kappa_p = pitch_curvature(psi, spec.p, spec.eta)
-    rho_c = _cam_curvature_radius_arr(kappa_p, spec.r)
+    rho_c = cam_curvature_radius(kappa_p, spec.r)
     for arr in (psi, u_c, v_c, u_p, v_p, kappa_p, rho_c):
         arr.setflags(write=False)
     return CamProfile(spec=spec, delta=delta, psi=psi, u_c=u_c, v_c=v_c,

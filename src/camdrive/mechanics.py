@@ -3,6 +3,13 @@
 Pressure angle over the arc where a cam drives the roller, torque-derived
 contact force, Hertz line-contact pressure and overall mechanism size.
 Units: mm, N, N*mm, MPa, radians.
+
+`segment_metrics` is the one segment kernel. For a batch of (eta, r) pairs
+it solves the closure angle, scans one cam's driving arc and returns the
+peak pressure angle, the peak unit-width Hertz pressure and the smallest cam
+curvature radius. The scalar metrics call it on a batch of one. As in
+`geometry`, each formula accepts arrays; checks that raise apply to scalar
+arguments.
 """
 from __future__ import annotations
 
@@ -10,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,18 +28,22 @@ from .errors import (
     InfeasibleCamCount,
     InfeasibleProfile,
     InvalidSpec,
+    NoRootFound,
     PressureAngleSingular,
 )
 from .geometry import (
+    ETA_SINGULAR_TOL,
+    SEGMENT_SCAN_SAMPLES,
     TAU,
     TransmissionSpec,
-    _cam_curvature_radius_arr,
+    cam_curvature_radius,
+    closure_angles,
     driving_window,
-    extended_angle,
     pitch_curvature,
 )
 
-SEGMENT_SCAN_SAMPLES = 4096
+# sample positions along the driving arc, as fractions of its length
+_SCAN_T = np.linspace(0.0, 1.0, SEGMENT_SCAN_SAMPLES)
 
 # fatigue design rule: allowable running pressure is 40% of the static one
 FATIGUE_FRACTION = 0.4
@@ -54,8 +66,8 @@ class Material:
     p_allow: tuple[float, float]
 
     def __post_init__(self):
-        if self.E <= 0.0:
-            raise InvalidSpec(f"Young modulus must be positive, got {self.E}")
+        if not 0.0 < self.E < math.inf:
+            raise InvalidSpec(f"Young modulus must be positive and finite, got {self.E}")
         if not 0.0 <= self.nu < 0.5:
             raise InvalidSpec(f"Poisson ratio must lie in [0, 0.5), got {self.nu}")
 
@@ -163,8 +175,8 @@ class LoadCase:
     speed_rpm: float | None = None
 
     def __post_init__(self):
-        if self.torque <= 0.0:
-            raise InvalidSpec(f"torque must be positive, got {self.torque}")
+        if not 0.0 < self.torque < math.inf:
+            raise InvalidSpec(f"torque must be positive and finite, got {self.torque}")
 
     @property
     def high_speed(self) -> bool:
@@ -188,60 +200,48 @@ class ActiveSegment:
 
 
 def active_segment(spec: TransmissionSpec, delta: float) -> ActiveSegment:
-    """Driving arc of one cam among m conjugates, right-anchored at 2*pi/n - delta.
+    """Driving arc of one cam among m conjugates, right-anchored at 2*pi - delta.
 
     Both the pressure angle and the Hertz pressure peak at its left end; for
-    m = 2 that end is pi/n - delta.
+    m = 2 that end is pi - delta.
     """
     if spec.m < 2:
         raise InfeasibleCamCount(
             f"a single cam cannot drive the follower positively (m={spec.m})")
-    a, b = driving_window(spec, delta)
+    a, b = driving_window(delta, spec.m)
     return ActiveSegment(a, b)
 
 
-def pressure_angle(psi, eta, n: int = 1):
+def pressure_angle(psi, eta):
     """Signed pressure angle, radians.
 
     The angle between the contact normal and the follower velocity; its sign
-    tells which way the cam pushes, magnitude is what design limits cap.
+    tells which way the cam pushes, magnitude is what design limits cap. A
+    scalar psi at mid-stroke, where the angle reaches +/-90 degrees, raises
+    PressureAngleSingular.
     """
-    denom = n * psi - math.pi
-    if abs(denom) < 1e-12:
+    w = psi - math.pi
+    if np.ndim(w) == 0 and abs(w) < 1e-12:
         raise PressureAngleSingular(
-            f"pressure angle is +/-90 degrees at n*psi = pi (psi={psi!r})")
-    return math.atan(n * (1.0 - TAU * eta) / denom)
+            f"pressure angle is +/-90 degrees at psi = pi (psi={psi!r})")
+    return np.arctan((1.0 - TAU * eta) / w)
 
 
-def pressure_angle_series(psi, eta, n: int = 1) -> np.ndarray:
-    """Vectorised signed pressure angle; no guard at the mid-stroke pole."""
-    psi = np.asarray(psi, dtype=float)
-    return np.arctan(n * (1.0 - TAU * eta) / (n * psi - math.pi))
-
-
-def max_pressure_angle(spec: TransmissionSpec) -> float:
-    """Largest |pressure angle| on the active segment, radians.
-
-    Found by dense scan rather than assumed at an endpoint, although the
-    monotone angle always puts it there.
-    """
-    delta = extended_angle(spec)
-    seg = active_segment(spec, delta)
-    mus = pressure_angle_series(seg.grid(), spec.eta, spec.n)
-    return float(np.abs(mus).max())
-
-
-def contact_force(psi, load: LoadCase, spec: TransmissionSpec) -> float:
-    """Normal contact force, N, from the power balance at constant ratio.
+def _normal_force(mu, torque, p):
+    """Normal contact force, N, at pressure angle mu.
 
     The follower-axis component F*cos(mu) carries the axial load
-    2*pi*C_t/p implied by the transmission ratio p/(2*pi).
+    2*pi*torque/p implied by the transmission ratio p/(2*pi).
     """
-    mu = pressure_angle(psi, spec.eta, spec.n)
-    c = math.cos(mu)
-    if c < 1e-9:
+    c = np.cos(mu)
+    if np.ndim(c) == 0 and c < 1e-9:
         raise ForceSingular("contact force diverges as |mu| approaches 90 degrees")
-    return TAU * load.torque / (spec.p * c)
+    return TAU * torque / (p * c)
+
+
+def contact_force(psi, load: LoadCase, spec: TransmissionSpec):
+    """Normal contact force at cam angle psi, N, from the power balance."""
+    return _normal_force(pressure_angle(psi, spec.eta), load.torque, spec.p)
 
 
 def material_coefficient(mat: Material) -> float:
@@ -249,71 +249,142 @@ def material_coefficient(mat: Material) -> float:
     return (1.0 - mat.nu ** 2) / (math.pi * mat.E)
 
 
-def equivalent_radius(r, rho_c) -> float:
+def equivalent_radius(r, rho_c):
     """Harmonic combination r*rho_c/(r + rho_c) of the two contact radii, mm."""
-    if rho_c <= -r:
+    if np.ndim(rho_c) == 0 and rho_c <= -r:
         raise DegenerateContact(
             f"cam curvature radius {rho_c!r} at or below -r ({-r!r})")
-    if r + rho_c == 0.0:
-        raise DegenerateContact("r + rho_c vanishes")
     return r * rho_c / (r + rho_c)
 
 
-def hertz_band_width(F, K1, K2, R_equ, L) -> float:
+def hertz_band_width(F, K1, K2, R_equ, L):
     """Half-plane contact band width B, mm, for a line contact under load F."""
-    if F < 0.0:
+    if np.ndim(F) == 0 and F < 0.0:
         raise InvalidSpec(f"load must be non-negative, got {F}")
-    if L <= 0.0 or R_equ <= 0.0:
+    if L <= 0.0 or (np.ndim(R_equ) == 0 and R_equ <= 0.0):
         raise InvalidSpec(f"need L > 0 and R_equ > 0, got L={L}, R_equ={R_equ}")
-    return math.sqrt(16.0 * F * (K1 + K2) * R_equ / L)
+    return np.sqrt((16.0 * (K1 + K2) / L) * F * R_equ)
 
 
-def hertz_pressure(F, L, B) -> float:
-    """Peak line-contact pressure 4F/(L*pi*B), MPa; zero load gives zero."""
-    if F == 0.0:
+def hertz_pressure(F, L, B):
+    """Peak line-contact pressure 4F/(L*pi*B), MPa; a scalar zero load gives zero."""
+    if np.ndim(F) == 0 and F == 0.0:
         return 0.0
-    if L <= 0.0 or B <= 0.0:
+    if L <= 0.0 or (np.ndim(B) == 0 and B <= 0.0):
         raise InvalidSpec(f"need L > 0 and B > 0, got L={L}, B={B}")
-    return 4.0 * F / (L * math.pi * B)
+    return (4.0 / (L * math.pi)) * F / B
 
 
-def hertz_pressure_series(psi: np.ndarray, spec: TransmissionSpec, load: LoadCase,
-                          cam_mat: Material, roller_mat: Material) -> np.ndarray:
-    """Hertz pressure at each psi; NaN where the profile radius is non-positive."""
-    psi = np.asarray(psi, dtype=float)
-    mu = pressure_angle_series(psi, spec.eta, spec.n)
-    F = TAU * load.torque / (spec.p * np.cos(mu))
-    kp = pitch_curvature(psi, spec.p, spec.eta)
-    rho_c = _cam_curvature_radius_arr(kp, spec.r)
-    K = material_coefficient(cam_mat) + material_coefficient(roller_mat)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        R = spec.r * rho_c / (spec.r + rho_c)
-        P = (1.0 / math.pi) * np.sqrt(F / (spec.L * K * R))
-    return np.where(rho_c > 0.0, P, np.nan)
+def contact_state(psi, p, eta, r, torque, K_sum, L):
+    """Pressure angle, cam curvature radius and Hertz pressure at cam angle psi.
+
+    Arguments broadcast; K_sum is the sum of both bodies' material
+    coefficients. The Hertz model needs a convex cam at the contact, so the
+    pressure is NaN where the cam curvature radius is not positive.
+    """
+    mu = pressure_angle(psi, eta)
+    rho_c = cam_curvature_radius(pitch_curvature(psi, p, eta), r)
+    F = _normal_force(mu, torque, p)
+    R = equivalent_radius(r, np.where(rho_c > 0.0, rho_c, np.nan))
+    P = hertz_pressure(F, L, hertz_band_width(F, K_sum, 0.0, R, L))
+    return mu, rho_c, P
+
+
+class SegmentMetrics(NamedTuple):
+    """Per-pair results of `segment_metrics`: arrays, or floats for one design.
+
+    delta      closure angle, rad; NaN where eta <= 1/(2*pi) or the profile
+               does not close
+    mu_max     largest |pressure angle| on the driving arc, rad
+    psi_mu     cam angle where it occurs, rad
+    P_max      largest Hertz pressure at unit contact width (L = 1 mm), MPa;
+               width L divides it by sqrt(L). NaN unless ok
+    psi_P      cam angle where it occurs, rad
+    rho_c_min  smallest cam curvature radius on the scanned arc, mm
+    ok         the profile closes and its radius is positive on the whole arc
+    """
+
+    delta: np.ndarray
+    mu_max: np.ndarray
+    psi_mu: np.ndarray
+    P_max: np.ndarray
+    psi_P: np.ndarray
+    rho_c_min: np.ndarray
+    ok: np.ndarray
+
+
+def segment_metrics(p, eta, r, m, torque, K_sum) -> SegmentMetrics:
+    """Peak metrics over one cam's driving arc for each (eta, r) pair.
+
+    The closure angle fixes the arc, which is scanned on SEGMENT_SCAN_SAMPLES
+    samples; pitch p, cam count m, torque and K_sum (the summed material
+    coefficients) are shared by all pairs. Each step is elementwise per
+    pair, so a pair's results do not depend on how the pairs are batched.
+    """
+    if m < 2:
+        raise InfeasibleCamCount(
+            f"a single cam cannot drive the follower positively (m={m})")
+    eta = np.asarray(eta, dtype=float)
+    r = np.asarray(r, dtype=float)
+    eta = np.where(TAU * eta - 1.0 >= ETA_SINGULAR_TOL, eta, np.nan)
+    delta = closure_angles(p, eta, r)
+    start, end = driving_window(delta, m)
+    psi = start[:, None] + _SCAN_T * (end - start)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # rejected pairs give NaN
+        mu, rho_c, P = contact_state(psi, p, eta[:, None], r[:, None], torque, K_sum, 1.0)
+    rows = np.arange(len(delta))
+    i_mu = np.argmax(np.abs(mu), axis=1)
+    i_P = np.argmax(np.where(np.isnan(P), -np.inf, P), axis=1)
+    rho_c_min = rho_c.min(axis=1)
+    ok = np.isfinite(delta) & (rho_c_min > 0.0)
+    return SegmentMetrics(
+        delta=delta, mu_max=np.abs(mu[rows, i_mu]), psi_mu=psi[rows, i_mu],
+        P_max=np.where(ok, P[rows, i_P], np.nan), psi_P=psi[rows, i_P],
+        rho_c_min=rho_c_min, ok=ok)
+
+
+def design_segment(spec: TransmissionSpec, torque: float, K_sum: float) -> SegmentMetrics:
+    """`segment_metrics` of one spec, unpacked to floats.
+
+    Raises InfeasibleCamCount for m < 2 and NoRootFound when eta is at or
+    below 1/(2*pi) or the profile does not close.
+    """
+    seg = SegmentMetrics(*(v[0].item() for v in segment_metrics(
+        spec.p, [spec.eta], [spec.r], spec.m, torque, K_sum)))
+    if math.isnan(seg.delta):
+        raise NoRootFound(
+            f"no closure angle for p={spec.p}, eta={spec.eta}, r={spec.r}: eta "
+            "must exceed 1/(2*pi) and v_c must change sign on [-pi, 0)")
+    return seg
+
+
+def max_pressure_angle(spec: TransmissionSpec) -> float:
+    """Largest |pressure angle| on the active segment, radians.
+
+    Found by the segment scan rather than assumed at an endpoint, although
+    the monotone angle always puts it there. The load does not enter it.
+    """
+    return design_segment(spec, 1.0, 1.0).mu_max
 
 
 def max_hertz_pressure(spec: TransmissionSpec, load: LoadCase,
-                       cam_mat: Material, roller_mat: Material,
-                       samples: int = SEGMENT_SCAN_SAMPLES) -> tuple[float, float]:
+                       cam_mat: Material, roller_mat: Material) -> tuple[float, float]:
     """Peak Hertz pressure on the active segment and the angle where it occurs.
 
     Whenever the profile curvature radius grows monotonically across the
-    segment the peak sits exactly at the segment start (pi/n - delta for two
+    segment the peak sits exactly at the segment start (pi - delta for two
     conjugate cams). For small closure angles the radius can dip inside the
-    segment instead, which pulls the peak slightly in; the dense scan finds it
-    either way. Raises InfeasibleProfile if the curvature radius is
+    segment instead, which pulls the peak slightly in; the segment scan finds
+    it either way. Raises InfeasibleProfile if the curvature radius is
     non-positive anywhere on the segment.
     """
-    delta = extended_angle(spec)
-    seg = active_segment(spec, delta)
-    psis = seg.grid(samples)
-    P = hertz_pressure_series(psis, spec, load, cam_mat, roller_mat)
-    if np.isnan(P).any():
+    K_sum = material_coefficient(cam_mat) + material_coefficient(roller_mat)
+    seg = design_segment(spec, load.torque, K_sum)
+    if not seg.ok:
         raise InfeasibleProfile(
             "cam curvature radius is non-positive on the driving arc; "
             "the Hertz model does not apply")
-    i = int(np.argmax(P))
-    return float(P[i]), float(psis[i])
+    return seg.P_max / math.sqrt(spec.L), seg.psi_P
 
 
 def mechanism_size(m: int, L: float) -> float:

@@ -3,7 +3,11 @@
 Design vector x = [d_cs, r, L, m]; objectives (mu_max, P_max, S_M) are all
 minimised subject to caps on each. The search is an exhaustive grid: the
 evaluations are cheap, deterministic and oracle-checkable, and the space has
-only three continuous axes plus the cam count.
+only three continuous axes plus the cam count. Every (d_cs, r) pair goes
+through the batched segment kernel `mechanics.segment_metrics` once; its
+unit-width pressure serves the whole L axis, because the Hertz pressure
+scales as 1/sqrt(L). A single candidate is the same evaluation on a batch of
+one.
 """
 from __future__ import annotations
 
@@ -11,35 +15,22 @@ import bisect
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .errors import (
-    InfeasibleCamCount,
-    InvalidSpec,
-    ModelError,
-)
-from .geometry import (
-    ETA_SINGULAR_TOL,
-    ROOT_SCAN_NODES,
-    TAU,
-    TransmissionSpec,
-    extended_angle,
-    feasibility_check,
-)
+from .errors import InfeasibleCamCount, InvalidSpec
 from .mechanics import (
     LoadCase,
     Material,
+    SegmentMetrics,
     find_material,
     material_coefficient,
-    max_hertz_pressure,
-    max_pressure_angle,
-    mechanism_size,
+    segment_metrics,
 )
 
 _DEFAULT_STEEL = find_material("improved steel")
 
-SCAN_SAMPLES = 4096
 _PAIR_CHUNK = 256
 
 VIOLATION_GEOMETRY = "geometry"
@@ -69,14 +60,12 @@ class DesignSpace:
     m_values: tuple[int, ...] = (2, 3)
     resolution: int = 64
     pitch: float = 20.0
-    lobes: int = 1
     load: LoadCase = LoadCase(1200.0)
     cam_material: Material = _DEFAULT_STEEL
     roller_material: Material = _DEFAULT_STEEL
     mu_cap: float = math.radians(30.0)
     P_cap: float = 800.0
     S_cap: float = 90.0
-    scan_samples: int = SCAN_SAMPLES
     workers: int = 1
 
     def L_bounds(self, m: int) -> tuple[float, float]:
@@ -84,12 +73,9 @@ class DesignSpace:
         cap = self.S_cap / m
         return lo, cap if hi is None else min(hi, cap)
 
-    def axes(self, m: int):
-        d = np.linspace(self.d_cs_range[0], self.d_cs_range[1], self.resolution)
-        r = np.linspace(self.r_range[0], self.r_range[1], self.resolution)
+    def L_axis(self, m: int) -> np.ndarray:
         lo, hi = self.L_bounds(m)
-        L = np.linspace(lo, hi, self.resolution)
-        return d, r, L
+        return np.linspace(lo, hi, self.resolution)
 
     def to_dict(self) -> dict:
         return {
@@ -99,14 +85,12 @@ class DesignSpace:
             "m": list(self.m_values),
             "resolution": self.resolution,
             "pitch_mm": self.pitch,
-            "lobes": self.lobes,
             "torque_nmm": self.load.torque,
             "cam_material": self.cam_material.name,
             "roller_material": self.roller_material.name,
             "mu_cap_deg": math.degrees(self.mu_cap),
             "p_cap_mpa": self.P_cap,
             "s_cap_mm": self.S_cap,
-            "scan_samples": self.scan_samples,
             "workers": self.workers,
         }
 
@@ -135,50 +119,47 @@ class DesignCandidate:
         return (self.mu_max, self.P_max, self.S_M)
 
 
+def _candidate(space: DesignSpace, m: int, d_cs, r, L, S_M, mu_max, P_max,
+               geometry_ok) -> DesignCandidate:
+    """Build a candidate; violations are listed geometry first, then the caps."""
+    violations = []
+    if not geometry_ok:
+        violations.append(VIOLATION_GEOMETRY)
+    else:
+        if mu_max > space.mu_cap:
+            violations.append(VIOLATION_PRESSURE_ANGLE)
+        if P_max > space.P_cap:
+            violations.append(VIOLATION_HERTZ)
+    if S_M > space.S_cap:
+        violations.append(VIOLATION_SIZE)
+    eta = eta_from_design(d_cs, r, space.pitch)
+    return DesignCandidate(
+        d_cs=float(d_cs), r=float(r), L=float(L), m=m, mu_max=float(mu_max),
+        P_max=float(P_max), S_M=float(S_M), feasible=not violations,
+        violations=tuple(violations), convex_profile=bool(math.pi * eta > 1.0),
+    )
+
+
+def _feasible(space: DesignSpace, geometry_ok, mu_max, P_max, S_M):
+    """Array form of the `_candidate` verdict: geometry ok and every cap met."""
+    with np.errstate(invalid="ignore"):
+        return (geometry_ok & (mu_max <= space.mu_cap) & (P_max <= space.P_cap)
+                & (S_M <= space.S_cap))
+
+
 def evaluate_candidate(x, space: DesignSpace) -> DesignCandidate:
     """Evaluate one design vector; infeasibility comes back as flags.
 
-    The scalar model path is used (profile closure, segment scans), so this is
-    the reference evaluation the vectorised sweep must agree with.
+    The sweep's evaluation on a batch of one pair, so it agrees with the
+    sweep arrays bit for bit.
     """
     d_cs, r, L, m = float(x[0]), float(x[1]), float(x[2]), int(x[3])
-    eta = eta_from_design(d_cs, r, space.pitch)
-    violations: list[str] = []
     mu_max = P_max = float("nan")
-    convex = math.pi * eta > 1.0
-    S_M = m * L
-    spec = None
-    if m < 2:
-        violations.append(VIOLATION_GEOMETRY)
-    else:
-        try:
-            spec = TransmissionSpec(p=space.pitch, eta=eta, r=r, n=space.lobes,
-                                    m=m, L=L)
-        except InvalidSpec:
-            violations.append(VIOLATION_GEOMETRY)
-    if spec is not None:
-        report = feasibility_check(spec)
-        if not report.ok:
-            violations.append(VIOLATION_GEOMETRY)
-        else:
-            mu_max = max_pressure_angle(spec)
-            try:
-                P_max, _ = max_hertz_pressure(
-                    spec, space.load, space.cam_material, space.roller_material,
-                    samples=space.scan_samples)
-            except ModelError:
-                violations.append(VIOLATION_GEOMETRY)
-    if not math.isnan(mu_max) and mu_max > space.mu_cap:
-        violations.append(VIOLATION_PRESSURE_ANGLE)
-    if not math.isnan(P_max) and P_max > space.P_cap:
-        violations.append(VIOLATION_HERTZ)
-    if S_M > space.S_cap:
-        violations.append(VIOLATION_SIZE)
-    ordered = tuple(dict.fromkeys(violations))
-    return DesignCandidate(
-        d_cs=d_cs, r=r, L=L, m=m, mu_max=mu_max, P_max=P_max, S_M=S_M,
-        feasible=not ordered, violations=ordered, convex_profile=convex,
-    )
+    geometry_ok = False
+    if m >= 2:
+        geom, mu, P_unit = _pair_metrics(space, m, np.array([d_cs]), np.array([r]))
+        geometry_ok, mu_max, P_max = geom[0], mu[0], P_unit[0] / math.sqrt(L)
+    return _candidate(space, m, d_cs, r, L, m * L, mu_max, P_max, geometry_ok)
 
 
 def dominates(a: DesignCandidate, b: DesignCandidate) -> bool:
@@ -267,89 +248,38 @@ def pareto_front(candidates) -> list[DesignCandidate]:
 
 # --- vectorised grid evaluation ------------------------------------------
 
-def _closure_angles(pitch: float, eta: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Vectorised closure-angle root find; NaN where no bracket exists."""
-    b1 = pitch / TAU
-    q = TAU * eta - 1.0
-    nodes = np.linspace(-math.pi, 0.0, ROOT_SCAN_NODES)
-    w = nodes[None, :] - math.pi
-    b2 = b1 * np.sqrt(q[:, None] ** 2 + w ** 2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dang = np.arctan(w / q[:, None])
-    V = -b1 * np.sin(nodes)[None, :] + (b2 - r[:, None]) * np.sin(dang - nodes[None, :])
-    change = V[:, :-1] * V[:, 1:] <= 0.0
-    has = change.any(axis=1)
-    # rightmost bracket = root nearest zero
-    idx = change.shape[1] - 1 - np.argmax(change[:, ::-1], axis=1)
-    idx = np.where(has, idx, 0)
-    lo = nodes[idx]
-    hi = nodes[idx + 1]
+def _pair_metrics(space: DesignSpace, m: int, d_cs: np.ndarray, r: np.ndarray):
+    """Geometry flag, mu_max and unit-width P_max of each (d_cs, r) pair.
 
-    def vc(psi):
-        ww = psi - math.pi
-        bb2 = b1 * np.sqrt(q * q + ww * ww)
-        dd = np.arctan(ww / q)
-        return -b1 * np.sin(psi) + (bb2 - r) * np.sin(dd - psi)
-
-    flo = vc(lo)
-    for _ in range(52):
-        mid = 0.5 * (lo + hi)
-        fm = vc(mid)
-        sel = flo * fm <= 0.0
-        hi = np.where(sel, mid, hi)
-        lo = np.where(sel, lo, mid)
-        flo = np.where(sel, flo, fm)
-    return np.where(has, 0.5 * (lo + hi), np.nan)
-
-
-def _scan_pairs(args):
-    """Per-(eta, r) segment scan: mu_max, unit-width peak pressure, min radius.
-
-    Unit-width means evaluated at L = 1 mm; the true pressure is that value
-    divided by sqrt(L), which lets one scan serve the whole L axis.
+    d_cs = 0 puts the roller on the cam axis line (e = r), which no profile
+    allows; those pairs and the ones the kernel rejects get NaN metrics.
+    Pairs go to the kernel in chunks of _PAIR_CHUNK, which bounds the
+    memory of the (chunk, SEGMENT_SCAN_SAMPLES) scan arrays.
     """
-    pitch, torque, K_sum, n, m, samples, eta, r = args
-    delta = _closure_angles(pitch, eta, r)
-    end = TAU / n - delta
-    start = end - TAU / (n * m)
-    t = np.linspace(0.0, 1.0, samples)
-    psi = start[:, None] + t[None, :] * (end - start)[:, None]
-    q = TAU * eta[:, None] - 1.0
-    w = psi - math.pi
-    mu = np.arctan(-n * q / (n * psi - math.pi))
-    F = TAU * torque / (pitch * np.cos(mu))
-    num = w * w + 2.0 * q * (math.pi * eta[:, None] - 1.0)
-    den = (w * w + q * q) ** 1.5
-    kp = (TAU / pitch) * num / den
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = (1.0 - r[:, None] * kp) / kp
-        R = r[:, None] * rho / (r[:, None] + rho)
-        P_unit = (1.0 / math.pi) * np.sqrt(F / (K_sum * R))
-    mu_max = np.abs(mu).max(axis=1)
-    rho_min = rho.min(axis=1)
-    ok = np.isfinite(delta) & (rho_min > 0.0)
-    P_unit = np.where(rho > 0.0, P_unit, np.nan)
-    P_unit_max = np.where(ok, np.nanmax(np.where(np.isnan(P_unit), -np.inf, P_unit),
-                                        axis=1), np.nan)
-    arg = np.argmax(np.where(np.isnan(P_unit), -np.inf, P_unit), axis=1)
-    psi_at = psi[np.arange(len(eta)), arg]
-    return delta, mu_max, P_unit_max, rho_min, ok, psi_at
-
-
-def _pair_metrics(space: DesignSpace, m: int, eta: np.ndarray, r: np.ndarray):
-    chunks = []
-    for s in range(0, len(eta), _PAIR_CHUNK):
-        chunks.append((space.pitch, space.load.torque,
-                       material_coefficient(space.cam_material)
-                       + material_coefficient(space.roller_material),
-                       space.lobes, m, space.scan_samples,
-                       eta[s:s + _PAIR_CHUNK], r[s:s + _PAIR_CHUNK]))
-    if space.workers > 1:
+    eta = eta_from_design(d_cs, r, space.pitch)
+    K_sum = (material_coefficient(space.cam_material)
+             + material_coefficient(space.roller_material))
+    kernel = partial(segment_metrics, space.pitch, m=m, torque=space.load.torque,
+                     K_sum=K_sum)
+    etas = [eta[s:s + _PAIR_CHUNK] for s in range(0, len(eta), _PAIR_CHUNK)]
+    rs = [r[s:s + _PAIR_CHUNK] for s in range(0, len(r), _PAIR_CHUNK)]
+    if space.workers > 1 and len(etas) > 1:
         with ProcessPoolExecutor(max_workers=space.workers) as pool:
-            parts = list(pool.map(_scan_pairs, chunks))
+            parts = list(pool.map(kernel, etas, rs))
     else:
-        parts = [_scan_pairs(c) for c in chunks]
-    return [np.concatenate([p[i] for p in parts]) for i in range(6)]
+        parts = list(map(kernel, etas, rs))
+    seg = SegmentMetrics(*(np.concatenate(col) for col in zip(*parts)))
+    geom = (d_cs > 0.0) & seg.ok
+    return (geom, np.where(geom, seg.mu_max, np.nan),
+            np.where(geom, seg.P_max, np.nan))
+
+
+def _pair_grid(space: DesignSpace, m: int, res: int):
+    """The res x res (d_cs, r) grid, d_cs-major, and its pair metrics."""
+    d_axis = np.linspace(space.d_cs_range[0], space.d_cs_range[1], res)
+    r_axis = np.linspace(space.r_range[0], space.r_range[1], res)
+    D, R = (a.ravel() for a in np.meshgrid(d_axis, r_axis, indexing="ij"))
+    return (d_axis, r_axis, D, R) + _pair_metrics(space, m, D, R)
 
 
 @dataclass(frozen=True)
@@ -373,23 +303,9 @@ class GridData:
         return np.column_stack([self.mu_max, self.P_max, self.S_M])
 
     def candidate(self, i: int, space: DesignSpace) -> DesignCandidate:
-        violations = []
-        if not self.geometry_ok[i]:
-            violations.append(VIOLATION_GEOMETRY)
-        else:
-            if self.mu_max[i] > space.mu_cap:
-                violations.append(VIOLATION_PRESSURE_ANGLE)
-            if self.P_max[i] > space.P_cap:
-                violations.append(VIOLATION_HERTZ)
-        if self.S_M[i] > space.S_cap:
-            violations.append(VIOLATION_SIZE)
-        eta = eta_from_design(self.d_cs[i], self.r[i], space.pitch)
-        return DesignCandidate(
-            d_cs=float(self.d_cs[i]), r=float(self.r[i]), L=float(self.L[i]),
-            m=self.m, mu_max=float(self.mu_max[i]), P_max=float(self.P_max[i]),
-            S_M=float(self.S_M[i]), feasible=bool(self.feasible[i]),
-            violations=tuple(violations), convex_profile=bool(math.pi * eta > 1.0),
-        )
+        return _candidate(space, self.m, self.d_cs[i], self.r[i], self.L[i],
+                          self.S_M[i], self.mu_max[i], self.P_max[i],
+                          self.geometry_ok[i])
 
 
 @dataclass(frozen=True)
@@ -407,25 +323,17 @@ class SweepResult:
 
 
 def _evaluate_grid(space: DesignSpace, m: int) -> GridData:
-    d_axis, r_axis, L_axis = space.axes(m)
-    D, R = np.meshgrid(d_axis, r_axis, indexing="ij")
-    D, R = D.ravel(), R.ravel()
-    eta = eta_from_design(D, R, space.pitch)
-    pair_valid = (D > 0.0) & (TAU * eta - 1.0 >= ETA_SINGULAR_TOL)
-    delta, mu_max, P_unit, rho_min, scan_ok, _ = _pair_metrics(space, m, eta, R)
-    geom_pair = pair_valid & scan_ok
+    _, _, D, R, geom_pair, mu_pair, P_pair = _pair_grid(space, m, space.resolution)
+    L_axis = space.L_axis(m)
     nL = len(L_axis)
     L = np.tile(L_axis, len(D))
     dd = np.repeat(D, nL)
     rr = np.repeat(R, nL)
-    mu = np.repeat(mu_max, nL)
-    P = np.repeat(P_unit, nL) / np.sqrt(L)
+    mu = np.repeat(mu_pair, nL)
+    P = np.repeat(P_pair, nL) / np.sqrt(L)
     S = m * L
     geom = np.repeat(geom_pair, nL)
-    mu = np.where(geom, mu, np.nan)
-    P = np.where(geom, P, np.nan)
-    with np.errstate(invalid="ignore"):
-        feas = geom & (mu <= space.mu_cap) & (P <= space.P_cap) & (S <= space.S_cap)
+    feas = _feasible(space, geom, mu, P, S)
     return GridData(m=m, d_cs=dd, r=rr, L=L, mu_max=mu, P_max=P, S_M=S,
                     feasible=feas, geometry_ok=geom)
 
@@ -537,28 +445,15 @@ def contour_slice(space: DesignSpace, m: int, S_M: float,
         raise InvalidSpec(
             f"S_M={S_M} gives L={L} outside the allowed range [{lo}, {hi}] for m={m}")
     res = space.resolution if resolution is None else resolution
-    d_axis = np.linspace(space.d_cs_range[0], space.d_cs_range[1], res)
-    r_axis = np.linspace(space.r_range[0], space.r_range[1], res)
-    D, R = np.meshgrid(d_axis, r_axis, indexing="ij")
-    D, R = D.ravel(), R.ravel()
-    eta = eta_from_design(D, R, space.pitch)
-    pair_valid = (D > 0.0) & (TAU * eta - 1.0 >= ETA_SINGULAR_TOL)
-    delta, mu_max, P_unit, rho_min, scan_ok, _ = _pair_metrics(space, m, eta, R)
-    geom = pair_valid & scan_ok
-    mu = np.where(geom, mu_max, np.nan)
-    P = np.where(geom, P_unit / math.sqrt(L), np.nan)
-    with np.errstate(invalid="ignore"):
-        feas = geom & (mu <= space.mu_cap) & (P <= space.P_cap) & (S_M <= space.S_cap)
+    d_axis, r_axis, D, R, geom, mu, P_unit = _pair_grid(space, m, res)
+    P = P_unit / math.sqrt(L)
+    feas = _feasible(space, geom, mu, P, S_M)
     locus = []
     idx = np.flatnonzero(feas)
     if idx.size:
         mask = nondominated_mask(np.column_stack([mu[idx], P[idx]]))
-        for i in idx[mask]:
-            locus.append(DesignCandidate(
-                d_cs=float(D[i]), r=float(R[i]), L=L, m=m,
-                mu_max=float(mu[i]), P_max=float(P[i]), S_M=S_M, feasible=True,
-                violations=(), convex_profile=bool(math.pi * eta[i] > 1.0)))
-        locus.sort(key=_candidate_sort_key)
+        locus = sorted((_candidate(space, m, D[i], R[i], L, S_M, mu[i], P[i], True)
+                        for i in idx[mask]), key=_candidate_sort_key)
     mu_grid = mu.reshape(res, res)
     P_grid = P.reshape(res, res)
     mu_iso = {lev: marching_squares(d_axis, r_axis, np.degrees(mu_grid), lev)

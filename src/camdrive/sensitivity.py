@@ -13,22 +13,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InvalidSpec, PerturbationInfeasible
-from .geometry import (
-    TransmissionSpec,
-    cam_curvature,
-    extended_angle,
-    pitch_curvature,
-)
+from .geometry import TransmissionSpec, extended_angle
 from .mechanics import (
     ActiveSegment,
     LoadCase,
     Material,
     active_segment,
-    contact_force,
-    equivalent_radius,
-    hertz_band_width,
-    hertz_pressure,
-    hertz_pressure_series,
+    contact_state,
     material_coefficient,
 )
 
@@ -60,19 +51,19 @@ class SensitivityReport:
 
 
 def pressure_at(spec: TransmissionSpec, load: LoadCase,
-                materials: tuple[Material, Material], psi: float) -> float:
-    """Hertz pressure at a single cam angle, composed from the scalar ops."""
+                materials: tuple[Material, Material], psi):
+    """Hertz pressure at cam angle psi, MPa; psi may be an array of angles.
+
+    Raises PerturbationInfeasible where the cam curvature radius is not
+    positive, because the Hertz model does not apply there.
+    """
     cam_mat, roller_mat = materials
-    F = contact_force(psi, load, spec)
-    kappa_c = cam_curvature(pitch_curvature(psi, spec.p, spec.eta), spec.r)
-    rho_c = 1.0 / kappa_c
-    if rho_c <= 0.0:
+    K_sum = material_coefficient(cam_mat) + material_coefficient(roller_mat)
+    _, _, P = contact_state(psi, spec.p, spec.eta, spec.r, load.torque, K_sum, spec.L)
+    if np.isnan(P).any():
         raise PerturbationInfeasible(
-            f"cam curvature radius {rho_c:.4g} mm is not positive at psi={psi:.4g}")
-    R = equivalent_radius(spec.r, rho_c)
-    B = hertz_band_width(F, material_coefficient(cam_mat),
-                         material_coefficient(roller_mat), R, spec.L)
-    return hertz_pressure(F, spec.L, B)
+            "cam curvature radius is not positive at the probed cam angle")
+    return P if np.ndim(P) else float(P)
 
 
 def _perturbed(spec: TransmissionSpec, name: str, value: float) -> TransmissionSpec:
@@ -106,11 +97,19 @@ def pressure_partials(spec: TransmissionSpec, load: LoadCase,
                 f"probe of {name} at psi={psi:.4g} failed: {exc}") from exc
         out.append((hi - lo) / (2.0 * h))
     if include_torque:
-        h = FD_REL_STEP * load.torque
-        hi = pressure_at(spec, LoadCase(load.torque + h, load.speed_rpm), materials, psi)
-        lo = pressure_at(spec, LoadCase(load.torque - h, load.speed_rpm), materials, psi)
-        out.append((hi - lo) / (2.0 * h))
+        out.append(_torque_partial(spec, load, materials, psi))
     return np.array(out)
+
+
+def _torque_partial(spec, load, materials, psi):
+    h = FD_REL_STEP * load.torque
+    hi = pressure_at(spec, LoadCase(load.torque + h, load.speed_rpm), materials, psi)
+    lo = pressure_at(spec, LoadCase(load.torque - h, load.speed_rpm), materials, psi)
+    return (hi - lo) / (2.0 * h)
+
+
+def _segment(spec: TransmissionSpec) -> ActiveSegment:
+    return active_segment(spec, extended_angle(spec))
 
 
 def _series_partials(spec, load, materials, psis):
@@ -119,13 +118,21 @@ def _series_partials(spec, load, materials, psis):
     for name in PARAMS:
         q0 = getattr(spec, name)
         h = FD_REL_STEP * abs(q0)
-        hi = hertz_pressure_series(psis, _perturbed(spec, name, q0 + h), load, *materials)
-        lo = hertz_pressure_series(psis, _perturbed(spec, name, q0 - h), load, *materials)
-        if np.isnan(hi).any() or np.isnan(lo).any():
-            raise PerturbationInfeasible(
-                f"probe of {name} leaves the feasible region on the segment")
+        hi = pressure_at(_perturbed(spec, name, q0 + h), load, materials, psis)
+        lo = pressure_at(_perturbed(spec, name, q0 - h), load, materials, psis)
         rows.append((hi - lo) / (2.0 * h) * q0)
     return np.vstack(rows)
+
+
+def _profile(spec, load, materials, seg, samples, include_torque):
+    if samples < MIN_PROFILE_SAMPLES:
+        raise InvalidSpec(f"need at least {MIN_PROFILE_SAMPLES} samples, got {samples}")
+    psis = seg.grid(samples)
+    mat = _series_partials(spec, load, materials, psis)
+    series = {name: mat[i] for i, name in enumerate(PARAMS)}
+    if include_torque:
+        series["torque"] = _torque_partial(spec, load, materials, psis) * load.torque
+    return psis, series
 
 
 def sensitivity_profile(spec: TransmissionSpec, load: LoadCase,
@@ -137,37 +144,27 @@ def sensitivity_profile(spec: TransmissionSpec, load: LoadCase,
     Returns (psis, {param: series}); each series is dP/dq * q0 at the sample
     angles. Needs at least 64 samples to resolve the segment.
     """
-    if samples < MIN_PROFILE_SAMPLES:
-        raise InvalidSpec(f"need at least {MIN_PROFILE_SAMPLES} samples, got {samples}")
-    delta = extended_angle(spec)
-    seg = active_segment(spec, delta)
-    psis = seg.grid(samples)
-    mat = _series_partials(spec, load, materials, psis)
-    series = {name: mat[i] for i, name in enumerate(PARAMS)}
-    if include_torque:
-        h = FD_REL_STEP * load.torque
-        hi = hertz_pressure_series(psis, spec, LoadCase(load.torque + h), *materials)
-        lo = hertz_pressure_series(psis, spec, LoadCase(load.torque - h), *materials)
-        series["torque"] = (hi - lo) / (2.0 * h) * load.torque
-    return psis, series
+    return _profile(spec, load, materials, _segment(spec), samples, include_torque)
 
 
 def _ranking(values: dict) -> tuple[str, ...]:
     return tuple(sorted(PARAMS, key=lambda k: -abs(values[k])))
 
 
+def _at_max(spec, load, materials, seg):
+    raw = pressure_partials(spec, load, materials, seg.psi_start)
+    values = {name: abs(raw[i]) * getattr(spec, name) for i, name in enumerate(PARAMS)}
+    return values, _ranking(values)
+
+
 def rank_at_max(spec: TransmissionSpec, load: LoadCase,
                 materials: tuple[Material, Material]):
     """Normalised partial magnitudes at the pressure peak, with ranking.
 
-    The peak sits at the left end of the active segment (pi/n - delta for a
+    The peak sits at the left end of the active segment (pi - delta for a
     two-cam mechanism); values are |dP/dq * q0| there.
     """
-    delta = extended_angle(spec)
-    seg = active_segment(spec, delta)
-    raw = pressure_partials(spec, load, materials, seg.psi_start)
-    values = {name: abs(raw[i]) * getattr(spec, name) for i, name in enumerate(PARAMS)}
-    return values, _ranking(values)
+    return _at_max(spec, load, materials, _segment(spec))
 
 
 def _simpson(y: np.ndarray, h: float) -> float:
@@ -177,19 +174,11 @@ def _simpson(y: np.ndarray, h: float) -> float:
     return float(h / 3.0 * np.dot(w, y))
 
 
-def rank_rms(spec: TransmissionSpec, load: LoadCase,
-             materials: tuple[Material, Material], nodes: int = MIN_RMS_NODES):
-    """Root-mean-square of the normalised partials over the active segment.
-
-    Composite Simpson integration on an odd node count >= 1025; the mean uses
-    the segment length, which is pi/n for a two-cam mechanism.
-    """
+def _rms(spec, load, materials, seg, nodes):
     if nodes < MIN_RMS_NODES:
         raise InvalidSpec(f"need at least {MIN_RMS_NODES} nodes, got {nodes}")
     if nodes % 2 == 0:
         nodes += 1  # Simpson needs an even interval count
-    delta = extended_angle(spec)
-    seg = active_segment(spec, delta)
     psis = seg.grid(nodes)
     h = seg.length / (nodes - 1)
     mat = _series_partials(spec, load, materials, psis)
@@ -200,18 +189,30 @@ def rank_rms(spec: TransmissionSpec, load: LoadCase,
     return values, _ranking(values)
 
 
+def rank_rms(spec: TransmissionSpec, load: LoadCase,
+             materials: tuple[Material, Material], nodes: int = MIN_RMS_NODES):
+    """Root-mean-square of the normalised partials over the active segment.
+
+    Composite Simpson integration on an odd node count >= 1025; the mean uses
+    the segment length, which is pi for a two-cam mechanism.
+    """
+    return _rms(spec, load, materials, _segment(spec), nodes)
+
+
 def sensitivity_report(spec: TransmissionSpec, load: LoadCase,
                        materials: tuple[Material, Material],
                        samples: int = 256,
                        rms_nodes: int = MIN_RMS_NODES,
                        include_torque: bool = False) -> SensitivityReport:
-    """Full sensitivity study: pointwise series, peak values, rms, rankings."""
+    """Full sensitivity study: pointwise series, peak values, rms, rankings.
+
+    The closure angle is solved once and its segment serves all three parts.
+    """
     delta = extended_angle(spec)
     seg = active_segment(spec, delta)
-    psis, series = sensitivity_profile(spec, load, materials, samples,
-                                       include_torque=include_torque)
-    at_max, rank1 = rank_at_max(spec, load, materials)
-    rms, rank2 = rank_rms(spec, load, materials, rms_nodes)
+    psis, series = _profile(spec, load, materials, seg, samples, include_torque)
+    at_max, rank1 = _at_max(spec, load, materials, seg)
+    rms, rank2 = _rms(spec, load, materials, seg, rms_nodes)
     nominal = {"r": spec.r, "eta": spec.eta, "p": spec.p, "L": spec.L,
                "torque": load.torque}
     return SensitivityReport(

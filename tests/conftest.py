@@ -26,7 +26,7 @@ def load():
 @pytest.fixture()
 def baseline_spec():
     """p=50 mm, eta=0.18, r=4 mm: the reference mechanism of the study."""
-    return cd.TransmissionSpec(p=50.0, eta=0.18, r=4.0, n=1, m=2, L=10.0)
+    return cd.TransmissionSpec(p=50.0, eta=0.18, r=4.0, m=2, L=10.0)
 
 
 @pytest.fixture(scope="session")

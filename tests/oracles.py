@@ -99,6 +99,43 @@ def closure_root_scan(p: float, eta: float, r: float,
     return 0.5 * (a + b)
 
 
+def hertz_pressure_series(psi, spec, load, cam_mat, roller_mat) -> np.ndarray:
+    """Hertz line-contact pressure at each psi, written out from the closed forms.
+
+    Pressure angle, contact force from the power balance, pitch curvature,
+    cam radius rho_c = rho_p - r and the line-contact peak pressure; NaN
+    where the cam radius is not positive.
+    """
+    psi = np.asarray(psi, dtype=float)
+    mu = np.arctan((1.0 - TAU * spec.eta) / (psi - math.pi))
+    F = TAU * load.torque / (spec.p * np.cos(mu))
+    q = TAU * spec.eta - 1.0
+    w = psi - math.pi
+    kp = (TAU / spec.p) * (w * w + 2.0 * q * (math.pi * spec.eta - 1.0)) \
+        / (w * w + q * q) ** 1.5
+    K = sum((1.0 - mat.nu ** 2) / (math.pi * mat.E) for mat in (cam_mat, roller_mat))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho_c = (1.0 - spec.r * kp) / kp
+        R = spec.r * rho_c / (spec.r + rho_c)
+        P = (1.0 / math.pi) * np.sqrt(F / (spec.L * K * R))
+    return np.where(rho_c > 0.0, P, np.nan)
+
+
+def segment_scan(spec, load, cam_mat, roller_mat, samples: int = 4096):
+    """(delta, mu_max, P_max) over one cam's driving arc by a plain scan.
+
+    The closure angle comes from `closure_root_scan`; the arc is the last
+    2*pi/m of the profile, [2*pi - delta - 2*pi/m, 2*pi - delta], sampled
+    uniformly. P_max is NaN when the cam radius is not positive somewhere
+    on the arc.
+    """
+    delta = closure_root_scan(spec.p, spec.eta, spec.r)
+    psi = np.linspace(TAU - delta - TAU / spec.m, TAU - delta, samples)
+    mu = np.arctan((1.0 - TAU * spec.eta) / (psi - math.pi))
+    P = hertz_pressure_series(psi, spec, load, cam_mat, roller_mat)
+    return delta, float(np.abs(mu).max()), float(P.max())
+
+
 def random_valid_specs(rng: np.random.Generator, count: int):
     """Geometry-valid parameter draws over the design-relevant ranges.
 

@@ -13,10 +13,10 @@ import pytest
 
 import camdrive as cd
 from camdrive.geometry import TAU
-from camdrive.mechanics import hertz_pressure_series
 from camdrive.optimize import nondominated_mask
 
 import oracles
+from oracles import hertz_pressure_series
 
 STEEL = cd.find_material("improved steel")
 LOAD = cd.LoadCase(1200.0)

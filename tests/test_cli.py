@@ -215,6 +215,27 @@ class TestConfigHandling:
                    "--material", "cheese")
         assert code == 1
 
+    @pytest.mark.parametrize("args, config", [
+        ((), {"mechanism": {"lobes": 2}}),
+        ((), {"profile": {"resolution": 3}}),
+        (("--resolution", "3"), None),
+    ])
+    def test_bad_profile_config_exits_1_with_one_line(self, tmp_path, capsys,
+                                                      args, config):
+        code = run(tmp_path, "profile", "--out", str(tmp_path / "o"), *args,
+                   config=config)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("section", [{"samples": 10}, {"rms_nodes": 10}])
+    def test_sensitivity_counts_are_config_errors(self, tmp_path, capsys, section):
+        code = run(tmp_path, "sensitivity", "--out", str(tmp_path / "o"),
+                   config={"sensitivity": section})
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and err.count("\n") == 1
+
     def test_seed_recorded(self, tmp_path):
         out = tmp_path / "o"
         run(tmp_path, "profile", "--out", str(out), "--seed", "42")

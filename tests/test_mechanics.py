@@ -11,12 +11,11 @@ from camdrive.errors import (
     ConfigError,
     DegenerateContact,
     InfeasibleCamCount,
-    InfeasibleProfile,
     InvalidSpec,
     PressureAngleSingular,
 )
 from camdrive.geometry import TAU
-from camdrive.mechanics import pressure_angle_series
+from camdrive.mechanics import segment_metrics
 
 import oracles
 
@@ -27,7 +26,7 @@ P_REFERENCE = 679.3847734371351            # 4*377/(10*pi*B)
 
 
 def spec50(**over):
-    base = dict(p=50.0, eta=0.18, r=4.0, n=1, m=2, L=10.0)
+    base = dict(p=50.0, eta=0.18, r=4.0, m=2, L=10.0)
     base.update(over)
     return cd.TransmissionSpec(**base)
 
@@ -73,8 +72,9 @@ class TestMaterials:
         assert mat.P_allow == pytest.approx(40.0)
 
     def test_invalid_constants(self):
-        with pytest.raises(InvalidSpec):
-            cd.Material("bad", -1.0, 0.3, (1.0, 1.0), (1.0, 1.0))
+        for E in (-1.0, float("nan")):
+            with pytest.raises(InvalidSpec):
+                cd.Material("bad", E, 0.3, (1.0, 1.0), (1.0, 1.0))
         with pytest.raises(InvalidSpec):
             cd.Material("bad", 1000.0, 0.5, (1.0, 1.0), (1.0, 1.0))
 
@@ -176,7 +176,7 @@ class TestActiveSegment:
             delta = cd.extended_angle(s)
             seg = cd.active_segment(s, delta)
             assert delta <= seg.psi_start < seg.psi_end <= TAU - delta + 1e-12
-            assert seg.length == pytest.approx(TAU / (s.n * s.m))
+            assert seg.length == pytest.approx(TAU / s.m)
 
 
 class TestMaxPressureAngle:
@@ -252,11 +252,20 @@ class TestMaxHertzPressure:
         P_ba, _ = cd.max_hertz_pressure(spec50(), load, cast, steel)
         assert P_ab == pytest.approx(P_ba, rel=1e-14)
 
-    def test_concave_driving_arc_rejected(self, load, steel_pair):
-        # a two-lobe window crosses the concave nose at this eta
-        s = spec50(n=2)
-        with pytest.raises(InfeasibleProfile):
-            cd.max_hertz_pressure(s, load, *steel_pair)
+
+class TestSegmentMetrics:
+    def test_batching_is_bitwise_invisible(self, rng, steel):
+        # eta below 1/(2*pi), open profiles, concave arcs and feasible pairs
+        eta = rng.uniform(0.1, 0.7, 300)
+        r = rng.uniform(2.0, 10.5, 300)
+        K_sum = 2.0 * cd.material_coefficient(steel)
+        whole = segment_metrics(20.0, eta, r, 2, 1200.0, K_sum)
+        parts = [segment_metrics(20.0, eta[s:s + 37], r[s:s + 37], 2, 1200.0, K_sum)
+                 for s in range(0, 300, 37)]
+        for name, col in zip(whole._fields, zip(*parts)):
+            assert np.array_equal(getattr(whole, name), np.concatenate(col),
+                                  equal_nan=True), name
+        assert 0 < whole.ok.sum() < 300
 
 
 class TestMechanismSize:
@@ -271,8 +280,9 @@ class TestMechanismSize:
 
 class TestLoadCase:
     def test_torque_positive(self):
-        with pytest.raises(InvalidSpec):
-            cd.LoadCase(0.0)
+        for torque in (0.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidSpec):
+                cd.LoadCase(torque)
 
     def test_high_speed_flag(self):
         assert not cd.LoadCase(1200.0).high_speed
@@ -286,7 +296,6 @@ class TestEndpointExtremality:
         # there whenever rho_c grows across the segment (|delta|^2 >= t*, with
         # t* = 2(2*pi*eta - 1)(2 - pi*eta) the curvature-turnover abscissa),
         # and only slightly inside otherwise
-        from camdrive.mechanics import hertz_pressure_series
         checked = off_endpoint = 0
         for params in oracles.random_valid_specs(rng, 100):
             s = cd.TransmissionSpec(p=params["p"], eta=params["eta"],
@@ -297,9 +306,9 @@ class TestEndpointExtremality:
             delta = cd.extended_angle(s)
             seg = cd.active_segment(s, delta)
             psis = seg.grid(2048)
-            mus = np.abs(pressure_angle_series(psis, s.eta, s.n))
+            mus = np.abs(cd.pressure_angle(psis, s.eta))
             assert int(np.argmax(mus)) == 0
-            P = hertz_pressure_series(psis, s, load, *steel_pair)
+            P = oracles.hertz_pressure_series(psis, s, load, *steel_pair)
             if np.isnan(P).any():
                 continue
             i = int(np.argmax(P))
@@ -350,6 +359,6 @@ class TestMonotoneTrends:
 @given(st.floats(0.18, 0.55), st.floats(25.0, 60.0))
 def test_property_pressure_angle_series_matches_scalar(eta, p):
     psis = np.linspace(math.pi + 0.5, math.pi + 4.0, 9)
-    series = pressure_angle_series(psis, eta)
+    series = cd.pressure_angle(psis, eta)
     for psi, mu in zip(psis, series):
         assert mu == pytest.approx(cd.pressure_angle(float(psi), eta), rel=1e-14)

@@ -64,6 +64,7 @@ class TestEvaluateCandidate:
         assert c.mu_max <= space.mu_cap and c.P_max <= space.P_cap
 
     def test_matches_sweep_arrays(self):
+        # scalar path and grid share the kernel; the scan oracle shares nothing
         space = small_space()
         result = cd.sweep(space)
         g = result.grids[3]
@@ -71,9 +72,13 @@ class TestEvaluateCandidate:
         for i in idx:
             c = cd.evaluate_candidate((g.d_cs[i], g.r[i], g.L[i], 3), space)
             assert c.feasible
-            assert c.mu_max == pytest.approx(g.mu_max[i], rel=1e-9)
-            assert c.P_max == pytest.approx(g.P_max[i], rel=1e-9)
-            assert c.S_M == pytest.approx(g.S_M[i], rel=1e-12)
+            assert c.objectives == (g.mu_max[i], g.P_max[i], g.S_M[i])
+            spec = cd.TransmissionSpec(p=space.pitch, r=c.r, m=3, L=c.L,
+                                       eta=eta_from_design(c.d_cs, c.r, space.pitch))
+            _, mu_ref, P_ref = oracles.segment_scan(
+                spec, space.load, space.cam_material, space.roller_material)
+            assert c.mu_max == pytest.approx(mu_ref, rel=1e-9)
+            assert c.P_max == pytest.approx(P_ref, rel=1e-9)
 
 
 class TestDominates:

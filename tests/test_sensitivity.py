@@ -16,7 +16,7 @@ RMS_NOMINAL = {"r": 156.655, "eta": 20.010, "p": 261.672, "L": 207.750}
 
 @pytest.fixture()
 def nominal():
-    return cd.TransmissionSpec(p=50.0, eta=0.18, r=4.0, n=1, m=2, L=10.0)
+    return cd.TransmissionSpec(p=50.0, eta=0.18, r=4.0, m=2, L=10.0)
 
 
 def segment_points(spec, k=5):
