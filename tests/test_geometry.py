@@ -38,6 +38,7 @@ class TestSpecInvariants:
         dict(p=-1.0, eta=0.18, r=4.0),
         dict(p=50.0, eta=0.18, r=-4.0),
         dict(p=50.0, eta=0.18, r=4.0, L=0.0),
+        dict(p=50.0, eta=0.18, r=4.0, m=1.5),
         dict(p=50.0, eta=0.18, r=4.0, m=0),
         dict(p=50.0, eta=0.18, r=9.5),   # e = 9 <= r
     ])
