@@ -16,7 +16,7 @@ from pathlib import Path
 from .errors import ConfigError
 from .geometry import MIN_PROFILE_RESOLUTION, TransmissionSpec
 from .mechanics import LoadCase, Material, builtin_materials, find_material, load_materials
-from .optimize import DesignSpace
+from .optimize import MIN_GRID_RESOLUTION, DesignSpace
 from .sensitivity import MIN_PROFILE_SAMPLES, MIN_RMS_NODES
 
 FORMATS = ("csv", "json", "svg")
@@ -199,9 +199,22 @@ def _parse_section(name: str, cls, raw: dict):
         raise ConfigError(f"invalid section {name!r}: {exc}") from exc
 
 
+def _check_finite(value, where: str = "") -> None:
+    """Reject NaN and infinities, which JSON parsing lets through, at any depth."""
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where or 'config value'} must be a finite number, got {value}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{where}.{key}" if where else str(key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_finite(item, f"{where}[{i}]")
+
+
 def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be a JSON object")
+    _check_finite(data)
     unknown = set(data) - set(_SECTIONS) - {"seed"}
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
@@ -239,6 +252,10 @@ def _validate(cfg: RunConfig) -> None:
     for label, pair in (("d_cs_mm", sc.d_cs_mm), ("r_mm", sc.r_mm)):
         if len(pair) != 2 or pair[0] > pair[1]:
             raise ConfigError(f"design_space.{label} must be [low, high], got {pair}")
+    if sc.d_cs_mm[0] < 0.0:
+        raise ConfigError("design_space.d_cs_mm lower bound must not be negative")
+    if sc.r_mm[0] <= 0.0:
+        raise ConfigError("design_space.r_mm lower bound must be positive")
     if len(sc.L_mm) != 2:
         raise ConfigError(f"design_space.L_mm must be [low, high|null], got {sc.L_mm}")
     if sc.L_mm[0] <= 0.0:
@@ -249,6 +266,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"contour.m must be at least 2, got {cfg.contour.m}")
     for label, value, least in (
         ("profile.resolution", cfg.profile.resolution, MIN_PROFILE_RESOLUTION),
+        ("design_space.resolution", sc.resolution, MIN_GRID_RESOLUTION),
+        ("contour.resolution", cfg.contour.resolution, MIN_GRID_RESOLUTION),
         ("sensitivity.samples", cfg.sensitivity.samples, MIN_PROFILE_SAMPLES),
         ("sensitivity.rms_nodes", cfg.sensitivity.rms_nodes, MIN_RMS_NODES),
     ):

@@ -5,11 +5,12 @@ translation through pure-rolling contact between conjugate cams and rollers.
 Angles are in radians, lengths in millimetres, curvatures in 1/mm.
 
 Each quantity has one formula here, written for numpy arrays: the profile
-ordinate v_c, the closure root, the pitch curvature, the cam curvature
-radius and the driving window. The batched segment kernel in `mechanics`
-and the scalar functions below call the same formulas. Checks that raise
-apply to scalar arguments; array arguments carry NaN or inf through, and
-batched callers mask those samples themselves.
+ordinate v_c, the closure root, the pitch curvature and its turnover, the
+cam curvature radius, its minimum over the driving arc and the driving
+window. The batched segment kernel in `mechanics` and the scalar functions
+below call the same formulas. Checks that raise apply to scalar arguments;
+array arguments carry NaN or inf through, and batched callers mask those
+samples themselves.
 """
 from __future__ import annotations
 
@@ -32,9 +33,6 @@ ROOT_REFINE_NODES = 33
 ROOT_TOL = 1e-12
 _ROOT_PASSES = math.ceil(math.log(math.pi / (ROOT_SCAN_NODES - 1) / ROOT_TOL,
                                   ROOT_REFINE_NODES - 1))
-
-# samples of one cam's driving arc in every segment scan
-SEGMENT_SCAN_SAMPLES = 4096
 
 DEFAULT_PROFILE_RESOLUTION = 2048
 MIN_PROFILE_RESOLUTION = 16
@@ -280,52 +278,46 @@ def driving_window(delta, m):
     return end - TAU / m, end
 
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+def curvature_turnover(eta):
+    """Cam angle pi + w* past mid-stroke where the pitch curvature peaks.
+
+    With w = psi - pi and q = 2*pi*eta - 1, kappa_p rises in w up to
+    w*^2 = 2q(2 - pi*eta) and falls beyond it; for eta >= 2/pi it falls
+    from w = 0 on, and w* is 0. Broadcasts over eta.
+    """
+    q = TAU * eta - 1.0
+    return math.pi + np.sqrt(np.maximum(2.0 * q * (2.0 - math.pi * eta), 0.0))
 
 
-def _golden_min(f, a, b, tol=1e-10):
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while abs(b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
+def min_cam_radius(delta, p, eta, r, m):
+    """Angle and value of the smallest cam curvature radius on the driving arc.
 
-
-def _min_radius(spec: TransmissionSpec, delta: float) -> tuple[float, float]:
-    a, b = driving_window(delta, spec.m)
-    psis = np.linspace(a, b, SEGMENT_SCAN_SAMPLES)
-
-    def rho_at(x):
-        return cam_curvature_radius(pitch_curvature(x, spec.p, spec.eta), spec.r)
-
-    rho = rho_at(psis)
-    i = int(np.argmin(rho))
-    lo = psis[max(i - 1, 0)]
-    hi = psis[min(i + 1, SEGMENT_SCAN_SAMPLES - 1)]
-    psi_min, rho_min = _golden_min(lambda x: float(rho_at(x)), float(lo), float(hi))
-    # golden section cannot leave the bracket, but the grid node may be better
-    if rho[i] < rho_min:
-        psi_min, rho_min = float(psis[i]), float(rho[i])
-    return psi_min, rho_min
+    The arc is one of m cams' driving window for closure angle delta. It
+    lies past mid-stroke, where kappa_p is unimodal, so its largest value
+    sits at the turnover clipped to the arc and its smallest at an end.
+    rho_c = 1/kappa_p - r is therefore positive on the whole arc exactly
+    when it is positive at both ends and at the clipped turnover, and its
+    minimum is the smallest of those three values. kappa_p can be negative
+    only near mid-stroke; where it changes sign on the arc, rho_c passes
+    through infinity and the value returned is the one at the arc start,
+    below -r. delta and eta share a shape; r broadcasts against them.
+    """
+    start, end = driving_window(delta, m)
+    turn = np.minimum(np.maximum(curvature_turnover(eta), start), end)
+    psi = np.array((start, end, turn))
+    rho = cam_curvature_radius(pitch_curvature(psi, p, eta), r)
+    return np.choose(np.argmin(rho, axis=0), psi), rho.min(axis=0)
 
 
 def min_profile_radius(spec: TransmissionSpec) -> tuple[float, float]:
     """Angle and value of the smallest cam curvature radius on the driving arc.
 
-    Grid minimum refined by golden section; no usable closed form exists for
-    this angle, so the location is always found numerically. For two
-    conjugate cams with a monotone radius the minimum sits at the arc start.
+    `min_cam_radius` of one spec. For two conjugate cams the minimum
+    usually sits at the arc start.
     """
-    return _min_radius(spec, extended_angle(spec))
+    psi_min, rho_min = min_cam_radius(extended_angle(spec), spec.p, spec.eta,
+                                      spec.r, spec.m)
+    return float(psi_min), float(rho_min)
 
 
 BLOCKING_REL_TOL = 1e-6
@@ -351,7 +343,8 @@ def feasibility_check(spec: TransmissionSpec) -> FeasibilityReport:
             eta_valid=True, profile_feasible=False, fully_convex=fully_convex,
             blocking=False, notes=("profile does not close: no root of v_c on [-pi, 0)",),
         )
-    psi_min, rho_min = _min_radius(spec, delta)
+    psi_min, rho_min = (float(v) for v in min_cam_radius(
+        delta, spec.p, spec.eta, spec.r, spec.m))
     blocking = abs(rho_min) <= BLOCKING_REL_TOL * spec.r
     feasible = rho_min > 0.0 and not blocking
     notes = ()

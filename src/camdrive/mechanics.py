@@ -5,9 +5,11 @@ contact force, Hertz line-contact pressure and overall mechanism size.
 Units: mm, N, N*mm, MPa, radians.
 
 `segment_metrics` is the one segment kernel. For a batch of (eta, r) pairs
-it solves the closure angle, scans one cam's driving arc and returns the
+it solves the closure angle and returns, over one cam's driving arc, the
 peak pressure angle, the peak unit-width Hertz pressure and the smallest cam
-curvature radius. The scalar metrics call it on a batch of one. As in
+curvature radius. The angle and the radius peak where closed forms put
+them; the pressure is searched for only on the pairs whose peak can lie
+inside the arc. The scalar metrics call it on a batch of one. As in
 `geometry`, each formula accepts arrays; checks that raise apply to scalar
 arguments.
 """
@@ -33,17 +35,22 @@ from .errors import (
 )
 from .geometry import (
     ETA_SINGULAR_TOL,
-    SEGMENT_SCAN_SAMPLES,
     TAU,
     TransmissionSpec,
     cam_curvature_radius,
     closure_angles,
     driving_window,
+    min_cam_radius,
     pitch_curvature,
 )
 
-# sample positions along the driving arc, as fractions of its length
-_SCAN_T = np.linspace(0.0, 1.0, SEGMENT_SCAN_SAMPLES)
+# Hertz peak search: scan the bracket on PEAK_SCAN_NODES nodes, then rescan
+# the best node's neighbours PEAK_PASSES times. The bracket is at most 1.5
+# rad long and each rescan narrows the node spacing 256-fold, to below 5e-8
+# rad in the end
+PEAK_SCAN_NODES = 513
+PEAK_PASSES = 2
+_PEAK_T = np.linspace(0.0, 1.0, PEAK_SCAN_NODES)
 
 # fatigue design rule: allowable running pressure is 40% of the static one
 FATIGUE_FRACTION = 0.4
@@ -195,7 +202,7 @@ class ActiveSegment:
     def length(self) -> float:
         return self.psi_end - self.psi_start
 
-    def grid(self, samples: int = SEGMENT_SCAN_SAMPLES) -> np.ndarray:
+    def grid(self, samples: int) -> np.ndarray:
         return np.linspace(self.psi_start, self.psi_end, samples)
 
 
@@ -296,11 +303,11 @@ class SegmentMetrics(NamedTuple):
     delta      closure angle, rad; NaN where eta <= 1/(2*pi) or the profile
                does not close
     mu_max     largest |pressure angle| on the driving arc, rad
-    psi_mu     cam angle where it occurs, rad
+    psi_mu     cam angle where it occurs (the arc start), rad
     P_max      largest Hertz pressure at unit contact width (L = 1 mm), MPa;
                width L divides it by sqrt(L). NaN unless ok
-    psi_P      cam angle where it occurs, rad
-    rho_c_min  smallest cam curvature radius on the scanned arc, mm
+    psi_P      cam angle where it occurs, rad; NaN unless ok
+    rho_c_min  smallest cam curvature radius on the arc (`min_cam_radius`), mm
     ok         the profile closes and its radius is positive on the whole arc
     """
 
@@ -313,13 +320,56 @@ class SegmentMetrics(NamedTuple):
     ok: np.ndarray
 
 
+def _hertz_peak_angle(a, b, p, eta, r):
+    """Cam angle of the largest Hertz pressure of each pair on [a, b] past pi.
+
+    With w = psi - pi > 0, s = w^2 + q^2 and k = 2*pi*r/p, the squared
+    pressure is proportional to F/R_equ, that is to
+    s^2 / (w * (s^1.5 - k*(w^2 + q(q - 1)))): 1/cos(mu) = sqrt(s)/w and
+    R_equ = r*(1 - r*kappa_p), with kappa_p = (2*pi/p)(w^2 + q(q - 1))/s^1.5.
+    The search maximises that, by rescans of the best node's neighbours
+    with a fixed pass count, so every step is elementwise per pair. Assumes
+    a convex cam on [a, b].
+    """
+    rows = np.arange(len(a))
+    q = (TAU * eta - 1.0)[:, None]
+    q2 = q * q
+    c = q2 - q
+    k = (TAU / p) * r[:, None]
+
+    def best_node(lo, hi):
+        w = lo[:, None] + (hi - lo)[:, None] * _PEAK_T
+        w2 = w * w
+        s = w2 + q2
+        return w, np.argmax(s * s / (w * (s * np.sqrt(s) - k * (w2 + c))), axis=1)
+
+    w, j = best_node(a - math.pi, b - math.pi)
+    for _ in range(PEAK_PASSES):
+        w, j = best_node(w[rows, np.maximum(j - 1, 0)],
+                         w[rows, np.minimum(j + 1, PEAK_SCAN_NODES - 1)])
+    return math.pi + w[rows, j]
+
+
 def segment_metrics(p, eta, r, m, torque, K_sum) -> SegmentMetrics:
     """Peak metrics over one cam's driving arc for each (eta, r) pair.
 
-    The closure angle fixes the arc, which is scanned on SEGMENT_SCAN_SAMPLES
-    samples; pitch p, cam count m, torque and K_sum (the summed material
-    coefficients) are shared by all pairs. Each step is elementwise per
-    pair, so a pair's results do not depend on how the pairs are batched.
+    Pitch p, cam count m, torque and K_sum (the summed material
+    coefficients) are shared by all pairs. With w = psi - pi > 0 on the arc
+    and q = 2*pi*eta - 1:
+
+    - |mu| = arctan(q/w) falls along the arc, so mu_max is its value at
+      the arc start.
+    - The radius minimum and the ok flag come from `min_cam_radius`. On a
+      convex arc the smallest radius sits where kappa_p peaks: at the
+      curvature turnover clipped to the arc.
+    - Past that angle both the contact force and 1/(1 - r*kappa_p) fall,
+      so the pressure peak lies between the arc start and the angle of the
+      smallest radius. Where that angle is the start, so is the peak. The
+      other ok pairs are searched by `_hertz_peak_angle`, and the larger of
+      the pressures at the start and at the angle found is the peak.
+
+    Each step is elementwise per pair, so a pair's results do not depend on
+    how the pairs are batched.
     """
     if m < 2:
         raise InfeasibleCamCount(
@@ -328,18 +378,20 @@ def segment_metrics(p, eta, r, m, torque, K_sum) -> SegmentMetrics:
     r = np.asarray(r, dtype=float)
     eta = np.where(TAU * eta - 1.0 >= ETA_SINGULAR_TOL, eta, np.nan)
     delta = closure_angles(p, eta, r)
-    start, end = driving_window(delta, m)
-    psi = start[:, None] + _SCAN_T * (end - start)[:, None]
+    start = driving_window(delta, m)[0]
     with np.errstate(divide="ignore", invalid="ignore"):  # rejected pairs give NaN
-        mu, rho_c, P = contact_state(psi, p, eta[:, None], r[:, None], torque, K_sum, 1.0)
-    rows = np.arange(len(delta))
-    i_mu = np.argmax(np.abs(mu), axis=1)
-    i_P = np.argmax(np.where(np.isnan(P), -np.inf, P), axis=1)
-    rho_c_min = rho_c.min(axis=1)
-    ok = np.isfinite(delta) & (rho_c_min > 0.0)
+        psi_rho, rho_c_min = min_cam_radius(delta, p, eta, r, m)
+        ok = np.isfinite(delta) & (rho_c_min > 0.0)
+        inner = np.flatnonzero(ok & (start < psi_rho))
+        psi = start[:, None].repeat(2, axis=1)  # the arc start, then the peak
+        if inner.size:
+            psi[inner, 1] = _hertz_peak_angle(start[inner], psi_rho[inner], p,
+                                              eta[inner], r[inner])
+        mu, _, P = contact_state(psi, p, eta[:, None], r[:, None], torque, K_sum, 1.0)
+    psi_P = np.where(P[:, 1] > P[:, 0], psi[:, 1], start)
     return SegmentMetrics(
-        delta=delta, mu_max=np.abs(mu[rows, i_mu]), psi_mu=psi[rows, i_mu],
-        P_max=np.where(ok, P[rows, i_P], np.nan), psi_P=psi[rows, i_P],
+        delta=delta, mu_max=np.abs(mu[:, 0]), psi_mu=start,
+        P_max=np.where(ok, P.max(axis=1), np.nan), psi_P=np.where(ok, psi_P, np.nan),
         rho_c_min=rho_c_min, ok=ok)
 
 
@@ -361,8 +413,8 @@ def design_segment(spec: TransmissionSpec, torque: float, K_sum: float) -> Segme
 def max_pressure_angle(spec: TransmissionSpec) -> float:
     """Largest |pressure angle| on the active segment, radians.
 
-    Found by the segment scan rather than assumed at an endpoint, although
-    the monotone angle always puts it there. The load does not enter it.
+    |mu| falls monotonically along the segment, so this is its value at the
+    segment start. The load does not enter it.
     """
     return design_segment(spec, 1.0, 1.0).mu_max
 
@@ -371,12 +423,12 @@ def max_hertz_pressure(spec: TransmissionSpec, load: LoadCase,
                        cam_mat: Material, roller_mat: Material) -> tuple[float, float]:
     """Peak Hertz pressure on the active segment and the angle where it occurs.
 
-    Whenever the profile curvature radius grows monotonically across the
-    segment the peak sits exactly at the segment start (pi - delta for two
-    conjugate cams). For small closure angles the radius can dip inside the
-    segment instead, which pulls the peak slightly in; the segment scan finds
-    it either way. Raises InfeasibleProfile if the curvature radius is
-    non-positive anywhere on the segment.
+    Whenever the segment starts past the pitch-curvature turnover the peak
+    sits exactly at the segment start (pi - delta for two conjugate cams).
+    For small closure angles the radius dips inside the segment instead,
+    which pulls the peak slightly in; the kernel then searches the stretch
+    up to the turnover for it. Raises InfeasibleProfile if the curvature
+    radius is non-positive anywhere on the segment.
     """
     K_sum = material_coefficient(cam_mat) + material_coefficient(roller_mat)
     seg = design_segment(spec, load.torque, K_sum)

@@ -4,10 +4,12 @@ Design vector x = [d_cs, r, L, m]; objectives (mu_max, P_max, S_M) are all
 minimised subject to caps on each. The search is an exhaustive grid: the
 evaluations are cheap, deterministic and oracle-checkable, and the space has
 only three continuous axes plus the cam count. Every (d_cs, r) pair goes
-through the batched segment kernel `mechanics.segment_metrics` once; its
-unit-width pressure serves the whole L axis, because the Hertz pressure
-scales as 1/sqrt(L). A single candidate is the same evaluation on a batch of
-one.
+through the batched segment kernel `mechanics.segment_metrics` once, which
+costs a closure-root solve plus closed forms, and a short peak search for
+the few pairs whose pressure peaks inside the arc; its unit-width pressure
+serves the whole L axis, because the Hertz pressure scales as 1/sqrt(L). A
+single candidate is the same evaluation on a batch of one. Iso-lines of the
+contour slices come from a table-driven marching squares.
 """
 from __future__ import annotations
 
@@ -32,6 +34,9 @@ from .mechanics import (
 _DEFAULT_STEEL = find_material("improved steel")
 
 _PAIR_CHUNK = 256
+
+# smallest grid resolution of a sweep or a contour slice
+MIN_GRID_RESOLUTION = 16
 
 VIOLATION_GEOMETRY = "geometry"
 VIOLATION_PRESSURE_ANGLE = "pressure-angle"
@@ -254,7 +259,8 @@ def _pair_metrics(space: DesignSpace, m: int, d_cs: np.ndarray, r: np.ndarray):
     d_cs = 0 puts the roller on the cam axis line (e = r), which no profile
     allows; those pairs and the ones the kernel rejects get NaN metrics.
     Pairs go to the kernel in chunks of _PAIR_CHUNK, which bounds the
-    memory of the (chunk, SEGMENT_SCAN_SAMPLES) scan arrays.
+    memory of its (chunk, ROOT_SCAN_NODES) closure-root scan arrays and lets
+    `workers` processes share the chunks.
     """
     eta = eta_from_design(d_cs, r, space.pitch)
     K_sum = (material_coefficient(space.cam_material)
@@ -344,8 +350,9 @@ def sweep(space: DesignSpace) -> SweepResult:
     The merged front is the front of the union of the per-m fronts, which
     equals the front over all evaluated feasible candidates.
     """
-    if space.resolution < 16:
-        raise InvalidSpec(f"resolution must be at least 16, got {space.resolution}")
+    if space.resolution < MIN_GRID_RESOLUTION:
+        raise InvalidSpec(f"resolution must be at least {MIN_GRID_RESOLUTION}, "
+                          f"got {space.resolution}")
     grids = {}
     per_m_front_idx = {}
     for m in space.m_values:
@@ -391,41 +398,59 @@ class ContourSlice:
     P_isolines: dict = field(repr=False)
 
 
+def _edge_table() -> np.ndarray:
+    """The 16-case marching-squares table (Lorensen & Cline 1987).
+
+    A cell's case sets bit k when corner k lies below the level; corners run
+    (i, j), (i+1, j), (i+1, j+1), (i, j+1), and edge k joins corner k to
+    corner k+1. Row `case` lists up to two segments as edge pairs, -1 where
+    there is none. The crossed edges pair up in edge order, so a saddle
+    (cases 5 and 10) joins edges 0-1 and 2-3.
+    """
+    table = np.full((16, 2, 2), -1)
+    for case in range(16):
+        below = [(case >> k) & 1 for k in range(4)]
+        edges = [k for k in range(4) if below[k] != below[(k + 1) % 4]]
+        for s in range(len(edges) // 2):
+            table[case, s] = edges[2 * s:2 * s + 2]
+    return table
+
+
+_EDGE_TABLE = _edge_table()
+
+
 def marching_squares(x_axis, y_axis, Z, level) -> list:
     """Iso-line segments of Z(x, y) at a level, by linear cell interpolation.
 
     Z is indexed [i, j] for (x_axis[i], y_axis[j]); cells touching NaN are
-    skipped. Returns a list of ((x1, y1), (x2, y2)) segments.
+    skipped. Returns a list of ((x1, y1), (x2, y2)) segments ordered by
+    cell, i-major, and within a saddle cell by edge. An edge from corner a
+    to corner b is crossed at t = (level - va)/(vb - va) of its length.
     """
     Z = np.asarray(Z, dtype=float)
-    segs = []
-
-    def interp(pa, pb, va, vb):
-        t = (level - va) / (vb - va)
-        return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
-
-    for i in range(len(x_axis) - 1):
-        for j in range(len(y_axis) - 1):
-            corners = (
-                ((x_axis[i], y_axis[j]), Z[i, j]),
-                ((x_axis[i + 1], y_axis[j]), Z[i + 1, j]),
-                ((x_axis[i + 1], y_axis[j + 1]), Z[i + 1, j + 1]),
-                ((x_axis[i], y_axis[j + 1]), Z[i, j + 1]),
-            )
-            vals = [v for _, v in corners]
-            if any(math.isnan(v) for v in vals):
-                continue
-            crossings = []
-            for k in range(4):
-                (pa, va), (pb, vb) = corners[k], corners[(k + 1) % 4]
-                if (va < level) != (vb < level):
-                    crossings.append(interp(pa, pb, va, vb))
-            if len(crossings) == 2:
-                segs.append((crossings[0], crossings[1]))
-            elif len(crossings) == 4:  # saddle: pair edges in order
-                segs.append((crossings[0], crossings[1]))
-                segs.append((crossings[2], crossings[3]))
-    return segs
+    x = np.asarray(x_axis, dtype=float)[:, None]
+    y = np.asarray(y_axis, dtype=float)[None, :]
+    V = (Z[:-1, :-1], Z[1:, :-1], Z[1:, 1:], Z[:-1, 1:])
+    X = (x[:-1], x[1:], x[1:], x[:-1])
+    Y = (y[:, :-1], y[:, :-1], y[:, 1:], y[:, 1:])
+    valid = ~(np.isnan(V[0]) | np.isnan(V[1]) | np.isnan(V[2]) | np.isnan(V[3]))
+    case = sum((V[k] < level).astype(int) << k for k in range(4))
+    slots = _EDGE_TABLE[case[valid]]                       # (cells, 2, 2)
+    cell = np.flatnonzero(valid)
+    has = slots[:, :, 0] >= 0
+    seg_cell = np.broadcast_to(cell[:, None], has.shape)[has]  # cell-major, slot order
+    ea, eb = slots[has].T
+    px, py = [], []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a in range(4):
+            b = (a + 1) % 4
+            t = (level - V[a]) / (V[b] - V[a])
+            px.append(np.broadcast_to(X[a] + t * (X[b] - X[a]), case.shape).ravel())
+            py.append(np.broadcast_to(Y[a] + t * (Y[b] - Y[a]), case.shape).ravel())
+    px, py = np.stack(px), np.stack(py)
+    ends = [(px[e, seg_cell].tolist(), py[e, seg_cell].tolist()) for e in (ea, eb)]
+    return [((x1, y1), (x2, y2))
+            for x1, y1, x2, y2 in zip(*ends[0], *ends[1])]
 
 
 def contour_slice(space: DesignSpace, m: int, S_M: float,
@@ -445,6 +470,8 @@ def contour_slice(space: DesignSpace, m: int, S_M: float,
         raise InvalidSpec(
             f"S_M={S_M} gives L={L} outside the allowed range [{lo}, {hi}] for m={m}")
     res = space.resolution if resolution is None else resolution
+    if res < MIN_GRID_RESOLUTION:
+        raise InvalidSpec(f"resolution must be at least {MIN_GRID_RESOLUTION}, got {res}")
     d_axis, r_axis, D, R, geom, mu, P_unit = _pair_grid(space, m, res)
     P = P_unit / math.sqrt(L)
     feas = _feasible(space, geom, mu, P, S_M)

@@ -7,6 +7,7 @@ fast implementations under test.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,6 +100,16 @@ def closure_root_scan(p: float, eta: float, r: float,
     return 0.5 * (a + b)
 
 
+def cam_radius_series(psi, spec) -> np.ndarray:
+    """Cam curvature radius rho_c = 1/kappa_p - r at each psi, closed form."""
+    q = TAU * spec.eta - 1.0
+    w = np.asarray(psi, dtype=float) - math.pi
+    kp = (TAU / spec.p) * (w * w + 2.0 * q * (math.pi * spec.eta - 1.0)) \
+        / (w * w + q * q) ** 1.5
+    with np.errstate(divide="ignore"):
+        return (1.0 - spec.r * kp) / kp
+
+
 def hertz_pressure_series(psi, spec, load, cam_mat, roller_mat) -> np.ndarray:
     """Hertz line-contact pressure at each psi, written out from the closed forms.
 
@@ -109,31 +120,105 @@ def hertz_pressure_series(psi, spec, load, cam_mat, roller_mat) -> np.ndarray:
     psi = np.asarray(psi, dtype=float)
     mu = np.arctan((1.0 - TAU * spec.eta) / (psi - math.pi))
     F = TAU * load.torque / (spec.p * np.cos(mu))
-    q = TAU * spec.eta - 1.0
-    w = psi - math.pi
-    kp = (TAU / spec.p) * (w * w + 2.0 * q * (math.pi * spec.eta - 1.0)) \
-        / (w * w + q * q) ** 1.5
     K = sum((1.0 - mat.nu ** 2) / (math.pi * mat.E) for mat in (cam_mat, roller_mat))
+    rho_c = cam_radius_series(psi, spec)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rho_c = (1.0 - spec.r * kp) / kp
         R = spec.r * rho_c / (spec.r + rho_c)
         P = (1.0 / math.pi) * np.sqrt(F / (spec.L * K * R))
     return np.where(rho_c > 0.0, P, np.nan)
 
 
-def segment_scan(spec, load, cam_mat, roller_mat, samples: int = 4096):
-    """(delta, mu_max, P_max) over one cam's driving arc by a plain scan.
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-    The closure angle comes from `closure_root_scan`; the arc is the last
-    2*pi/m of the profile, [2*pi - delta - 2*pi/m, 2*pi - delta], sampled
-    uniformly. P_max is NaN when the cam radius is not positive somewhere
-    on the arc.
+
+def golden_max(f, a: float, b: float, iterations: int = 80) -> tuple[float, float]:
+    """Golden-section search for the maximum of a unimodal f on [a, b]."""
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(iterations):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    return (c, fc) if fc >= fd else (d, fd)
+
+
+class SegmentScan(NamedTuple):
+    """Dense scan of one cam's driving arc; see `segment_scan`."""
+
+    delta: float
+    psi: np.ndarray      # the scan nodes
+    rho_c: np.ndarray    # cam curvature radius at the nodes
+    P: np.ndarray        # Hertz pressure at the nodes, NaN where rho_c <= 0
+    ok: bool             # rho_c > 0 at every node
+    mu_max: float        # largest |pressure angle| at the nodes
+    P_grid: float        # largest node pressure
+    P_max: float         # P_grid polished by golden section; NaN unless ok
+
+
+def segment_scan(spec, load, cam_mat, roller_mat, samples: int = 4096,
+                 delta: float | None = None) -> SegmentScan:
+    """Metrics over one cam's driving arc by a plain scan.
+
+    The closure angle comes from `closure_root_scan` unless given; the arc
+    is the last 2*pi/m of the profile, [2*pi - delta - 2*pi/m, 2*pi - delta],
+    sampled uniformly. The best node's neighbours bracket a golden-section
+    polish, so P_max is the true maximum, not a node value.
     """
-    delta = closure_root_scan(spec.p, spec.eta, spec.r)
+    if delta is None:
+        delta = closure_root_scan(spec.p, spec.eta, spec.r)
     psi = np.linspace(TAU - delta - TAU / spec.m, TAU - delta, samples)
     mu = np.arctan((1.0 - TAU * spec.eta) / (psi - math.pi))
+    rho_c = cam_radius_series(psi, spec)
     P = hertz_pressure_series(psi, spec, load, cam_mat, roller_mat)
-    return delta, float(np.abs(mu).max()), float(P.max())
+    ok = bool((rho_c > 0.0).all())
+    P_grid = P_max = float("nan")
+    if ok:
+        i = int(np.argmax(P))
+        P_grid = float(P[i])
+        _, polished = golden_max(
+            lambda x: float(hertz_pressure_series(x, spec, load, cam_mat, roller_mat)),
+            float(psi[max(i - 1, 0)]), float(psi[min(i + 1, samples - 1)]))
+        P_max = max(P_grid, polished)
+    return SegmentScan(delta=delta, psi=psi, rho_c=rho_c, P=P, ok=ok,
+                       mu_max=float(np.abs(mu).max()), P_grid=P_grid, P_max=P_max)
+
+
+def marching_squares_loop(x_axis, y_axis, Z, level) -> list:
+    """Iso-line segments by the cell-by-cell double loop.
+
+    Cells touching NaN are skipped; crossings are collected over the edges
+    (i, j)-(i+1, j), (i+1, j)-(i+1, j+1), (i+1, j+1)-(i, j+1), (i, j+1)-(i, j)
+    in that order, and a saddle's four crossings pair up in that order.
+    """
+    segs = []
+
+    def interp(pa, pb, va, vb):
+        t = (level - va) / (vb - va)
+        return (pa[0] + t * (pb[0] - pa[0]), pa[1] + t * (pb[1] - pa[1]))
+
+    for i in range(len(x_axis) - 1):
+        for j in range(len(y_axis) - 1):
+            corners = (
+                ((x_axis[i], y_axis[j]), Z[i, j]),
+                ((x_axis[i + 1], y_axis[j]), Z[i + 1, j]),
+                ((x_axis[i + 1], y_axis[j + 1]), Z[i + 1, j + 1]),
+                ((x_axis[i], y_axis[j + 1]), Z[i, j + 1]),
+            )
+            if any(math.isnan(v) for _, v in corners):
+                continue
+            crossings = []
+            for k in range(4):
+                (pa, va), (pb, vb) = corners[k], corners[(k + 1) % 4]
+                if (va < level) != (vb < level):
+                    crossings.append(interp(pa, pb, va, vb))
+            for s in range(0, len(crossings), 2):
+                segs.append((crossings[s], crossings[s + 1]))
+    return segs
 
 
 def random_valid_specs(rng: np.random.Generator, count: int):

@@ -236,6 +236,34 @@ class TestConfigHandling:
         assert code == 1
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["pareto", "contour", "metrics"])
+    @pytest.mark.parametrize("config", [
+        {"design_space": {"pitch_mm": float("nan")}},
+        {"mechanism": {"pitch_mm": float("nan")}},
+        {"load": {"torque_nmm": float("inf")}},
+        {"contour": {"p_levels_mpa": [500.0, float("-inf")]}},
+        {"design_space": {"r_mm": [-1.0, 2.0], "resolution": 16}},
+        {"design_space": {"r_mm": [0.0, 2.0], "resolution": 16}},
+        {"design_space": {"d_cs_mm": [-1.0, 2.0], "resolution": 16}},
+        {"design_space": {"resolution": 2}},
+        {"contour": {"resolution": 2}},
+    ])
+    def test_config_boundary_exits_1_with_one_line(self, tmp_path, capsys,
+                                                   command, config):
+        out = tmp_path / "o"
+        code = run(tmp_path, command, "--out", str(out), config=config)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["pareto", "contour"])
+    def test_grid_resolution_flag_floor(self, tmp_path, capsys, command):
+        code = run(tmp_path, command, "--out", str(tmp_path / "o"), "--resolution", "8")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and err.count("\n") == 1
+
     def test_seed_recorded(self, tmp_path):
         out = tmp_path / "o"
         run(tmp_path, "profile", "--out", str(out), "--seed", "42")

@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from camdrive.errors import (
     PressureAngleSingular,
 )
 from camdrive.geometry import TAU
-from camdrive.mechanics import segment_metrics
+from camdrive.mechanics import contact_state, segment_metrics
 
 import oracles
 
@@ -266,6 +267,51 @@ class TestSegmentMetrics:
             assert np.array_equal(getattr(whole, name), np.concatenate(col),
                                   equal_nan=True), name
         assert 0 < whole.ok.sum() < 300
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_matches_polished_scan(self, load, steel_pair, m):
+        # broad draws, draws where the pressure peaks inside the arc, and
+        # rollers larger than the eccentricity, which give concave arcs
+        rng = np.random.default_rng(100 + m)
+        p = 20.0
+        eta = np.concatenate([rng.uniform(0.15, 0.7, 120), rng.uniform(0.25, 0.37, 80),
+                              rng.uniform(0.15, 0.45, 80)])
+        r = eta * p * np.concatenate([rng.uniform(0.05, 0.97, 120),
+                                      rng.uniform(0.66, 0.97, 80),
+                                      rng.uniform(1.0, 3.0, 80)])
+        K_sum = 2.0 * cd.material_coefficient(steel_pair[0])
+        seg = segment_metrics(p, eta, r, m, load.torque, K_sum)
+        start, _ = cd.geometry.driving_window(seg.delta, m)
+        assert np.array_equal(seg.psi_mu, start, equal_nan=True)
+        assert np.array_equal(seg.mu_max, np.abs(cd.pressure_angle(start, eta)),
+                              equal_nan=True)
+        turnover = cd.geometry.curvature_turnover(eta)
+        inner = closed = 0
+        for i in np.flatnonzero(np.isfinite(seg.delta)):
+            spec = SimpleNamespace(p=p, eta=eta[i], r=r[i], m=m, L=1.0)
+            ref = oracles.segment_scan(spec, load, *steel_pair, delta=seg.delta[i])
+            closed += 1
+            assert seg.ok[i] == ref.ok
+            if np.all(ref.rho_c > -r[i]):  # no pole: kappa_p keeps its sign
+                assert seg.rho_c_min[i] <= ref.rho_c.min()
+            else:
+                assert seg.rho_c_min[i] < -r[i]
+            if not ref.ok:
+                assert np.isnan(seg.P_max[i]) and np.isnan(seg.psi_P[i])
+                continue
+            assert seg.P_max[i] == pytest.approx(ref.P_max, rel=1e-12, abs=0.0)
+            # never below a dense scan in the kernel's own arithmetic, and
+            # no node past the turnover beats the peak found
+            dense = contact_state(ref.psi, p, eta[i], r[i], load.torque, K_sum, 1.0)[2]
+            assert seg.P_max[i] >= dense.max()
+            beyond = ref.psi > turnover[i]
+            if beyond.any():
+                assert dense[beyond].max() <= seg.P_max[i]
+            inner += seg.psi_P[i] > start[i]
+        assert closed >= 200 and seg.ok.sum() >= 100
+        assert closed - seg.ok.sum() >= 10
+        if m == 2:
+            assert inner >= 20
 
 
 class TestMechanismSize:

@@ -75,10 +75,10 @@ class TestEvaluateCandidate:
             assert c.objectives == (g.mu_max[i], g.P_max[i], g.S_M[i])
             spec = cd.TransmissionSpec(p=space.pitch, r=c.r, m=3, L=c.L,
                                        eta=eta_from_design(c.d_cs, c.r, space.pitch))
-            _, mu_ref, P_ref = oracles.segment_scan(
+            ref = oracles.segment_scan(
                 spec, space.load, space.cam_material, space.roller_material)
-            assert c.mu_max == pytest.approx(mu_ref, rel=1e-9)
-            assert c.P_max == pytest.approx(P_ref, rel=1e-9)
+            assert c.mu_max == pytest.approx(ref.mu_max, rel=1e-9)
+            assert c.P_max == pytest.approx(ref.P_max, rel=1e-9)
 
 
 class TestDominates:
@@ -283,6 +283,10 @@ class TestContourSlice:
         with pytest.raises(InvalidSpec):
             cd.contour_slice(cd.DesignSpace(resolution=16), 2, 500.0)
 
+    def test_minimum_resolution(self):
+        with pytest.raises(InvalidSpec):
+            cd.contour_slice(cd.DesignSpace(), 2, 60.0, resolution=2)
+
     def test_single_cam_rejected(self):
         with pytest.raises(InfeasibleCamCount):
             cd.contour_slice(cd.DesignSpace(resolution=16), 1, 60.0)
@@ -304,6 +308,50 @@ class TestMarchingSquares:
         xs = ys = np.linspace(0.0, 1.0, 5)
         Z = np.full((5, 5), float("nan"))
         assert marching_squares(xs, ys, Z, 0.5) == []
+
+    @staticmethod
+    def assert_same_segments(xs, ys, Z, level):
+        got = marching_squares(xs, ys, Z, level)
+        want = oracles.marching_squares_loop(xs, ys, Z, level)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):  # same order, same bits
+            assert [float(v).hex() for pt in g for v in pt] == \
+                [float(v).hex() for pt in w for v in pt]
+        return got
+
+    def test_table_matches_cell_loop_on_random_grids(self):
+        rng = np.random.default_rng(7)
+        saddles = 0
+        for trial in range(60):
+            nx, ny = (int(n) for n in rng.integers(2, 25, 2))
+            Z = rng.normal(size=(nx, ny))
+            if trial % 2:
+                Z = np.round(Z)  # corner values equal to the level
+            Z[rng.random((nx, ny)) < 0.08] = np.nan
+            xs = np.sort(rng.uniform(-3.0, 3.0, nx))
+            ys = np.sort(rng.uniform(-3.0, 3.0, ny))
+            level = float(rng.choice([-0.5, 0.0, 0.25, 1.0]))
+            below = Z < level
+            saddles += int(np.sum(below[:-1, :-1] & below[1:, 1:]
+                                  & ~below[1:, :-1] & ~below[:-1, 1:]
+                                  & ~np.isnan(Z[1:, :-1]) & ~np.isnan(Z[:-1, 1:])))
+            self.assert_same_segments(xs, ys, Z, level)
+        assert saddles > 10
+
+    def test_table_matches_cell_loop_on_contour_slice(self):
+        sl = cd.contour_slice(cd.DesignSpace(), 2, 60.0)
+        assert np.isnan(sl.P_grid).any()
+        total = 0
+        for lev in sl.mu_levels:
+            total += len(self.assert_same_segments(
+                sl.d_axis, sl.r_axis, np.degrees(sl.mu_grid), lev))
+        for lev in sl.P_levels:
+            total += len(self.assert_same_segments(sl.d_axis, sl.r_axis, sl.P_grid, lev))
+        assert total > 100
+
+    def test_degenerate_grids(self):
+        assert marching_squares([0.0], [0.0, 1.0], np.zeros((1, 2)), 0.5) == []
+        assert marching_squares([0.0, 1.0], [0.0], np.zeros((2, 1)), 0.5) == []
 
 
 class TestHypervolume:
