@@ -262,19 +262,12 @@ def cmd_metrics(cfg: RunConfig) -> int:
 
 def cmd_sensitivity(cfg: RunConfig) -> int:
     try:
-        spec = cfg.spec()
-        load = cfg.load_case()
-        mats = cfg.material_pair()
+        rep = sensitivity.sensitivity_report(
+            cfg.spec(), cfg.load_case(), cfg.material_pair(),
+            samples=cfg.sensitivity.samples, rms_nodes=cfg.sensitivity.rms_nodes,
+            include_torque=cfg.sensitivity.include_torque)
     except ConfigError:
         raise
-    except ModelError as exc:
-        print(f"infeasible nominal design: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    try:
-        rep = sensitivity.sensitivity_report(
-            spec, load, mats, samples=cfg.sensitivity.samples,
-            rms_nodes=cfg.sensitivity.rms_nodes,
-            include_torque=cfg.sensitivity.include_torque)
     except ModelError as exc:
         print(f"infeasible nominal design: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

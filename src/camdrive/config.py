@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError
 from .geometry import MIN_PROFILE_RESOLUTION, TransmissionSpec
@@ -171,32 +172,49 @@ _SECTIONS = {
     "output": OutputConfig,
 }
 
-_TUPLE_KEYS = {
-    ("design_space", "d_cs_mm"), ("design_space", "r_mm"),
-    ("design_space", "L_mm"), ("design_space", "m"),
-    ("contour", "mu_levels_deg"), ("contour", "p_levels_mpa"),
-    ("output", "formats"),
-}
+# declared field types per section, resolved once
+_HINTS = {name: get_type_hints(cls) for name, cls in _SECTIONS.items()}
+
+_KINDS = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+          float: ((int, float), "a number"), str: ((str,), "a string")}
+
+
+def _typed(value, hint, where: str):
+    """value checked against a field's declared type.
+
+    JSON lists become tuples; bools are not numbers, and an integer field
+    takes an integral float as its int.
+    """
+    args = get_args(hint)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list")
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{where} must hold {len(args)} values, got {value}")
+        return tuple(_typed(v, t, f"{where}[{i}]") for i, (v, t) in enumerate(zip(value, args)))
+    if type(None) in args:
+        if value is None:
+            return value
+        (hint,) = (t for t in args if t is not type(None))
+    kinds, label = _KINDS[hint]
+    if hint is int and isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, kinds) or (hint is not bool and isinstance(value, bool)):
+        raise ConfigError(f"{where} must be {label}, got {value!r}")
+    return value
 
 
 def _parse_section(name: str, cls, raw: dict):
     if not isinstance(raw, dict):
         raise ConfigError(f"section {name!r} must be an object")
-    known = {f.name for f in fields(cls)}
-    unknown = set(raw) - known
+    hints = _HINTS[name]
+    unknown = set(raw) - set(hints)
     if unknown:
         raise ConfigError(f"unknown keys in section {name!r}: {sorted(unknown)}")
-    kwargs = {}
-    for key, value in raw.items():
-        if (name, key) in _TUPLE_KEYS:
-            if not isinstance(value, list):
-                raise ConfigError(f"{name}.{key} must be a list")
-            value = tuple(value)
-        kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid section {name!r}: {exc}") from exc
+    return cls(**{key: _typed(value, hints[key], f"{name}.{key}")
+                  for key, value in raw.items()})
 
 
 def _check_finite(value, where: str = "") -> None:
@@ -223,10 +241,7 @@ def parse_config(data: dict) -> RunConfig:
         if name in data:
             kwargs[name] = _parse_section(name, cls, data[name])
     if "seed" in data:
-        seed = data["seed"]
-        if seed is not None and not isinstance(seed, int):
-            raise ConfigError(f"seed must be an integer or null, got {seed!r}")
-        kwargs["seed"] = seed
+        kwargs["seed"] = _typed(data["seed"], int | None, "seed")
     cfg = RunConfig(**kwargs)
     _validate(cfg)
     return cfg
@@ -250,18 +265,14 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"unknown output formats {bad}; allowed: {FORMATS} or 'all'")
     sc = cfg.design_space
     for label, pair in (("d_cs_mm", sc.d_cs_mm), ("r_mm", sc.r_mm)):
-        if len(pair) != 2 or pair[0] > pair[1]:
+        if pair[0] > pair[1]:
             raise ConfigError(f"design_space.{label} must be [low, high], got {pair}")
     if sc.d_cs_mm[0] < 0.0:
         raise ConfigError("design_space.d_cs_mm lower bound must not be negative")
     if sc.r_mm[0] <= 0.0:
         raise ConfigError("design_space.r_mm lower bound must be positive")
-    if len(sc.L_mm) != 2:
-        raise ConfigError(f"design_space.L_mm must be [low, high|null], got {sc.L_mm}")
     if sc.L_mm[0] <= 0.0:
         raise ConfigError("design_space.L_mm lower bound must be positive")
-    if any(int(m) != m for m in sc.m):
-        raise ConfigError(f"design_space.m must hold integers, got {sc.m}")
     if cfg.contour.m < 2:
         raise ConfigError(f"contour.m must be at least 2, got {cfg.contour.m}")
     for label, value, least in (

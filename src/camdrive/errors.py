@@ -46,9 +46,5 @@ class InfeasibleProfile(ModelError, ArithmeticError):
     """Profile curvature radius is non-positive somewhere on the driving arc."""
 
 
-class PerturbationInfeasible(ModelError, ArithmeticError):
-    """A finite-difference probe stepped outside the feasible region."""
-
-
 class ConfigError(ModelError, ValueError):
     """Run configuration file or overrides could not be validated."""

@@ -297,6 +297,34 @@ def contact_state(psi, p, eta, r, torque, K_sum, L):
     return mu, rho_c, P
 
 
+def pressure_sensitivities(psi, p, eta, r, torque, K_sum, L):
+    """Hertz pressure P (`contact_state`) and its normalised partials at psi.
+
+    The partials q*dP/dq at fixed psi for q = r, eta, p, L, torque stack on
+    the leading axis and are NaN where P is. P = sqrt(F/(pi^2 K_sum L R_equ))
+    with F ~ torque*sqrt(s)/(p*w) and R_equ = r*g, so with w = psi - pi,
+    q = 2*pi*eta - 1, s = w^2 + q^2, kappa = kappa_p and g = 1 - r*kappa:
+    L gives -P/2, torque +P/2, p -(P/2)/g (kappa ~ 1/p), r
+    -(P/2)(1 - 2*r*kappa)/g and eta (P/2)*eta*(2*pi*q/s + r*kappa*k'/g),
+    where k' = dln(kappa)/deta = N'/N - 6*pi*q/s for the numerator
+    N = w^2 + 2q(pi*eta - 1) of kappa_p and N' = 2*pi*(4*pi*eta - 3).
+    """
+    P = contact_state(psi, p, eta, r, torque, K_sum, L)[2]
+    q = TAU * eta - 1.0
+    w = psi - math.pi
+    s = w * w + q * q
+    rk = r * pitch_curvature(psi, p, eta)
+    g = 1.0 - rk
+    N = w * w + 2.0 * q * (math.pi * eta - 1.0)
+    dln_kappa = TAU * (4.0 * math.pi * eta - 3.0) / N - 6.0 * math.pi * q / s
+    half = 0.5 * P
+    return P, np.array([-half * (1.0 - 2.0 * rk) / g,
+                        half * eta * (TAU * q / s + rk * dln_kappa / g),
+                        -half / g,
+                        -half,
+                        half])
+
+
 class SegmentMetrics(NamedTuple):
     """Per-pair results of `segment_metrics`: arrays, or floats for one design.
 

@@ -1,30 +1,32 @@
 """First-order sensitivity of the Hertz pressure to the design parameters.
 
-Partial derivatives of P with respect to (r, eta, p, L) by central finite
-differences, normalised profiles over the active segment, rms aggregation
-and parameter ranking. Normalised means multiplied by the parameter's
-nominal value so the four series are comparable on one axis.
+Closed-form partial derivatives of P with respect to (r, eta, p, L) from
+`mechanics.pressure_sensitivities`, normalised profiles over the active
+segment, rms aggregation and parameter ranking. Normalised means multiplied
+by the parameter's nominal value so the four series are comparable on one
+axis. The segment and the pressure peak come from the segment kernel.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, PerturbationInfeasible
-from .geometry import TransmissionSpec, extended_angle
+from .errors import InfeasibleProfile, InvalidSpec
+from .geometry import TransmissionSpec
 from .mechanics import (
     ActiveSegment,
     LoadCase,
     Material,
+    SegmentMetrics,
     active_segment,
-    contact_state,
+    design_segment,
     material_coefficient,
+    pressure_sensitivities,
 )
 
 PARAMS = ("r", "eta", "p", "L")
-FD_REL_STEP = 1e-6
 MIN_PROFILE_SAMPLES = 64
 MIN_RMS_NODES = 1025
 
@@ -50,27 +52,32 @@ class SensitivityReport:
     rms_ranking: tuple[str, ...]
 
 
+def _k_sum(materials: tuple[Material, Material]) -> float:
+    return material_coefficient(materials[0]) + material_coefficient(materials[1])
+
+
+def _sensitivities(spec, load, materials, psi):
+    """P and its normalised partials (r, eta, p, L, torque) at cam angle psi.
+
+    Raises InfeasibleProfile where the cam curvature radius is not positive,
+    because the Hertz model does not apply there.
+    """
+    P, partials = pressure_sensitivities(psi, spec.p, spec.eta, spec.r, load.torque,
+                                         _k_sum(materials), spec.L)
+    if np.isnan(P).any():
+        raise InfeasibleProfile(
+            "cam curvature radius is not positive at the probed cam angle")
+    return P, partials
+
+
 def pressure_at(spec: TransmissionSpec, load: LoadCase,
                 materials: tuple[Material, Material], psi):
     """Hertz pressure at cam angle psi, MPa; psi may be an array of angles.
 
-    Raises PerturbationInfeasible where the cam curvature radius is not
-    positive, because the Hertz model does not apply there.
+    Raises InfeasibleProfile where the cam curvature radius is not positive.
     """
-    cam_mat, roller_mat = materials
-    K_sum = material_coefficient(cam_mat) + material_coefficient(roller_mat)
-    _, _, P = contact_state(psi, spec.p, spec.eta, spec.r, load.torque, K_sum, spec.L)
-    if np.isnan(P).any():
-        raise PerturbationInfeasible(
-            "cam curvature radius is not positive at the probed cam angle")
+    P = _sensitivities(spec, load, materials, psi)[0]
     return P if np.ndim(P) else float(P)
-
-
-def _perturbed(spec: TransmissionSpec, name: str, value: float) -> TransmissionSpec:
-    try:
-        return replace(spec, **{name: value})
-    except InvalidSpec as exc:
-        raise PerturbationInfeasible(str(exc)) from exc
 
 
 def pressure_partials(spec: TransmissionSpec, load: LoadCase,
@@ -78,61 +85,33 @@ def pressure_partials(spec: TransmissionSpec, load: LoadCase,
                       include_torque: bool = False) -> np.ndarray:
     """Raw partials of P w.r.t. (r, eta, p, L) at fixed psi.
 
-    Central differences with relative step 1e-6 of each nominal value; a probe
-    that leaves the feasible region raises PerturbationInfeasible. With
-    include_torque a fifth entry dP/d(torque) is appended.
+    The closed-form normalised partials divided by each nominal value; psi
+    may be an array, which adds trailing axes. With include_torque a fifth
+    entry dP/d(torque) is appended.
     """
-    pressure_at(spec, load, materials, psi)  # nominal must be valid as-is
-    out = []
-    for name in PARAMS:
-        q0 = getattr(spec, name)
-        h = FD_REL_STEP * abs(q0)
-        try:
-            hi = pressure_at(_perturbed(spec, name, q0 + h), load, materials, psi)
-            lo = pressure_at(_perturbed(spec, name, q0 - h), load, materials, psi)
-        except PerturbationInfeasible:
-            raise
-        except Exception as exc:  # singular eta, degenerate contact, ...
-            raise PerturbationInfeasible(
-                f"probe of {name} at psi={psi:.4g} failed: {exc}") from exc
-        out.append((hi - lo) / (2.0 * h))
-    if include_torque:
-        out.append(_torque_partial(spec, load, materials, psi))
-    return np.array(out)
+    partials = _sensitivities(spec, load, materials, psi)[1]
+    raw = (partials.T / np.array([spec.r, spec.eta, spec.p, spec.L, load.torque])).T
+    return raw if include_torque else raw[:len(PARAMS)]
 
 
-def _torque_partial(spec, load, materials, psi):
-    h = FD_REL_STEP * load.torque
-    hi = pressure_at(spec, LoadCase(load.torque + h, load.speed_rpm), materials, psi)
-    lo = pressure_at(spec, LoadCase(load.torque - h, load.speed_rpm), materials, psi)
-    return (hi - lo) / (2.0 * h)
+def _segment(spec, load, materials) -> tuple[SegmentMetrics, ActiveSegment]:
+    """Kernel metrics and driving arc; the kernel's errors, or InfeasibleProfile
+    where the cam curvature radius is not positive on the arc."""
+    seg = design_segment(spec, load.torque, _k_sum(materials))
+    if not seg.ok:
+        raise InfeasibleProfile(
+            "cam curvature radius is non-positive on the driving arc; "
+            "the Hertz model does not apply")
+    return seg, active_segment(spec, seg.delta)
 
 
-def _segment(spec: TransmissionSpec) -> ActiveSegment:
-    return active_segment(spec, extended_angle(spec))
-
-
-def _series_partials(spec, load, materials, psis):
-    """Normalised partial series over psis, shape (4, len(psis))."""
-    rows = []
-    for name in PARAMS:
-        q0 = getattr(spec, name)
-        h = FD_REL_STEP * abs(q0)
-        hi = pressure_at(_perturbed(spec, name, q0 + h), load, materials, psis)
-        lo = pressure_at(_perturbed(spec, name, q0 - h), load, materials, psis)
-        rows.append((hi - lo) / (2.0 * h) * q0)
-    return np.vstack(rows)
-
-
-def _profile(spec, load, materials, seg, samples, include_torque):
+def _profile(spec, load, materials, arc, samples, include_torque):
     if samples < MIN_PROFILE_SAMPLES:
         raise InvalidSpec(f"need at least {MIN_PROFILE_SAMPLES} samples, got {samples}")
-    psis = seg.grid(samples)
-    mat = _series_partials(spec, load, materials, psis)
-    series = {name: mat[i] for i, name in enumerate(PARAMS)}
-    if include_torque:
-        series["torque"] = _torque_partial(spec, load, materials, psis) * load.torque
-    return psis, series
+    psis = arc.grid(samples)
+    partials = _sensitivities(spec, load, materials, psis)[1]
+    names = PARAMS + ("torque",) if include_torque else PARAMS
+    return psis, dict(zip(names, partials))
 
 
 def sensitivity_profile(spec: TransmissionSpec, load: LoadCase,
@@ -144,16 +123,17 @@ def sensitivity_profile(spec: TransmissionSpec, load: LoadCase,
     Returns (psis, {param: series}); each series is dP/dq * q0 at the sample
     angles. Needs at least 64 samples to resolve the segment.
     """
-    return _profile(spec, load, materials, _segment(spec), samples, include_torque)
+    arc = _segment(spec, load, materials)[1]
+    return _profile(spec, load, materials, arc, samples, include_torque)
 
 
 def _ranking(values: dict) -> tuple[str, ...]:
     return tuple(sorted(PARAMS, key=lambda k: -abs(values[k])))
 
 
-def _at_max(spec, load, materials, seg):
-    raw = pressure_partials(spec, load, materials, seg.psi_start)
-    values = {name: abs(raw[i]) * getattr(spec, name) for i, name in enumerate(PARAMS)}
+def _at_max(spec, load, materials, psi_P):
+    partials = _sensitivities(spec, load, materials, psi_P)[1]
+    values = {name: abs(float(partials[i])) for i, name in enumerate(PARAMS)}
     return values, _ranking(values)
 
 
@@ -161,10 +141,12 @@ def rank_at_max(spec: TransmissionSpec, load: LoadCase,
                 materials: tuple[Material, Material]):
     """Normalised partial magnitudes at the pressure peak, with ranking.
 
-    The peak sits at the left end of the active segment (pi - delta for a
-    two-cam mechanism); values are |dP/dq * q0| there.
+    The peak is the kernel's psi_P: the left end of the active segment
+    (pi - delta for a two-cam mechanism) unless the arc starts before the
+    pitch-curvature turnover, where it can lie inside the arc. Values are
+    |dP/dq * q0| there.
     """
-    return _at_max(spec, load, materials, _segment(spec))
+    return _at_max(spec, load, materials, _segment(spec, load, materials)[0].psi_P)
 
 
 def _simpson(y: np.ndarray, h: float) -> float:
@@ -174,18 +156,15 @@ def _simpson(y: np.ndarray, h: float) -> float:
     return float(h / 3.0 * np.dot(w, y))
 
 
-def _rms(spec, load, materials, seg, nodes):
+def _rms(spec, load, materials, arc, nodes):
     if nodes < MIN_RMS_NODES:
         raise InvalidSpec(f"need at least {MIN_RMS_NODES} nodes, got {nodes}")
     if nodes % 2 == 0:
         nodes += 1  # Simpson needs an even interval count
-    psis = seg.grid(nodes)
-    h = seg.length / (nodes - 1)
-    mat = _series_partials(spec, load, materials, psis)
-    values = {}
-    for i, name in enumerate(PARAMS):
-        integral = _simpson(mat[i] ** 2, h)
-        values[name] = math.sqrt(integral / seg.length)
+    h = arc.length / (nodes - 1)
+    partials = _sensitivities(spec, load, materials, arc.grid(nodes))[1]
+    values = {name: math.sqrt(_simpson(partials[i] ** 2, h) / arc.length)
+              for i, name in enumerate(PARAMS)}
     return values, _ranking(values)
 
 
@@ -196,7 +175,7 @@ def rank_rms(spec: TransmissionSpec, load: LoadCase,
     Composite Simpson integration on an odd node count >= 1025; the mean uses
     the segment length, which is pi for a two-cam mechanism.
     """
-    return _rms(spec, load, materials, _segment(spec), nodes)
+    return _rms(spec, load, materials, _segment(spec, load, materials)[1], nodes)
 
 
 def sensitivity_report(spec: TransmissionSpec, load: LoadCase,
@@ -206,16 +185,15 @@ def sensitivity_report(spec: TransmissionSpec, load: LoadCase,
                        include_torque: bool = False) -> SensitivityReport:
     """Full sensitivity study: pointwise series, peak values, rms, rankings.
 
-    The closure angle is solved once and its segment serves all three parts.
+    The kernel runs once and its segment and peak serve all three parts.
     """
-    delta = extended_angle(spec)
-    seg = active_segment(spec, delta)
-    psis, series = _profile(spec, load, materials, seg, samples, include_torque)
-    at_max, rank1 = _at_max(spec, load, materials, seg)
-    rms, rank2 = _rms(spec, load, materials, seg, rms_nodes)
+    seg, arc = _segment(spec, load, materials)
+    psis, series = _profile(spec, load, materials, arc, samples, include_torque)
+    at_max, rank1 = _at_max(spec, load, materials, seg.psi_P)
+    rms, rank2 = _rms(spec, load, materials, arc, rms_nodes)
     nominal = {"r": spec.r, "eta": spec.eta, "p": spec.p, "L": spec.L,
                "torque": load.torque}
     return SensitivityReport(
-        nominal=nominal, segment=seg, delta=delta, psi=psis, pointwise=series,
+        nominal=nominal, segment=arc, delta=seg.delta, psi=psis, pointwise=series,
         at_max=at_max, at_max_ranking=rank1, rms=rms, rms_ranking=rank2,
     )

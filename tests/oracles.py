@@ -7,6 +7,7 @@ fast implementations under test.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -126,6 +127,25 @@ def hertz_pressure_series(psi, spec, load, cam_mat, roller_mat) -> np.ndarray:
         R = spec.r * rho_c / (spec.r + rho_c)
         P = (1.0 / math.pi) * np.sqrt(F / (spec.L * K * R))
     return np.where(rho_c > 0.0, P, np.nan)
+
+
+def pressure_partials_fd(psi, spec, load, cam_mat, roller_mat,
+                         rel_step: float = 1e-6) -> np.ndarray:
+    """Raw partials dP/dq at each psi for q = r, eta, p, L, torque, in that order.
+
+    Central differences of `hertz_pressure_series` with step rel_step times
+    each nominal value. Each probe is one plain record that serves as both
+    spec and load, so no validation of the library's runs on it.
+    """
+    nominal = {"r": spec.r, "eta": spec.eta, "p": spec.p, "L": spec.L,
+               "torque": load.torque}
+    rows = []
+    for name, q0 in nominal.items():
+        h = rel_step * abs(q0)
+        hi, lo = (SimpleNamespace(**{**nominal, name: q0 + step}) for step in (h, -h))
+        rows.append((hertz_pressure_series(psi, hi, hi, cam_mat, roller_mat)
+                     - hertz_pressure_series(psi, lo, lo, cam_mat, roller_mat)) / (2.0 * h))
+    return np.array(rows)
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -128,6 +128,26 @@ class TestSensitivityCommand:
         assert a == pytest.approx(math.pi - delta)
         assert b == pytest.approx(2.0 * math.pi - delta)
 
+    def test_eta_below_singular_value_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        code = run(tmp_path, "sensitivity", "--out", str(out),
+                   config={"mechanism": {"eta": 0.1}})
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("infeasible nominal design:") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_roller_radius_next_to_eccentricity(self, tmp_path):
+        out = tmp_path / "s"
+        assert run(tmp_path, "sensitivity", "--out", str(out), config={
+            "mechanism": {"pitch_mm": 50, "eta": 0.18,
+                          "roller_radius_mm": 8.999995}}) == 0
+        meta = json.loads((out / "sensitivity.json").read_text())
+        for mode in ("at_max", "rms"):
+            assert all(math.isfinite(v) for v in meta[mode].values())
+        for row in read_csv(out / "sensitivity_profile.csv")[1:]:
+            assert all(math.isfinite(float(v)) for v in row)
+
     def test_rerun_byte_identical(self, tmp_path):
         out = tmp_path / "s"
         run(tmp_path, "sensitivity", "--out", str(out))
@@ -247,6 +267,16 @@ class TestConfigHandling:
         {"design_space": {"d_cs_mm": [-1.0, 2.0], "resolution": 16}},
         {"design_space": {"resolution": 2}},
         {"contour": {"resolution": 2}},
+        {"mechanism": {"pitch_mm": "50"}},
+        {"design_space": {"r_mm": ["a", 2]}},
+        {"profile": {"resolution": "64"}},
+        {"load": {"torque_nmm": "1200"}},
+        {"design_space": {"resolution": 16.5}},
+        {"sensitivity": {"samples": 64.5}},
+        {"mechanism": {"cam_count": 2.5}},
+        {"mechanism": {"cam_count": True}},
+        {"contour": {"m": 2.5}},
+        {"sensitivity": {"include_torque": "yes"}},
     ])
     def test_config_boundary_exits_1_with_one_line(self, tmp_path, capsys,
                                                    command, config):

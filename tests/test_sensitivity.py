@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import camdrive as cd
-from camdrive.errors import InvalidSpec, PerturbationInfeasible
+from camdrive.errors import InvalidSpec, ModelError, NoRootFound
 from camdrive.geometry import TAU
+from camdrive.mechanics import material_coefficient, pressure_sensitivities
 from camdrive.sensitivity import PARAMS, _simpson, pressure_at
+
+from oracles import hertz_pressure_series, pressure_partials_fd
 
 # regression values of the normalised sensitivities at the nominal design
 # (r=4, eta=0.18, p=50, L=10, torque=1200, steel on steel)
@@ -25,34 +30,42 @@ def segment_points(spec, k=5):
     return np.linspace(seg.psi_start, seg.psi_end, k)
 
 
+def library_and_oracle(spec, load, pair, psi):
+    """Partials (r, eta, p, L, torque) of the library and of the FD oracle,
+    and the oracle's pressure, at one cam angle."""
+    return ((cd.pressure_partials(spec, load, pair, psi, include_torque=True),
+             pressure_partials_fd(psi, spec, load, *pair)),
+            float(hertz_pressure_series(psi, spec, load, *pair)))
+
+
 class TestPressurePartials:
     def test_width_partial_matches_closed_form(self, nominal, load, steel_pair):
         # P scales as 1/sqrt(L), so dP/dL = -P/(2L) identically
         for psi in segment_points(nominal):
-            c = cd.pressure_partials(nominal, load, steel_pair, float(psi))
-            P = pressure_at(nominal, load, steel_pair, float(psi))
-            assert c[3] < 0.0
-            assert c[3] == pytest.approx(-P / (2.0 * nominal.L), rel=1e-4)
+            partials, P = library_and_oracle(nominal, load, steel_pair, float(psi))
+            for c in partials:
+                assert c[3] < 0.0
+                assert c[3] == pytest.approx(-P / (2.0 * nominal.L), rel=1e-4)
 
     def test_pitch_partial_matches_closed_form(self, nominal, load, steel_pair):
         # dP/dp = -(P/2p)(1 + r/rho_c) at fixed psi
         psi = float(segment_points(nominal)[0])
-        c = cd.pressure_partials(nominal, load, steel_pair, psi)
-        P = pressure_at(nominal, load, steel_pair, psi)
+        partials, P = library_and_oracle(nominal, load, steel_pair, psi)
         kp = cd.pitch_curvature(psi, nominal.p, nominal.eta)
         rho_c = 1.0 / cd.cam_curvature(kp, nominal.r)
         expected = -(P / (2.0 * nominal.p)) * (1.0 + nominal.r / rho_c)
-        assert c[2] == pytest.approx(expected, rel=1e-4)
+        for c in partials:
+            assert c[2] == pytest.approx(expected, rel=1e-4)
 
     def test_roller_partial_matches_closed_form(self, nominal, load, steel_pair):
         # dP/dr = -(P/2)(rho_c - r)/(r*rho_c) at fixed psi
         psi = float(segment_points(nominal)[0])
-        c = cd.pressure_partials(nominal, load, steel_pair, psi)
-        P = pressure_at(nominal, load, steel_pair, psi)
+        partials, P = library_and_oracle(nominal, load, steel_pair, psi)
         kp = cd.pitch_curvature(psi, nominal.p, nominal.eta)
         rho_c = 1.0 / cd.cam_curvature(kp, nominal.r)
         expected = -(P / 2.0) * (rho_c - nominal.r) / (nominal.r * rho_c)
-        assert c[0] == pytest.approx(expected, rel=1e-4)
+        for c in partials:
+            assert c[0] == pytest.approx(expected, rel=1e-4)
 
     def test_eccentricity_partial_matches_closed_form(self, nominal, load,
                                                       steel_pair):
@@ -76,28 +89,19 @@ class TestPressurePartials:
         drho = -dkp / (kp * kp)
         R = cd.equivalent_radius(spec.r, rho_c)
         dR = (spec.r / rho_p) ** 2 * drho
-        P = pressure_at(spec, load, steel_pair, psi)
+        partials, P = library_and_oracle(spec, load, steel_pair, psi)
         expected = 0.5 * P * (dlnF - dR / R)
-        c = cd.pressure_partials(nominal, load, steel_pair, psi)
-        assert c[1] == pytest.approx(expected, rel=1e-4)
+        for c in partials:
+            assert c[1] == pytest.approx(expected, rel=1e-4)
 
     def test_step_halving_stability(self, nominal, load, steel_pair):
         psi = float(segment_points(nominal)[0])
         c = cd.pressure_partials(nominal, load, steel_pair, psi)
-
-        def fd(name, rel):
-            q0 = getattr(nominal, name)
-            h = rel * q0
-            from dataclasses import replace
-            hi = pressure_at(replace(nominal, **{name: q0 + h}), load, steel_pair, psi)
-            lo = pressure_at(replace(nominal, **{name: q0 - h}), load, steel_pair, psi)
-            return (hi - lo) / (2.0 * h)
-
-        for i, name in enumerate(PARAMS):
-            full = fd(name, 1e-6)
-            half = fd(name, 5e-7)
-            assert half == pytest.approx(full, rel=1e-6)
-            assert c[i] == pytest.approx(full, rel=1e-9)
+        full = pressure_partials_fd(psi, nominal, load, *steel_pair, rel_step=1e-6)
+        half = pressure_partials_fd(psi, nominal, load, *steel_pair, rel_step=5e-7)
+        for i in range(len(PARAMS)):
+            assert half[i] == pytest.approx(full[i], rel=1e-6)
+            assert c[i] == pytest.approx(full[i], rel=1e-9)
 
     def test_torque_partial(self, nominal, load, steel_pair):
         psi = float(segment_points(nominal)[0])
@@ -107,12 +111,25 @@ class TestPressurePartials:
         # P scales as sqrt(torque): normalised torque sensitivity is P/2
         assert c[4] * load.torque == pytest.approx(P / 2.0, rel=1e-5)
 
-    def test_probe_across_feasibility_boundary(self, load, steel_pair):
-        r = 4.0
-        spec = cd.TransmissionSpec(p=50.0, eta=(r + 1e-7) / 50.0, r=r, L=10.0)
-        psi = float(segment_points(spec)[0])
-        with pytest.raises(PerturbationInfeasible):
-            cd.pressure_partials(spec, load, steel_pair, psi)
+    @given(p=st.floats(20.0, 60.0), eta=st.floats(0.17, 0.6),
+           r_frac=st.floats(0.0, 1.0), m=st.sampled_from([2, 3]),
+           L=st.floats(5.0, 45.0), torque=st.floats(500.0, 2000.0))
+    def test_series_match_the_oracle(self, steel_pair, p, eta, r_frac, m, L, torque):
+        # the ranges of oracles.random_valid_specs
+        r_hi = min(10.5, 0.9 * eta * p)
+        assume(r_hi > 2.0)
+        spec = cd.TransmissionSpec(p=p, eta=eta, r=2.0 + r_frac * (r_hi - 2.0), m=m, L=L)
+        load = cd.LoadCase(torque)
+        try:
+            psis, series = cd.sensitivity_profile(spec, load, steel_pair,
+                                                  include_torque=True)
+        except ModelError:
+            assume(False)
+        fd = pressure_partials_fd(psis, spec, load, *steel_pair)
+        for i, name in enumerate(PARAMS + ("torque",)):
+            want = fd[i] * (load.torque if name == "torque" else getattr(spec, name))
+            scale = np.abs(want).max()
+            assert np.abs(series[name] - want).max() <= 1e-6 * scale
 
 
 class TestSensitivityProfile:
@@ -182,3 +199,27 @@ class TestReport:
         assert rep.nominal["p"] == 50.0
         assert rep.segment.psi_start == pytest.approx(math.pi - rep.delta)
         assert len(rep.psi) == 64
+
+    def test_eta_below_singular_value_fails_the_gate(self, load, steel_pair):
+        # eta = (r + 1e-7)/p ~ 0.08 lies below 1/(2*pi): no closure angle
+        spec = cd.TransmissionSpec(p=50.0, eta=(4.0 + 1e-7) / 50.0, r=4.0, L=10.0)
+        for study in (cd.sensitivity_report, cd.sensitivity_profile, cd.rank_at_max,
+                      cd.rank_rms):
+            with pytest.raises(NoRootFound):
+                study(spec, load, steel_pair)
+
+    def test_at_max_sits_at_the_kernel_peak(self, load, steel_pair):
+        # an m = 2 design whose Hertz peak lies inside the arc
+        spec = cd.TransmissionSpec(p=30.0, eta=0.2518, r=6.3456, m=2, L=10.0)
+        _, psi_P = cd.max_hertz_pressure(spec, load, *steel_pair)
+        rep = cd.sensitivity_report(spec, load, steel_pair)
+        assert psi_P > rep.segment.psi_start
+        K_sum = 2.0 * material_coefficient(steel_pair[0])
+        _, partials = pressure_sensitivities(psi_P, spec.p, spec.eta, spec.r,
+                                             load.torque, K_sum, spec.L)
+        values, ranking = cd.rank_at_max(spec, load, steel_pair)
+        assert values == rep.at_max and ranking == rep.at_max_ranking
+        fd = pressure_partials_fd(psi_P, spec, load, *steel_pair)
+        for i, name in enumerate(PARAMS):
+            assert values[name] == abs(partials[i])
+            assert values[name] == pytest.approx(abs(fd[i]) * getattr(spec, name), rel=1e-6)
