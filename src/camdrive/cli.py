@@ -205,7 +205,7 @@ def cmd_metrics(cfg: RunConfig) -> int:
         return EXIT_INFEASIBLE
     K_sum = (mechanics.material_coefficient(cam_mat)
              + mechanics.material_coefficient(roller_mat))
-    seg = mechanics.design_segment(spec, load.torque, K_sum)
+    seg = mechanics.design_segment(spec, load.torque, K_sum, delta=report.delta)
     if not seg.ok:
         print("infeasible mechanism: cam curvature radius is non-positive on "
               "the driving arc; the Hertz model does not apply", file=sys.stderr)

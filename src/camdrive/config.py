@@ -22,6 +22,12 @@ from .sensitivity import MIN_PROFILE_SAMPLES, MIN_RMS_NODES
 
 FORMATS = ("csv", "json", "svg")
 
+# Memory limit of a study's grid. At its peak a sweep holds about 64 bytes
+# per (d_cs, r, L, m) candidate and a contour slice about 300 bytes per
+# (d_cs, r) cell (measured peak RSS, numpy 2.4 on Python 3.11), so this many
+# sweep candidates, or a fifth as many contour cells, take about 4 GB.
+MAX_GRID_CANDIDATES = 2 ** 26
+
 
 @dataclass(frozen=True)
 class MechanismConfig:
@@ -284,6 +290,15 @@ def _validate(cfg: RunConfig) -> None:
     ):
         if value < least:
             raise ConfigError(f"{label} must be at least {least}, got {value}")
+    for label, res, size, limit in (
+        ("design_space.resolution", sc.resolution, len(sc.m) * sc.resolution ** 3,
+         MAX_GRID_CANDIDATES),
+        ("contour.resolution", cfg.contour.resolution, cfg.contour.resolution ** 2,
+         MAX_GRID_CANDIDATES // 5),
+    ):
+        if size > limit:
+            raise ConfigError(f"{label} {res} makes a grid of {size} candidates, "
+                              f"above the memory limit of {limit}")
 
 
 def apply_overrides(cfg: RunConfig, command: str, *, out=None, resolution=None,

@@ -378,12 +378,14 @@ def _hertz_peak_angle(a, b, p, eta, r):
     return math.pi + w[rows, j]
 
 
-def segment_metrics(p, eta, r, m, torque, K_sum) -> SegmentMetrics:
+def segment_metrics(p, eta, r, m, torque, K_sum, delta=None) -> SegmentMetrics:
     """Peak metrics over one cam's driving arc for each (eta, r) pair.
 
     Pitch p, cam count m, torque and K_sum (the summed material
-    coefficients) are shared by all pairs. With w = psi - pi > 0 on the arc
-    and q = 2*pi*eta - 1:
+    coefficients) are shared by all pairs. The closure angle does not
+    depend on m: a caller that needs several cam counts passes the `delta`
+    of an earlier call, and the root is not solved again. With
+    w = psi - pi > 0 on the arc and q = 2*pi*eta - 1:
 
     - |mu| = arctan(q/w) falls along the arc, so mu_max is its value at
       the arc start.
@@ -405,7 +407,8 @@ def segment_metrics(p, eta, r, m, torque, K_sum) -> SegmentMetrics:
     eta = np.asarray(eta, dtype=float)
     r = np.asarray(r, dtype=float)
     eta = np.where(TAU * eta - 1.0 >= ETA_SINGULAR_TOL, eta, np.nan)
-    delta = closure_angles(p, eta, r)
+    delta = (closure_angles(p, eta, r) if delta is None
+             else np.asarray(delta, dtype=float))
     start = driving_window(delta, m)[0]
     with np.errstate(divide="ignore", invalid="ignore"):  # rejected pairs give NaN
         psi_rho, rho_c_min = min_cam_radius(delta, p, eta, r, m)
@@ -423,14 +426,17 @@ def segment_metrics(p, eta, r, m, torque, K_sum) -> SegmentMetrics:
         rho_c_min=rho_c_min, ok=ok)
 
 
-def design_segment(spec: TransmissionSpec, torque: float, K_sum: float) -> SegmentMetrics:
+def design_segment(spec: TransmissionSpec, torque: float, K_sum: float,
+                   delta: float | None = None) -> SegmentMetrics:
     """`segment_metrics` of one spec, unpacked to floats.
 
+    delta, when given, is the spec's closure angle, already solved.
     Raises InfeasibleCamCount for m < 2 and NoRootFound when eta is at or
     below 1/(2*pi) or the profile does not close.
     """
     seg = SegmentMetrics(*(v[0].item() for v in segment_metrics(
-        spec.p, [spec.eta], [spec.r], spec.m, torque, K_sum)))
+        spec.p, [spec.eta], [spec.r], spec.m, torque, K_sum,
+        delta=None if delta is None else [delta])))
     if math.isnan(seg.delta):
         raise NoRootFound(
             f"no closure angle for p={spec.p}, eta={spec.eta}, r={spec.r}: eta "

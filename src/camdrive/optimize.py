@@ -4,12 +4,14 @@ Design vector x = [d_cs, r, L, m]; objectives (mu_max, P_max, S_M) are all
 minimised subject to caps on each. The search is an exhaustive grid: the
 evaluations are cheap, deterministic and oracle-checkable, and the space has
 only three continuous axes plus the cam count. Every (d_cs, r) pair goes
-through the batched segment kernel `mechanics.segment_metrics` once, which
-costs a closure-root solve plus closed forms, and a short peak search for
-the few pairs whose pressure peaks inside the arc; its unit-width pressure
-serves the whole L axis, because the Hertz pressure scales as 1/sqrt(L). A
-single candidate is the same evaluation on a batch of one. Iso-lines of the
-contour slices come from a table-driven marching squares.
+through the batched segment kernel `mechanics.segment_metrics` once per cam
+count, which costs closed forms and a short peak search for the few pairs
+whose pressure peaks inside the arc; the closure root does not depend on
+the cam count and is solved once per pair. The unit-width pressure serves
+the whole L axis, because the Hertz pressure scales as 1/sqrt(L). A single
+candidate is the same evaluation on a batch of one. Iso-lines of the
+contour slices come from a table-driven marching squares, and a front's
+hypervolume from a dimension sweep.
 """
 from __future__ import annotations
 
@@ -162,7 +164,8 @@ def evaluate_candidate(x, space: DesignSpace) -> DesignCandidate:
     mu_max = P_max = float("nan")
     geometry_ok = False
     if m >= 2:
-        geom, mu, P_unit = _pair_metrics(space, m, np.array([d_cs]), np.array([r]))
+        geom, mu, P_unit = _pair_metrics(space, (m,), np.array([d_cs]),
+                                         np.array([r]))[m]
         geometry_ok, mu_max, P_max = geom[0], mu[0], P_unit[0] / math.sqrt(L)
     return _candidate(space, m, d_cs, r, L, m * L, mu_max, P_max, geometry_ok)
 
@@ -253,20 +256,34 @@ def pareto_front(candidates) -> list[DesignCandidate]:
 
 # --- vectorised grid evaluation ------------------------------------------
 
-def _pair_metrics(space: DesignSpace, m: int, d_cs: np.ndarray, r: np.ndarray):
-    """Geometry flag, mu_max and unit-width P_max of each (d_cs, r) pair.
+def _pair_kernel(p, m_values, torque, K_sum, eta, r) -> list:
+    """`segment_metrics` of one chunk of pairs for each cam count in turn.
+
+    The closure angle does not depend on m, so the first call solves it and
+    the others reuse it.
+    """
+    segs = []
+    delta = None
+    for m in m_values:
+        segs.append(segment_metrics(p, eta, r, m, torque, K_sum, delta=delta))
+        delta = segs[-1].delta
+    return segs
+
+
+def _pair_metrics(space: DesignSpace, m_values, d_cs: np.ndarray, r: np.ndarray) -> dict:
+    """Geometry flag, mu_max and unit-width P_max of each (d_cs, r) pair, by m.
 
     d_cs = 0 puts the roller on the cam axis line (e = r), which no profile
     allows; those pairs and the ones the kernel rejects get NaN metrics.
-    Pairs go to the kernel in chunks of _PAIR_CHUNK, which bounds the
-    memory of its (chunk, ROOT_SCAN_NODES) closure-root scan arrays and lets
-    `workers` processes share the chunks.
+    Pairs go to the kernel in chunks of _PAIR_CHUNK, which lets `workers`
+    processes share the chunks and bounds the (chunk, PEAK_SCAN_NODES)
+    arrays of the kernel's Hertz peak search.
     """
     eta = eta_from_design(d_cs, r, space.pitch)
     K_sum = (material_coefficient(space.cam_material)
              + material_coefficient(space.roller_material))
-    kernel = partial(segment_metrics, space.pitch, m=m, torque=space.load.torque,
-                     K_sum=K_sum)
+    kernel = partial(_pair_kernel, space.pitch, tuple(m_values), space.load.torque,
+                     K_sum)
     etas = [eta[s:s + _PAIR_CHUNK] for s in range(0, len(eta), _PAIR_CHUNK)]
     rs = [r[s:s + _PAIR_CHUNK] for s in range(0, len(r), _PAIR_CHUNK)]
     if space.workers > 1 and len(etas) > 1:
@@ -274,18 +291,21 @@ def _pair_metrics(space: DesignSpace, m: int, d_cs: np.ndarray, r: np.ndarray):
             parts = list(pool.map(kernel, etas, rs))
     else:
         parts = list(map(kernel, etas, rs))
-    seg = SegmentMetrics(*(np.concatenate(col) for col in zip(*parts)))
-    geom = (d_cs > 0.0) & seg.ok
-    return (geom, np.where(geom, seg.mu_max, np.nan),
-            np.where(geom, seg.P_max, np.nan))
+    out = {}
+    for m, segs in zip(m_values, zip(*parts)):
+        seg = SegmentMetrics(*(np.concatenate(col) for col in zip(*segs)))
+        geom = (d_cs > 0.0) & seg.ok
+        out[m] = (geom, np.where(geom, seg.mu_max, np.nan),
+                  np.where(geom, seg.P_max, np.nan))
+    return out
 
 
-def _pair_grid(space: DesignSpace, m: int, res: int):
-    """The res x res (d_cs, r) grid, d_cs-major, and its pair metrics."""
+def _pair_grid(space: DesignSpace, m_values, res: int):
+    """The res x res (d_cs, r) grid, d_cs-major, and its pair metrics by m."""
     d_axis = np.linspace(space.d_cs_range[0], space.d_cs_range[1], res)
     r_axis = np.linspace(space.r_range[0], space.r_range[1], res)
     D, R = (a.ravel() for a in np.meshgrid(d_axis, r_axis, indexing="ij"))
-    return (d_axis, r_axis, D, R) + _pair_metrics(space, m, D, R)
+    return d_axis, r_axis, D, R, _pair_metrics(space, m_values, D, R)
 
 
 @dataclass(frozen=True)
@@ -328,8 +348,8 @@ class SweepResult:
         return sum(len(g) for g in self.grids.values())
 
 
-def _evaluate_grid(space: DesignSpace, m: int) -> GridData:
-    _, _, D, R, geom_pair, mu_pair, P_pair = _pair_grid(space, m, space.resolution)
+def _evaluate_grid(space: DesignSpace, m: int, D, R, geom_pair, mu_pair,
+                   P_pair) -> GridData:
     L_axis = space.L_axis(m)
     nL = len(L_axis)
     L = np.tile(L_axis, len(D))
@@ -353,12 +373,14 @@ def sweep(space: DesignSpace) -> SweepResult:
     if space.resolution < MIN_GRID_RESOLUTION:
         raise InvalidSpec(f"resolution must be at least {MIN_GRID_RESOLUTION}, "
                           f"got {space.resolution}")
-    grids = {}
-    per_m_front_idx = {}
     for m in space.m_values:
         if m < 2:
             raise InfeasibleCamCount(f"cam count {m} in the design space")
-        g = _evaluate_grid(space, m)
+    _, _, D, R, pairs = _pair_grid(space, space.m_values, space.resolution)
+    grids = {}
+    per_m_front_idx = {}
+    for m in space.m_values:
+        g = _evaluate_grid(space, m, D, R, *pairs[m])
         grids[m] = g
         feas_idx = np.flatnonzero(g.feasible)
         if feas_idx.size:
@@ -472,7 +494,8 @@ def contour_slice(space: DesignSpace, m: int, S_M: float,
     res = space.resolution if resolution is None else resolution
     if res < MIN_GRID_RESOLUTION:
         raise InvalidSpec(f"resolution must be at least {MIN_GRID_RESOLUTION}, got {res}")
-    d_axis, r_axis, D, R, geom, mu, P_unit = _pair_grid(space, m, res)
+    d_axis, r_axis, D, R, pairs = _pair_grid(space, (m,), res)
+    geom, mu, P_unit = pairs[m]
     P = P_unit / math.sqrt(L)
     feas = _feasible(space, geom, mu, P, S_M)
     locus = []
@@ -499,8 +522,14 @@ def hypervolume(objectives, ref) -> float:
     """Dominated hypervolume of a 3-objective minimisation set w.r.t. ref.
 
     Points not strictly better than the reference in every coordinate
-    contribute nothing. Slicing algorithm, O(n^2 log n): fine for the front
-    sizes this package produces.
+    contribute nothing. Dimension sweep (Fonseca, Paquete & Lopez-Ibanez
+    2006): the points enter in ascending f2, and between consecutive f2
+    values the volume grows by the (f0, f1) area that the entered points
+    dominate, times the f2 step. That area belongs to a staircase of the
+    entered points that are nondominated in (f0, f1), kept as two sorted
+    lists, and each insertion adds the newly dominated strips to it. Every
+    added term is non-negative, so the sums do not cancel. O(n log n)
+    comparisons; a list insertion also moves up to n references.
     """
     F = np.asarray(objectives, dtype=float)
     ref = np.asarray(ref, dtype=float)
@@ -509,24 +538,26 @@ def hypervolume(objectives, ref) -> float:
     F = F[np.all(F < ref, axis=1)]
     if len(F) == 0:
         return 0.0
-
-    def area2d(xy: np.ndarray) -> float:
-        mask = nondominated_mask(xy)
-        pts = xy[mask]
-        order = np.argsort(pts[:, 0], kind="stable")
-        pts = pts[order]
-        area = 0.0
-        y_prev = ref[1]
-        for x, y in pts:
-            if y < y_prev:
-                area += (ref[0] - x) * (y_prev - y)
-                y_prev = y
-        return area
-
-    zs = np.unique(F[:, 2])
-    total = 0.0
-    for k, z in enumerate(zs):
-        z_next = zs[k + 1] if k + 1 < len(zs) else ref[2]
-        active = F[F[:, 2] <= z]
-        total += area2d(active[:, :2]) * (z_next - z)
-    return float(total)
+    x_ref, y_ref, z_ref = ref.tolist()
+    xs: list[float] = []  # staircase: f0 ascending, f1 descending
+    ys: list[float] = []
+    area = volume = 0.0
+    z_prev = None
+    for x, y, z in F[np.argsort(F[:, 2], kind="stable")].tolist():
+        if z_prev is not None:
+            volume += area * (z - z_prev)
+        z_prev = z
+        i = bisect.bisect_right(xs, x)
+        if i and ys[i - 1] <= y:
+            continue  # weakly dominated in (f0, f1)
+        j = bisect.bisect_left(xs, x)
+        top = ys[j - 1] if j else y_ref
+        k = j
+        while k < len(xs) and ys[k] >= y:  # points the new one dominates
+            area += (xs[k] - x) * (top - ys[k])
+            top = ys[k]
+            k += 1
+        area += ((xs[k] if k < len(xs) else x_ref) - x) * (top - y)
+        xs[j:k] = [x]
+        ys[j:k] = [y]
+    return float(volume + area * (z_ref - z_prev))

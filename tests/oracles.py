@@ -65,6 +65,35 @@ def mc_hypervolume(points, ref, samples: int = 200_000, seed: int = 0) -> float:
     return box * float(hit.mean())
 
 
+def hypervolume_slicing(points, ref) -> float:
+    """Dominated hypervolume by slicing along f2, all in test code.
+
+    Points not strictly below the reference in every coordinate, and the
+    points `brute_force_front_mask` finds dominated, add nothing. Each slice
+    between consecutive f2 values adds the (f0, f1) area of the points at or
+    below it, summed over those points sorted by f0, times its thickness.
+    """
+    F = np.asarray(points, dtype=float)
+    ref = np.asarray(ref, dtype=float)
+    F = F[np.all(F < ref, axis=1)]
+    if len(F) == 0:
+        return 0.0
+    F = F[brute_force_front_mask(F)]
+    zs = np.unique(F[:, 2])
+    total = 0.0
+    for k, z in enumerate(zs):
+        z_next = zs[k + 1] if k + 1 < len(zs) else ref[2]
+        active = F[F[:, 2] <= z]
+        area = 0.0
+        y_prev = ref[1]
+        for x, y in active[np.lexsort((active[:, 1], active[:, 0])), :2]:
+            if y < y_prev:
+                area += (ref[0] - x) * (y_prev - y)
+                y_prev = y
+        total += area * (z_next - z)
+    return float(total)
+
+
 def vc_reference(psi: float, p: float, eta: float, r: float) -> float:
     """Profile ordinate written out directly from its closed form."""
     q = TAU * eta - 1.0

@@ -70,6 +70,20 @@ class TestMetricsCommand:
         assert meta["fully_convex"] is False
         assert meta["allowable_pressure_ok"] is True
 
+    def test_closure_solved_once(self, tmp_path, monkeypatch):
+        from camdrive import geometry, mechanics
+        solve = geometry.closure_angles
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "closure_angles", counted)
+        monkeypatch.setattr(mechanics, "closure_angles", counted)
+        assert run(tmp_path, "metrics", "--out", str(tmp_path / "m")) == 0
+        assert len(calls) == 1
+
     def test_fully_convex_design_reported(self, tmp_path):
         out = tmp_path / "m2"
         cfg = {"mechanism": {"pitch_mm": 20.0, "eta": 0.424,
@@ -277,6 +291,10 @@ class TestConfigHandling:
         {"mechanism": {"cam_count": True}},
         {"contour": {"m": 2.5}},
         {"sensitivity": {"include_torque": "yes"}},
+        {"design_space": {"resolution": 100000}},
+        {"contour": {"resolution": 100000}},
+        {"design_space": {"resolution": 257, "m": [2, 3, 4, 5]}},
+        {"contour": {"resolution": 3664}},
     ])
     def test_config_boundary_exits_1_with_one_line(self, tmp_path, capsys,
                                                    command, config):
@@ -286,6 +304,12 @@ class TestConfigHandling:
         assert code == 1
         assert err.startswith("config error:") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_grid_memory_limit_admits_resolution_256(self):
+        from camdrive.config import parse_config
+        cfg = parse_config({"design_space": {"resolution": 256, "m": [2, 3, 4, 5]},
+                            "contour": {"resolution": 3663}})
+        assert cfg.design_space.resolution == 256 and cfg.contour.resolution == 3663
 
     @pytest.mark.parametrize("command", ["pareto", "contour"])
     def test_grid_resolution_flag_floor(self, tmp_path, capsys, command):

@@ -12,7 +12,7 @@ from camdrive.errors import (
     NoRootFound,
     RollerBlocksCam,
 )
-from camdrive.geometry import TAU
+from camdrive.geometry import TAU, closure_angles
 
 import oracles
 
@@ -200,6 +200,77 @@ class TestExtendedAngle:
         s = cd.TransmissionSpec(p=20.0, eta=1.0, r=19.6)
         with pytest.raises(NoRootFound):
             cd.extended_angle(s)
+
+
+def closure_oracle(p, eta, r):
+    """`oracles.closure_root_scan` with NaN where it finds no root."""
+    try:
+        return oracles.closure_root_scan(p, eta, r)
+    except ArithmeticError:
+        return math.nan
+
+
+class TestClosureAngles:
+    """The batched solver against the dense-scan-and-bisection oracle."""
+
+    P = 20.0
+
+    def assert_matches_oracle(self, eta, r):
+        got = closure_angles(self.P, eta, r)
+        ref = np.array([closure_oracle(self.P, e, q) for e, q in zip(eta, r)])
+        assert np.array_equal(np.isnan(got), np.isnan(ref))
+        assert np.nanmax(np.abs(got - ref), initial=0.0) <= 1e-12
+        return got
+
+    def test_random_pairs_over_the_valid_region(self):
+        rng = np.random.default_rng(31)
+        eta = rng.uniform(1.0 / TAU + 1e-6, 2.0, 80)
+        got = self.assert_matches_oracle(eta, rng.uniform(1e-6, 1.0, 80) * eta * self.P)
+        assert np.isfinite(got).sum() > 60
+
+    def test_eta_near_the_singular_value(self):
+        rng = np.random.default_rng(32)
+        eta = 1.0 / TAU + rng.uniform(1e-9, 1e-6, 25)
+        got = self.assert_matches_oracle(eta, rng.uniform(1e-6, 1.0, 25) * eta * self.P)
+        assert np.isfinite(got).all()
+
+    def test_roller_near_the_eccentricity(self):
+        rng = np.random.default_rng(33)
+        eta = rng.uniform(1.0 / TAU + 1e-6, 2.0, 25)
+        got = self.assert_matches_oracle(
+            eta, eta * self.P * (1.0 - rng.uniform(0.0, 1e-9, 25)))
+        assert 0 < np.isnan(got).sum() < 25
+
+    def test_roots_near_minus_pi(self):
+        # v_c is linear in r, so r follows from a chosen root psi0; such roots
+        # nearest zero need eta above about 3.2
+        rng = np.random.default_rng(34)
+        eta = rng.uniform(3.3, 50.0, 60)
+        psi0 = -math.pi + rng.uniform(0.0, 1e-3, 60)
+        q, w, b1 = TAU * eta - 1.0, psi0 - math.pi, self.P / TAU
+        r = b1 * np.sqrt(q * q + w * w) - b1 * np.sin(psi0) / np.sin(np.arctan(w / q) - psi0)
+        keep = (r > 0.0) & (r < eta * self.P)
+        got = self.assert_matches_oracle(eta[keep][:25], r[keep][:25])
+        assert len(got) == 25 and (got < -math.pi + 1e-3).all()
+
+    def test_pairs_without_root(self):
+        rng = np.random.default_rng(35)
+        eta = rng.uniform(0.5, 2.0, 400)
+        r = eta * self.P * rng.uniform(0.9, 1.0, 400)
+        none = np.isnan(closure_angles(self.P, eta, r))
+        assert none.sum() >= 25
+        self.assert_matches_oracle(eta[none][:25], r[none][:25])
+
+    def test_batch_equals_chunks_bitwise(self, rng):
+        eta = rng.uniform(0.1, 2.0, 500)
+        r = rng.uniform(0.0, 1.2, 500) * eta * self.P
+        whole = closure_angles(self.P, eta, r)
+        chunks = [closure_angles(self.P, eta[s:s + 37], r[s:s + 37])
+                  for s in range(0, 500, 37)]
+        assert np.array_equal(whole, np.concatenate(chunks), equal_nan=True)
+        single = [closure_angles(self.P, e, q)[0] for e, q in zip(eta[:40], r[:40])]
+        assert np.array_equal(whole[:40], single, equal_nan=True)
+        assert 0 < np.isnan(whole).sum() < 500
 
 
 class TestMinProfileRadius:

@@ -268,6 +268,18 @@ class TestSegmentMetrics:
                                   equal_nan=True), name
         assert 0 < whole.ok.sum() < 300
 
+    def test_given_delta_is_bitwise_invisible(self, rng, steel):
+        eta = rng.uniform(0.1, 0.7, 200)
+        r = rng.uniform(2.0, 10.5, 200)
+        K_sum = 2.0 * cd.material_coefficient(steel)
+        delta = segment_metrics(20.0, eta, r, 2, 1200.0, K_sum).delta
+        for m in (2, 3, 4):
+            solved = segment_metrics(20.0, eta, r, m, 1200.0, K_sum)
+            given = segment_metrics(20.0, eta, r, m, 1200.0, K_sum, delta=delta)
+            for name in solved._fields:
+                assert np.array_equal(getattr(solved, name), getattr(given, name),
+                                      equal_nan=True), (m, name)
+
     @pytest.mark.parametrize("m", [2, 3])
     def test_matches_polished_scan(self, load, steel_pair, m):
         # broad draws, draws where the pressure peaks inside the arc, and

@@ -9,6 +9,7 @@ import camdrive as cd
 from camdrive.errors import InfeasibleCamCount, InvalidSpec
 from camdrive.optimize import (
     GridData,
+    _pair_grid,
     eta_from_design,
     marching_squares,
     nondominated_mask,
@@ -395,3 +396,62 @@ class TestHypervolume:
         hv_c = cd.hypervolume([c.objectives for c in coarse.front], ref)
         hv_f = cd.hypervolume([c.objectives for c in fine.front], ref)
         assert hv_f >= hv_c - 1e-9 * max(hv_c, 1.0)
+
+
+def test_sweep_solves_each_closure_once(monkeypatch):
+    from camdrive import mechanics
+    solve = mechanics.closure_angles
+    solved = []
+
+    def counted(p, eta, r):
+        solved.append(len(eta))
+        return solve(p, eta, r)
+
+    monkeypatch.setattr(mechanics, "closure_angles", counted)
+    cd.sweep(small_space(m_values=(2, 3)))
+    assert sum(solved) == 16 * 16
+
+
+def test_cam_counts_share_the_closure_solve():
+    # one kernel pass per chunk for all cam counts equals one pass per count
+    space = small_space(m_values=(2, 3))
+    shared = _pair_grid(space, (2, 3), space.resolution)[4]
+    for m in (2, 3):
+        alone = _pair_grid(space, (m,), space.resolution)[4][m]
+        for a, b in zip(shared[m], alone):
+            assert np.array_equal(a, b, equal_nan=True)
+
+
+class TestHypervolumeAgainstSlicing:
+    """The dimension sweep against `oracles.hypervolume_slicing`."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_sets_with_ties_and_duplicates(self, seed):
+        # coordinates on a coarse lattice tie often; 1.0 lies on a reference
+        # plane and 1.2 beyond it
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(0, 7, size=(80, 3)) / 5.0
+        pts = np.vstack([pts, pts[:10], rng.uniform(0.0, 1.0, size=(40, 3))])
+        rng.shuffle(pts)
+        ref = (1.0, 1.0, 1.0)
+        assert (pts == 1.0).any() and (pts > 1.0).any()
+        exact = oracles.hypervolume_slicing(pts, ref)
+        assert exact > 0.0
+        assert cd.hypervolume(pts, ref) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_degenerate_sets(self):
+        ref = (1.0, 1.0, 1.0)
+        on_planes = [[1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.5, 0.5, 1.0]]
+        assert cd.hypervolume(on_planes, ref) == 0.0
+        assert cd.hypervolume(np.zeros((0, 3)), ref) == 0.0
+        same = [[0.5, 0.5, 0.5]] * 4
+        assert cd.hypervolume(same, ref) == oracles.hypervolume_slicing(same, ref)
+
+    @pytest.mark.parametrize("res", [16, 31])
+    def test_real_fronts(self, res):
+        space = cd.DesignSpace(resolution=res)
+        F = [c.objectives for c in cd.sweep(space).front]
+        ref = (space.mu_cap, space.P_cap, space.S_cap)
+        exact = oracles.hypervolume_slicing(F, ref)
+        assert len(F) > 50 and exact > 0.0
+        assert cd.hypervolume(F, ref) == pytest.approx(exact, rel=1e-12, abs=0.0)
