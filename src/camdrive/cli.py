@@ -77,25 +77,16 @@ def _wants(cfg: RunConfig, fmt: str) -> bool:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Header, then rows of Python scalars; csv writes a float as its repr."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
-
-
-def _cell(v):
-    if isinstance(v, (np.floating, float)):
-        return repr(float(v))
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    return v
+        writer.writerows(rows)
 
 
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _meta(cfg: RunConfig) -> dict:
@@ -276,8 +267,7 @@ def cmd_sensitivity(cfg: RunConfig) -> int:
     if _wants(cfg, "csv"):
         _write_csv(out / "sensitivity_profile.csv",
                    ["psi_rad"] + [f"dP_d{n}_norm_mpa" for n in names],
-                   ([psi] + [rep.pointwise[n][k] for n in names]
-                    for k, psi in enumerate(rep.psi)))
+                   zip(rep.psi.tolist(), *(rep.pointwise[n].tolist() for n in names)))
         _write_csv(out / "sensitivity_tables.csv",
                    ["mode", "r", "eta", "p", "L", "ranking"],
                    [["at_max"] + [rep.at_max[n] for n in sensitivity.PARAMS]
@@ -444,10 +434,9 @@ def cmd_contour(cfg: RunConfig) -> int:
         res = len(sl.d_axis)
         _write_csv(out / "contour_grid.csv",
                    ["d_cs_mm", "r_mm", "mu_max_deg", "p_max_mpa", "feasible"],
-                   ([sl.d_axis[i], sl.r_axis[j],
-                     math.degrees(sl.mu_grid[i, j]), sl.P_grid[i, j],
-                     bool(sl.feasible[i, j])]
-                    for i in range(res) for j in range(res)))
+                   zip(np.repeat(sl.d_axis, res).tolist(), np.tile(sl.r_axis, res).tolist(),
+                       np.degrees(sl.mu_grid).ravel().tolist(), sl.P_grid.ravel().tolist(),
+                       sl.feasible.ravel().tolist()))
         _write_csv(out / "contour_locus.csv", _FRONT_HEADER, _front_rows(sl.locus))
     if _wants(cfg, "json"):
         _write_json(out / "contour.json", {

@@ -22,10 +22,14 @@ from .sensitivity import MIN_PROFILE_SAMPLES, MIN_RMS_NODES
 
 FORMATS = ("csv", "json", "svg")
 
-# Memory limit of a study's grid. At its peak a sweep holds about 64 bytes
-# per (d_cs, r, L, m) candidate and a contour slice about 300 bytes per
-# (d_cs, r) cell (measured peak RSS, numpy 2.4 on Python 3.11), so this many
-# sweep candidates, or a fifth as many contour cells, take about 4 GB.
+# Memory limit of a study's grid. A sweep holds the metrics of its (d_cs, r)
+# pairs and the rows of its fronts, not its (d_cs, r, L, m) candidates: at
+# this many candidates (resolution 256 with four cam counts) it peaked at
+# 127 MB, and 64 bytes per candidate only once `SweepResult.grids` is read.
+# A contour slice holds about 300 bytes per (d_cs, r) cell, a profile or a
+# sensitivity study about 340 bytes per sample and 150 per rms node
+# (measured peak RSS of the CLI, numpy 2.4 on Python 3.11), so a fifth as
+# many cells, samples or nodes take at most about 4.5 GB.
 MAX_GRID_CANDIDATES = 2 ** 26
 
 
@@ -295,9 +299,15 @@ def _validate(cfg: RunConfig) -> None:
          MAX_GRID_CANDIDATES),
         ("contour.resolution", cfg.contour.resolution, cfg.contour.resolution ** 2,
          MAX_GRID_CANDIDATES // 5),
+        ("profile.resolution", cfg.profile.resolution, cfg.profile.resolution,
+         MAX_GRID_CANDIDATES // 5),
+        ("sensitivity.samples", cfg.sensitivity.samples, cfg.sensitivity.samples,
+         MAX_GRID_CANDIDATES // 5),
+        ("sensitivity.rms_nodes", cfg.sensitivity.rms_nodes, cfg.sensitivity.rms_nodes,
+         MAX_GRID_CANDIDATES // 5),
     ):
         if size > limit:
-            raise ConfigError(f"{label} {res} makes a grid of {size} candidates, "
+            raise ConfigError(f"{label} {res} makes a grid of {size} points, "
                               f"above the memory limit of {limit}")
 
 

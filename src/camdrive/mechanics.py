@@ -45,11 +45,11 @@ from .geometry import (
 )
 
 # Hertz peak search: scan the bracket on PEAK_SCAN_NODES nodes, then rescan
-# the best node's neighbours PEAK_PASSES times. The bracket is at most 1.5
-# rad long and each rescan narrows the node spacing 256-fold, to below 5e-8
-# rad in the end
-PEAK_SCAN_NODES = 513
-PEAK_PASSES = 2
+# the best node's neighbours PEAK_PASSES times, 264 evaluations per pair.
+# The bracket is at most 1.5 rad long and each rescan narrows the node
+# spacing 16-fold, to below 2e-10 rad in the end
+PEAK_SCAN_NODES = 33
+PEAK_PASSES = 7
 _PEAK_T = np.linspace(0.0, 1.0, PEAK_SCAN_NODES)
 
 # fatigue design rule: allowable running pressure is 40% of the static one
@@ -358,6 +358,13 @@ def _hertz_peak_angle(a, b, p, eta, r):
     The search maximises that, by rescans of the best node's neighbours
     with a fixed pass count, so every step is elementwise per pair. Assumes
     a convex cam on [a, b].
+
+    The caller weighs the pressure at a itself, so the first scan picks its
+    best node past a. On some pairs the pressure falls from a, dips and
+    rises to an interior maximum about as high as the value at a; there the
+    node at a can outrank every node next to a maximum that is higher
+    still. A search that kept that node missed such maxima by as much as
+    1.2e-5 relative with 33 nodes.
     """
     rows = np.arange(len(a))
     q = (TAU * eta - 1.0)[:, None]
@@ -365,16 +372,17 @@ def _hertz_peak_angle(a, b, p, eta, r):
     c = q2 - q
     k = (TAU / p) * r[:, None]
 
-    def best_node(lo, hi):
+    def best_node(lo, hi, first):
         w = lo[:, None] + (hi - lo)[:, None] * _PEAK_T
         w2 = w * w
         s = w2 + q2
-        return w, np.argmax(s * s / (w * (s * np.sqrt(s) - k * (w2 + c))), axis=1)
+        f = s * s / (w * (s * np.sqrt(s) - k * (w2 + c)))
+        return w, first + np.argmax(f[:, first:], axis=1)
 
-    w, j = best_node(a - math.pi, b - math.pi)
+    w, j = best_node(a - math.pi, b - math.pi, 1)
     for _ in range(PEAK_PASSES):
         w, j = best_node(w[rows, np.maximum(j - 1, 0)],
-                         w[rows, np.minimum(j + 1, PEAK_SCAN_NODES - 1)])
+                         w[rows, np.minimum(j + 1, PEAK_SCAN_NODES - 1)], 0)
     return math.pi + w[rows, j]
 
 

@@ -8,10 +8,13 @@ through the batched segment kernel `mechanics.segment_metrics` once per cam
 count, which costs closed forms and a short peak search for the few pairs
 whose pressure peaks inside the arc; the closure root does not depend on
 the cam count and is solved once per pair. The unit-width pressure serves
-the whole L axis, because the Hertz pressure scales as 1/sqrt(L). A single
-candidate is the same evaluation on a batch of one. Iso-lines of the
-contour slices come from a table-driven marching squares, and a front's
-hypervolume from a dimension sweep.
+the whole L axis, because the Hertz pressure scales as 1/sqrt(L). So a
+sweep filters the pairs in two objectives and lays the L axis out only
+for the pairs on that front (see `sweep`); the full (d_cs, r, L) grid is
+built only when `SweepResult.grids` is read. A single candidate is the
+same evaluation on a batch of one. Iso-lines of the contour slices come
+from a table-driven marching squares, and a front's hypervolume from a
+dimension sweep.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ import bisect
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -276,8 +279,7 @@ def _pair_metrics(space: DesignSpace, m_values, d_cs: np.ndarray, r: np.ndarray)
     d_cs = 0 puts the roller on the cam axis line (e = r), which no profile
     allows; those pairs and the ones the kernel rejects get NaN metrics.
     Pairs go to the kernel in chunks of _PAIR_CHUNK, which lets `workers`
-    processes share the chunks and bounds the (chunk, PEAK_SCAN_NODES)
-    arrays of the kernel's Hertz peak search.
+    processes share the chunks and keeps the kernel's temporaries small.
     """
     eta = eta_from_design(d_cs, r, space.pitch)
     K_sum = (material_coefficient(space.cam_material)
@@ -310,7 +312,7 @@ def _pair_grid(space: DesignSpace, m_values, res: int):
 
 @dataclass(frozen=True)
 class GridData:
-    """Flattened per-m evaluation of the full (d_cs, r, L) grid."""
+    """Flattened per-m evaluation of a set of pairs times the L axis."""
 
     m: int
     d_cs: np.ndarray
@@ -328,24 +330,30 @@ class GridData:
     def objectives(self) -> np.ndarray:
         return np.column_stack([self.mu_max, self.P_max, self.S_M])
 
-    def candidate(self, i: int, space: DesignSpace) -> DesignCandidate:
-        return _candidate(space, self.m, self.d_cs[i], self.r[i], self.L[i],
-                          self.S_M[i], self.mu_max[i], self.P_max[i],
-                          self.geometry_ok[i])
-
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Full-grid evaluation with merged and per-m Pareto fronts."""
+    """Merged and per-m Pareto fronts of a sweep.
+
+    `pairs` holds the (d_cs, r) pairs and their metrics by cam count, as
+    (d_cs, r, {m: (geometry_ok, mu_max, P_unit)}); `grids`, the evaluation
+    of every (d_cs, r, L) candidate, is built from them when first read.
+    """
 
     space: DesignSpace
-    grids: dict = field(repr=False)
     front: list = field(repr=False)
     per_m_fronts: dict = field(repr=False)
+    pairs: tuple = field(repr=False)
 
     @property
     def evaluated(self) -> int:
-        return sum(len(g) for g in self.grids.values())
+        return len(self.space.m_values) * self.space.resolution ** 3
+
+    @cached_property
+    def grids(self) -> dict:
+        D, R, metrics = self.pairs
+        return {m: _evaluate_grid(self.space, m, D, R, *metrics[m])
+                for m in self.space.m_values}
 
 
 def _evaluate_grid(space: DesignSpace, m: int, D, R, geom_pair, mu_pair,
@@ -364,11 +372,37 @@ def _evaluate_grid(space: DesignSpace, m: int, D, R, geom_pair, mu_pair,
                     feasible=feas, geometry_ok=geom)
 
 
-def sweep(space: DesignSpace) -> SweepResult:
-    """Evaluate the full grid for every cam count and extract Pareto fronts.
+def _per_m_front(space: DesignSpace, m: int, D, R, geom, mu, P_unit):
+    """Rows of the m-cam front as sorted columns (mu, P, S, d_cs, r, L).
 
-    The merged front is the front of the union of the per-m fronts, which
-    equals the front over all evaluated feasible candidates.
+    The rows are the feasible widths of the pairs that are nondominated in
+    (mu_max, P_unit) among the pairs that pass geometry and the angle cap.
+    """
+    cand = np.flatnonzero(geom & (mu <= space.mu_cap))
+    pair = cand[nondominated_mask(np.column_stack([mu[cand], P_unit[cand]]))]
+    g = _evaluate_grid(space, m, D[pair], R[pair], geom[pair], mu[pair], P_unit[pair])
+    keep = np.flatnonzero(g.feasible)
+    cols = tuple(c[keep] for c in (g.mu_max, g.P_max, g.S_M, g.d_cs, g.r, g.L))
+    order = np.lexsort(cols[::-1])  # the `_candidate_sort_key` order
+    return tuple(c[order] for c in cols)
+
+
+def sweep(space: DesignSpace) -> SweepResult:
+    """Pareto fronts of the (d_cs, r, L) grid, for each cam count and merged.
+
+    At fixed m a candidate's objectives are mu_max, set by its pair,
+    P = P_unit/sqrt(L) and S = m*L. A feasible (j, L') can dominate (i, L)
+    only if L' <= L. Then (j, L) is also feasible, since P falls as L
+    grows, and it dominates (i, L) too. So (i, L) is on the m-cam front
+    exactly when it is feasible and pair i is on the 2-D (mu_max, P_unit)
+    front of the pairs that pass geometry and the angle cap (Kung, Luccio &
+    Preparata 1975). Only those pairs get an L axis, and their rows pass
+    the same `_feasible` verdict as the grid's. Two P_unit values divided
+    by one sqrt(L) never swap order, though two an ulp apart could tie;
+    the tests check the fronts against the filter over the whole grid. The
+    merged front is the front of the union of the per-m fronts, which
+    equals the front over all evaluated feasible candidates. Fronts are
+    ordered by `_candidate_sort_key`.
     """
     if space.resolution < MIN_GRID_RESOLUTION:
         raise InvalidSpec(f"resolution must be at least {MIN_GRID_RESOLUTION}, "
@@ -377,26 +411,20 @@ def sweep(space: DesignSpace) -> SweepResult:
         if m < 2:
             raise InfeasibleCamCount(f"cam count {m} in the design space")
     _, _, D, R, pairs = _pair_grid(space, space.m_values, space.resolution)
-    grids = {}
-    per_m_front_idx = {}
+    per_m_fronts = {}
+    tables = []
     for m in space.m_values:
-        g = _evaluate_grid(space, m, D, R, *pairs[m])
-        grids[m] = g
-        feas_idx = np.flatnonzero(g.feasible)
-        if feas_idx.size:
-            mask = nondominated_mask(g.objectives()[feas_idx])
-            per_m_front_idx[m] = feas_idx[mask]
-        else:
-            per_m_front_idx[m] = feas_idx
-    per_m_fronts = {
-        m: sorted((grids[m].candidate(int(i), space) for i in per_m_front_idx[m]),
-                  key=_candidate_sort_key)
-        for m in space.m_values
-    }
+        cols = _per_m_front(space, m, D, R, *pairs[m])
+        mu, P, S, d, r, L = (c.tolist() for c in cols)
+        per_m_fronts[m] = [_candidate(space, m, *row, True)
+                           for row in zip(d, r, L, S, mu, P)]
+        tables.append(np.column_stack(cols[:3] + (np.full(len(L), m),) + cols[3:]))
+    table = np.concatenate(tables)  # columns mu, P, S, m, d_cs, r, L
     union = [c for m in space.m_values for c in per_m_fronts[m]]
-    front = pareto_front(union)
-    return SweepResult(space=space, grids=grids, front=front,
-                       per_m_fronts=per_m_fronts)
+    idx = np.flatnonzero(nondominated_mask(table[:, :3]))
+    order = idx[np.lexsort(table[idx].T[::-1])]
+    return SweepResult(space=space, front=[union[i] for i in order],
+                       per_m_fronts=per_m_fronts, pairs=(D, R, pairs))
 
 
 # --- fixed-size contour slices --------------------------------------------

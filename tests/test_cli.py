@@ -2,9 +2,13 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
+from camdrive import geometry, optimize, sensitivity
 from camdrive.cli import main
+from camdrive.config import MAX_GRID_CANDIDATES, RunConfig, parse_config
+from camdrive.errors import ConfigError
 
 
 def run(tmp_path, *args, config=None):
@@ -19,6 +23,23 @@ def run(tmp_path, *args, config=None):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def cell_csv(path, header, rows) -> bytes:
+    """Bytes written cell by cell, numpy scalars converted one at a time."""
+    def cell(v):
+        if isinstance(v, (np.floating, float)):
+            return repr(float(v))
+        if isinstance(v, np.integer):
+            return int(v)
+        return v
+
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cell(v) for v in row])
+    return path.read_bytes()
 
 
 class TestProfileCommand:
@@ -225,6 +246,65 @@ class TestContourCommand:
         assert len(rows) == 1 + 16 * 16
 
 
+class TestWriters:
+    """CSV rows of Python scalars write the bytes of the per-cell path."""
+
+    def test_front_rows(self, tmp_path):
+        out = tmp_path / "p"
+        assert run(tmp_path, "pareto", "--out", str(out), "--resolution", "16") == 0
+        result = optimize.sweep(parse_config({"design_space": {"resolution": 16}}).space())
+        header = read_csv(out / "pareto_front.csv")[0]
+        for name, front in [("pareto_front.csv", result.front)] + [
+                (f"pareto_front_m{m}.csv", f) for m, f in result.per_m_fronts.items()]:
+            rows = ([c.m, c.d_cs, c.r, c.L, math.degrees(c.mu_max), c.P_max, c.S_M,
+                     c.feasible, c.convex_profile] for c in front)
+            assert (out / name).read_bytes() == cell_csv(tmp_path / name, header, rows)
+
+    def test_contour_grid_with_nan_cells(self, tmp_path):
+        out = tmp_path / "c"
+        assert run(tmp_path, "contour", "--out", str(out), "--resolution", "16") == 0
+        sl = optimize.contour_slice(RunConfig().space(), 2, 60.0, resolution=16)
+        rows = ([sl.d_axis[i], sl.r_axis[j], math.degrees(sl.mu_grid[i, j]),
+                 sl.P_grid[i, j], bool(sl.feasible[i, j])]
+                for i in range(16) for j in range(16))
+        written = (out / "contour_grid.csv").read_bytes()
+        assert b",nan,nan," in written
+        assert written == cell_csv(tmp_path / "grid.csv",
+                                   read_csv(out / "contour_grid.csv")[0], rows)
+
+    def test_designs_rows(self, tmp_path):
+        cfg = RunConfig()
+        out = tmp_path / "d"
+        for command in ("profile", "metrics", "sensitivity"):
+            assert run(tmp_path, command, "--out", str(out)) == 0
+        prof = geometry.sample_profile(cfg.spec(), cfg.profile.resolution)
+        rep = sensitivity.sensitivity_report(
+            cfg.spec(), cfg.load_case(), cfg.material_pair(),
+            samples=cfg.sensitivity.samples, rms_nodes=cfg.sensitivity.rms_nodes)
+        names = list(rep.pointwise)
+        metrics = json.loads((out / "metrics.json").read_text())
+        expected = {
+            "profile.csv": zip(prof.psi, prof.u_c, prof.v_c, prof.u_p, prof.v_p,
+                               prof.kappa_p, prof.rho_c),
+            "metrics.csv": [[metrics[k] for k in (
+                "mu_max_deg", "psi_at_mu_max_rad", "p_max_mpa", "psi_at_p_max_rad",
+                "size_mm", "fully_convex", "profile_feasible", "allowable_pressure_ok")]],
+            "sensitivity_profile.csv": ([psi] + [rep.pointwise[n][k] for n in names]
+                                        for k, psi in enumerate(rep.psi)),
+            "sensitivity_tables.csv": [
+                ["at_max"] + [rep.at_max[n] for n in sensitivity.PARAMS]
+                + [" ".join(rep.at_max_ranking)],
+                ["rms"] + [rep.rms[n] for n in sensitivity.PARAMS]
+                + [" ".join(rep.rms_ranking)]],
+        }
+        for name, rows in expected.items():
+            header = read_csv(out / name)[0]
+            assert (out / name).read_bytes() == cell_csv(tmp_path / name, header, rows)
+        for name in ("profile.json", "metrics.json", "sensitivity.json"):
+            text = (out / name).read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 class TestConfigHandling:
     def test_unknown_top_level_key(self, tmp_path, capsys):
         code = run(tmp_path, "profile", "--out", str(tmp_path / "o"),
@@ -253,6 +333,8 @@ class TestConfigHandling:
         ((), {"mechanism": {"lobes": 2}}),
         ((), {"profile": {"resolution": 3}}),
         (("--resolution", "3"), None),
+        ((), {"profile": {"resolution": 10 ** 12}}),
+        (("--resolution", str(10 ** 12)), None),
     ])
     def test_bad_profile_config_exits_1_with_one_line(self, tmp_path, capsys,
                                                       args, config):
@@ -262,7 +344,8 @@ class TestConfigHandling:
         assert code == 1
         assert err.startswith("config error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("section", [{"samples": 10}, {"rms_nodes": 10}])
+    @pytest.mark.parametrize("section", [{"samples": 10}, {"rms_nodes": 10},
+                                         {"samples": 10 ** 12}, {"rms_nodes": 10 ** 12}])
     def test_sensitivity_counts_are_config_errors(self, tmp_path, capsys, section):
         code = run(tmp_path, "sensitivity", "--out", str(tmp_path / "o"),
                    config={"sensitivity": section})
@@ -295,6 +378,9 @@ class TestConfigHandling:
         {"contour": {"resolution": 100000}},
         {"design_space": {"resolution": 257, "m": [2, 3, 4, 5]}},
         {"contour": {"resolution": 3664}},
+        {"profile": {"resolution": 10 ** 12}},
+        {"sensitivity": {"samples": 10 ** 12}},
+        {"sensitivity": {"rms_nodes": 10 ** 12}},
     ])
     def test_config_boundary_exits_1_with_one_line(self, tmp_path, capsys,
                                                    command, config):
@@ -310,6 +396,16 @@ class TestConfigHandling:
         cfg = parse_config({"design_space": {"resolution": 256, "m": [2, 3, 4, 5]},
                             "contour": {"resolution": 3663}})
         assert cfg.design_space.resolution == 256 and cfg.contour.resolution == 3663
+
+    @pytest.mark.parametrize("section, key", [("profile", "resolution"),
+                                              ("sensitivity", "samples"),
+                                              ("sensitivity", "rms_nodes")])
+    def test_sample_count_limit(self, section, key):
+        limit = MAX_GRID_CANDIDATES // 5
+        cfg = parse_config({section: {key: limit}})
+        assert getattr(getattr(cfg, section), key) == limit
+        with pytest.raises(ConfigError, match="memory limit"):
+            parse_config({section: {key: limit + 1}})
 
     @pytest.mark.parametrize("command", ["pareto", "contour"])
     def test_grid_resolution_flag_floor(self, tmp_path, capsys, command):

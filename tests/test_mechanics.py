@@ -325,6 +325,29 @@ class TestSegmentMetrics:
         if m == 2:
             assert inner >= 20
 
+    def test_two_peak_pairs_match_polished_scan(self, load, steel_pair):
+        # just above this curve of r/e over eta the pressure falls from the
+        # arc start, dips and rises to an interior maximum a little higher
+        # than the start value, so a coarse first scan can rank the start
+        # above every node next to the maximum
+        rng = np.random.default_rng(38)
+        p = 20.0
+        t = rng.uniform(0.0, 0.0065, 120)
+        eta = 0.38 + t
+        r = eta * p * (0.96935 + 3.855 * t - 13.04 * t * t + rng.uniform(0.0, 2e-4, 120))
+        K_sum = 2.0 * cd.material_coefficient(steel_pair[0])
+        seg = segment_metrics(p, eta, r, 2, load.torque, K_sum)
+        assert seg.ok.all()
+        two_peak = near_tie = 0
+        for i in range(len(eta)):
+            spec = SimpleNamespace(p=p, eta=eta[i], r=r[i], m=2, L=1.0)
+            ref = oracles.segment_scan(spec, load, *steel_pair, delta=seg.delta[i])
+            assert seg.P_max[i] == pytest.approx(ref.P_max, rel=1e-12, abs=0.0)
+            if ref.P[1] < ref.P[0] < ref.P_max:
+                two_peak += 1
+                near_tie += ref.P_max < ref.P[0] * (1.0 + 1e-5)
+        assert two_peak >= 100 and near_tie >= 15
+
 
 class TestMechanismSize:
     def test_values(self):

@@ -261,6 +261,67 @@ class TestSweep:
                 assert p3 <= p2 + 1e-9
 
 
+_POLYAMIDE = cd.find_material("polyamide")
+_CAST_IRON = cd.find_material("grey cast iron")
+
+# pitch, caps and materials draws; polyamide's fronts are about 1.6 times
+# the steel ones, and at S_cap = 96.2 the last width 96.2/3 of the
+# three-cam axis rounds above the size cap
+FRONT_SPACES = {
+    "steel-16": dict(resolution=16),
+    "steel-24": dict(resolution=24),
+    "steel-32": dict(resolution=32),
+    "pitch-15-mu-25": dict(resolution=24, pitch=15.0, mu_cap=math.radians(25.0)),
+    "pitch-30-mu-40": dict(resolution=32, pitch=30.0, mu_cap=math.radians(40.0)),
+    "polyamide": dict(resolution=32, cam_material=_POLYAMIDE, roller_material=_POLYAMIDE),
+    "cast-iron": dict(resolution=24, cam_material=_CAST_IRON, P_cap=700.0,
+                      mu_cap=math.radians(35.0)),
+    "L-ends-at-size-cap": dict(resolution=24, S_cap=96.2, L_range=(1.0, 96.2 / 3)),
+}
+
+
+def _rows(front):
+    return [(c.mu_max, c.P_max, c.S_M, c.m, c.d_cs, c.r, c.L) for c in front]
+
+
+def _grid_rows(g, idx):
+    return list(zip(g.mu_max[idx].tolist(), g.P_max[idx].tolist(), g.S_M[idx].tolist(),
+                    [g.m] * len(idx), g.d_cs[idx].tolist(), g.r[idx].tolist(),
+                    g.L[idx].tolist()))
+
+
+class TestPairLevelFronts:
+    @pytest.mark.parametrize("name", FRONT_SPACES)
+    def test_fronts_equal_filter_over_full_grid(self, name):
+        # same designs, same order (sorted tuples are the candidate sort key)
+        # and bit-equal objectives as the filter over every feasible candidate
+        result = cd.sweep(cd.DesignSpace(**FRONT_SPACES[name]))
+        every = []
+        for m, g in result.grids.items():
+            feas = np.flatnonzero(g.feasible)
+            keep = feas[nondominated_mask(g.objectives()[feas])]
+            assert _rows(result.per_m_fronts[m]) == sorted(_grid_rows(g, keep))
+            every += _grid_rows(g, feas)
+        mask = nondominated_mask(np.array([row[:3] for row in every]))
+        assert _rows(result.front) == sorted(row for row, k in zip(every, mask) if k)
+        assert result.front
+        assert all(c.feasible and c.violations == () for c in result.front)
+
+    def test_size_cap_space_rounds_its_last_width_out(self):
+        space = cd.DesignSpace(**FRONT_SPACES["L-ends-at-size-cap"])
+        assert space.L_axis(3)[-1] == space.S_cap / 3
+        assert 3 * space.L_axis(3)[-1] > space.S_cap
+        g = cd.sweep(space).grids[3]
+        assert not g.feasible[g.L == g.L.max()].any()
+
+    def test_grid_built_only_when_read(self):
+        result = cd.sweep(small_space())
+        assert result.evaluated == 2 * 16 ** 3
+        assert "grids" not in vars(result)
+        assert sum(len(g) for g in result.grids.values()) == result.evaluated
+        assert result.grids is result.grids
+
+
 class TestContourSlice:
     def test_locus_is_nondominated_and_feasible(self):
         space = cd.DesignSpace(resolution=24)
