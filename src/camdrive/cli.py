@@ -4,7 +4,9 @@ Subcommands: profile, metrics, sensitivity, pareto, contour. Each one reads
 an optional JSON config, applies flag overrides, computes and writes CSV /
 JSON / SVG artifacts into the output directory.
 
-Exit codes: 0 success, 1 configuration error, 2 infeasible model.
+Exit codes: 0 success, 1 configuration error, 2 infeasible mechanism. The
+config module decides what is a configuration error; `main` maps the errors
+to exit codes, each with one line on stderr.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import geometry, mechanics, optimize, sensitivity
 from .config import RunConfig, apply_overrides, load_config
-from .errors import ConfigError, EtaSingular, InfeasibleCamCount, ModelError
+from .errors import ConfigError, InfeasibleProfile, ModelError
 from .svgplot import Canvas, padded_range
 
 EXIT_OK = 0
@@ -93,40 +95,20 @@ def _meta(cfg: RunConfig) -> dict:
     return {"config": cfg.to_dict(), "config_hash": cfg.content_hash()}
 
 
-def _print_report(report) -> None:
-    print("feasibility report:", file=sys.stderr)
-    print(f"  eta_valid        {report.eta_valid}", file=sys.stderr)
-    print(f"  profile_feasible {report.profile_feasible}", file=sys.stderr)
-    print(f"  fully_convex     {report.fully_convex}", file=sys.stderr)
-    print(f"  blocking         {report.blocking}", file=sys.stderr)
-    if report.delta is not None:
-        print(f"  delta            {report.delta:.6f} rad", file=sys.stderr)
-    if report.rho_c_min is not None:
-        print(f"  rho_c_min        {report.rho_c_min:.6f} mm", file=sys.stderr)
-    for note in report.notes:
-        print(f"  note: {note}", file=sys.stderr)
+def _feasibility(spec) -> geometry.FeasibilityReport:
+    """The spec's feasibility report; raises with its note when it is not ok."""
+    report = geometry.feasibility_check(spec)
+    if not report.ok:
+        raise InfeasibleProfile(report.notes[0])
+    return report
 
 
 # --- profile ----------------------------------------------------------------
 
 def cmd_profile(cfg: RunConfig) -> int:
-    try:
-        spec = cfg.spec()
-    except ModelError as exc:
-        print(f"infeasible mechanism: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    report = geometry.feasibility_check(spec)
-    if not report.ok:
-        if not report.eta_valid:
-            print("infeasible mechanism: eta is at or below the singular value "
-                  "1/(2*pi)", file=sys.stderr)
-        _print_report(report)
-        return EXIT_INFEASIBLE
-    try:
-        prof = geometry.sample_profile(spec, cfg.profile.resolution)
-    except EtaSingular as exc:
-        print(f"infeasible mechanism: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    spec = cfg.spec()
+    report = _feasibility(spec)
+    prof = geometry.sample_profile(spec, cfg.profile.resolution)
     out = _outdir(cfg)
     if _wants(cfg, "csv"):
         _write_csv(out / "profile.csv",
@@ -177,31 +159,16 @@ def _profile_svg(path: Path, prof, spec) -> None:
 # --- metrics ----------------------------------------------------------------
 
 def cmd_metrics(cfg: RunConfig) -> int:
-    try:
-        spec = cfg.spec()
-        load = cfg.load_case()
-        cam_mat, roller_mat = cfg.material_pair()
-    except ConfigError:
-        raise
-    except ModelError as exc:
-        print(f"infeasible mechanism: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    if spec.m < 2:
-        print("infeasible mechanism: a single cam cannot drive the follower "
-              "positively (m must be at least 2)", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    report = geometry.feasibility_check(spec)
-    if not report.ok:
-        _print_report(report)
-        return EXIT_INFEASIBLE
+    spec = cfg.spec()
+    load = cfg.load_case()
+    cam_mat, roller_mat = cfg.material_pair()
+    report = _feasibility(spec)
     K_sum = (mechanics.material_coefficient(cam_mat)
              + mechanics.material_coefficient(roller_mat))
     seg = mechanics.design_segment(spec, load.torque, K_sum, delta=report.delta)
     if not seg.ok:
-        print("infeasible mechanism: cam curvature radius is non-positive on "
-              "the driving arc; the Hertz model does not apply", file=sys.stderr)
-        _print_report(report)
-        return EXIT_INFEASIBLE
+        raise InfeasibleProfile("cam curvature radius is non-positive on the driving "
+                                "arc; the Hertz model does not apply")
     mu_max, psi_mu, psi_P = seg.mu_max, seg.psi_mu, seg.psi_P
     P_max = seg.P_max / math.sqrt(spec.L)
     S_M = mechanics.mechanism_size(spec.m, spec.L)
@@ -252,16 +219,10 @@ def cmd_metrics(cfg: RunConfig) -> int:
 # --- sensitivity -------------------------------------------------------------
 
 def cmd_sensitivity(cfg: RunConfig) -> int:
-    try:
-        rep = sensitivity.sensitivity_report(
-            cfg.spec(), cfg.load_case(), cfg.material_pair(),
-            samples=cfg.sensitivity.samples, rms_nodes=cfg.sensitivity.rms_nodes,
-            include_torque=cfg.sensitivity.include_torque)
-    except ConfigError:
-        raise
-    except ModelError as exc:
-        print(f"infeasible nominal design: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    rep = sensitivity.sensitivity_report(
+        cfg.spec(), cfg.load_case(), cfg.material_pair(),
+        samples=cfg.sensitivity.samples, rms_nodes=cfg.sensitivity.rms_nodes,
+        include_torque=cfg.sensitivity.include_torque)
     out = _outdir(cfg)
     names = list(rep.pointwise.keys())
     if _wants(cfg, "csv"):
@@ -327,12 +288,8 @@ def _front_rows(front):
 
 
 def cmd_pareto(cfg: RunConfig) -> int:
-    try:
-        space = cfg.space()
-        result = optimize.sweep(space)
-    except ModelError as exc:
-        print(f"invalid design space: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    space = cfg.space()
+    result = optimize.sweep(space)
     out = _outdir(cfg)
     if _wants(cfg, "csv"):
         _write_csv(out / "pareto_front.csv", _FRONT_HEADER, _front_rows(result.front))
@@ -416,19 +373,9 @@ def _pareto_svgs(out: Path, result) -> None:
 # --- contour ------------------------------------------------------------------
 
 def cmd_contour(cfg: RunConfig) -> int:
-    try:
-        space = cfg.space()
-        cc = cfg.contour
-        sl = optimize.contour_slice(space, cc.m, cc.s_m_mm,
-                                    resolution=cc.resolution,
-                                    mu_levels_deg=cc.mu_levels_deg,
-                                    P_levels=cc.p_levels_mpa)
-    except InfeasibleCamCount as exc:
-        print(f"infeasible contour request: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ModelError as exc:
-        print(f"invalid contour request: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    cc = cfg.contour
+    sl = optimize.contour_slice(cfg.space(), cc.m, cc.s_m_mm, resolution=cc.resolution,
+                                mu_levels_deg=cc.mu_levels_deg, P_levels=cc.p_levels_mpa)
     out = _outdir(cfg)
     if _wants(cfg, "csv"):
         res = len(sl.d_axis)
@@ -489,15 +436,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _resolve(args)
-    except ConfigError as exc:
+        with np.errstate(all="ignore"):  # infeasible pairs are NaN data, not warnings
+            return _COMMANDS[args.command](_resolve(args))
+    except (ConfigError, OSError) as exc:  # OSError: the output cannot be written
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        return _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except ModelError as exc:
+        design = "nominal design" if args.command == "sensitivity" else "mechanism"
+        print(f"infeasible {design}: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
 
 
 if __name__ == "__main__":

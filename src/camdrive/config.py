@@ -8,13 +8,16 @@ pins the exact inputs of a run.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+import operator
+import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-from .errors import ConfigError
+from .errors import ConfigError, ModelError
 from .geometry import MIN_PROFILE_RESOLUTION, TransmissionSpec
 from .mechanics import LoadCase, Material, builtin_materials, find_material, load_materials
 from .optimize import MIN_GRID_RESOLUTION, DesignSpace
@@ -31,6 +34,13 @@ FORMATS = ("csv", "json", "svg")
 # (measured peak RSS of the CLI, numpy 2.4 on Python 3.11), so a fifth as
 # many cells, samples or nodes take at most about 4.5 GB.
 MAX_GRID_CANDIDATES = 2 ** 26
+
+# Most cams on one camshaft: each drives at least one degree of its turn
+MAX_CAM_COUNT = 360
+
+# Most processes a sweep may start. A process pool starts all of its
+# workers at its first task, and the pool pays only from resolution 256 on.
+MAX_WORKERS = 16
 
 
 @dataclass(frozen=True)
@@ -192,8 +202,9 @@ _KINDS = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
 def _typed(value, hint, where: str):
     """value checked against a field's declared type.
 
-    JSON lists become tuples; bools are not numbers, and an integer field
-    takes an integral float as its int.
+    JSON lists become tuples; bools are not numbers, an integer field takes
+    an integral float as its int, and a number must be finite as a float
+    (JSON parsing lets NaN, infinities and huge integers through).
     """
     args = get_args(hint)
     if get_origin(hint) is tuple:
@@ -213,6 +224,8 @@ def _typed(value, hint, where: str):
         return int(value)
     if not isinstance(value, kinds) or (hint is not bool and isinstance(value, bool)):
         raise ConfigError(f"{where} must be {label}, got {value!r}")
+    if hint in (int, float) and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where} must be a finite number, got {value}")
     return value
 
 
@@ -227,22 +240,9 @@ def _parse_section(name: str, cls, raw: dict):
                   for key, value in raw.items()})
 
 
-def _check_finite(value, where: str = "") -> None:
-    """Reject NaN and infinities, which JSON parsing lets through, at any depth."""
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{where or 'config value'} must be a finite number, got {value}")
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _check_finite(item, f"{where}.{key}" if where else str(key))
-    elif isinstance(value, list):
-        for i, item in enumerate(value):
-            _check_finite(item, f"{where}[{i}]")
-
-
 def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be a JSON object")
-    _check_finite(data)
     unknown = set(data) - set(_SECTIONS) - {"seed"}
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
@@ -259,56 +259,88 @@ def parse_config(data: dict) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
     try:
         data = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+        raise ConfigError(f"config file {p} cannot be read: {exc}") from exc
     return parse_config(data)
 
 
+# Bounds of each numeric field, as (op, bound) pairs: a value must satisfy
+# every pair. A list field has each entry checked and a null is not. Lengths
+# (mm) and the torque (N*mm) stay many orders of magnitude inside the float
+# range, so that no square or product of them overflows, and a cam drives at
+# least one degree of the camshaft's turn. The load case, the materials, and
+# the mechanism's eta and e > r are checked by the model objects instead.
+_LENGTH = ((">=", 1e-6), ("<=", 1e6))
+_CAM_COUNT = ("<=", MAX_CAM_COUNT)
+_SAMPLES = ("memory", MAX_GRID_CANDIDATES // 5)
+_RANGES = {
+    **dict.fromkeys(("mechanism.pitch_mm", "mechanism.roller_radius_mm",
+                     "mechanism.contact_width_mm", "design_space.r_mm", "design_space.L_mm",
+                     "design_space.pitch_mm", "design_space.s_cap_mm"), _LENGTH),
+    "mechanism.cam_count": ((">=", 1), _CAM_COUNT),
+    "load.torque_nmm": (("<=", 1e12),),
+    "load.speed_rpm": ((">=", 0.0),),
+    "profile.resolution": ((">=", MIN_PROFILE_RESOLUTION), _SAMPLES),
+    "sensitivity.samples": ((">=", MIN_PROFILE_SAMPLES), _SAMPLES),
+    "sensitivity.rms_nodes": ((">=", MIN_RMS_NODES), _SAMPLES),
+    "design_space.d_cs_mm": ((">=", 0.0), ("<=", 1e6)),
+    "design_space.m": ((">=", 2), _CAM_COUNT),
+    "design_space.resolution": ((">=", MIN_GRID_RESOLUTION),),
+    "design_space.mu_cap_deg": ((">", 0.0),),
+    "design_space.p_cap_mpa": ((">", 0.0),),
+    "design_space.workers": ((">=", 1), ("<=", MAX_WORKERS)),
+    "contour.m": ((">=", 2), _CAM_COUNT),
+    # a contour slice holds resolution**2 cells, as many as _SAMPLES allows
+    "contour.resolution": ((">=", MIN_GRID_RESOLUTION),
+                           ("memory", math.isqrt(MAX_GRID_CANDIDATES // 5))),
+}
+
+_OPS = {">": (operator.gt, "above"), ">=": (operator.ge, "at least"),
+        "<=": (operator.le, "at most"), "memory": (operator.le, "at most the memory limit of")}
+
+
 def _validate(cfg: RunConfig) -> None:
-    out = cfg.output
-    bad = [f for f in out.formats if f not in FORMATS and f != "all"]
+    """Raise ConfigError unless every value of cfg lies in its range: the
+    range table, the rules that tie fields together, and the model objects
+    the config builds, whose constructors reject a bad load case or material.
+    """
+    for path, bounds in _RANGES.items():
+        section, key = path.split(".")
+        value = getattr(getattr(cfg, section), key)
+        for v, (op, bound) in itertools.product(
+                value if isinstance(value, tuple) else (value,), bounds):
+            if v is not None and not _OPS[op][0](v, bound):
+                raise ConfigError(f"{path} must be {_OPS[op][1]} {bound}, got {value}")
+    bad = [f for f in cfg.output.formats if f not in FORMATS and f != "all"]
     if bad:
         raise ConfigError(f"unknown output formats {bad}; allowed: {FORMATS} or 'all'")
     sc = cfg.design_space
-    for label, pair in (("d_cs_mm", sc.d_cs_mm), ("r_mm", sc.r_mm)):
-        if pair[0] > pair[1]:
-            raise ConfigError(f"design_space.{label} must be [low, high], got {pair}")
-    if sc.d_cs_mm[0] < 0.0:
-        raise ConfigError("design_space.d_cs_mm lower bound must not be negative")
-    if sc.r_mm[0] <= 0.0:
-        raise ConfigError("design_space.r_mm lower bound must be positive")
-    if sc.L_mm[0] <= 0.0:
-        raise ConfigError("design_space.L_mm lower bound must be positive")
-    if cfg.contour.m < 2:
-        raise ConfigError(f"contour.m must be at least 2, got {cfg.contour.m}")
-    for label, value, least in (
-        ("profile.resolution", cfg.profile.resolution, MIN_PROFILE_RESOLUTION),
-        ("design_space.resolution", sc.resolution, MIN_GRID_RESOLUTION),
-        ("contour.resolution", cfg.contour.resolution, MIN_GRID_RESOLUTION),
-        ("sensitivity.samples", cfg.sensitivity.samples, MIN_PROFILE_SAMPLES),
-        ("sensitivity.rms_nodes", cfg.sensitivity.rms_nodes, MIN_RMS_NODES),
-    ):
-        if value < least:
-            raise ConfigError(f"{label} must be at least {least}, got {value}")
-    for label, res, size, limit in (
-        ("design_space.resolution", sc.resolution, len(sc.m) * sc.resolution ** 3,
-         MAX_GRID_CANDIDATES),
-        ("contour.resolution", cfg.contour.resolution, cfg.contour.resolution ** 2,
-         MAX_GRID_CANDIDATES // 5),
-        ("profile.resolution", cfg.profile.resolution, cfg.profile.resolution,
-         MAX_GRID_CANDIDATES // 5),
-        ("sensitivity.samples", cfg.sensitivity.samples, cfg.sensitivity.samples,
-         MAX_GRID_CANDIDATES // 5),
-        ("sensitivity.rms_nodes", cfg.sensitivity.rms_nodes, cfg.sensitivity.rms_nodes,
-         MAX_GRID_CANDIDATES // 5),
-    ):
-        if size > limit:
-            raise ConfigError(f"{label} {res} makes a grid of {size} points, "
-                              f"above the memory limit of {limit}")
+    if not sc.m or len(set(sc.m)) < len(sc.m):
+        raise ConfigError("design_space.m must list one or more distinct cam counts, "
+                          f"got {list(sc.m)}")
+    for label, (lo, hi) in (("d_cs_mm", sc.d_cs_mm), ("r_mm", sc.r_mm), ("L_mm", sc.L_mm)):
+        if hi is not None and lo > hi:
+            raise ConfigError(f"design_space.{label} must be [low, high], got {[lo, hi]}")
+    size = len(sc.m) * sc.resolution ** 3
+    if size > MAX_GRID_CANDIDATES:
+        raise ConfigError(f"design_space.resolution {sc.resolution} makes a grid of {size} "
+                          f"points, above the memory limit of {MAX_GRID_CANDIDATES}")
+    try:
+        space = cfg.space()
+    except ModelError as exc:
+        raise ConfigError(str(exc)) from exc
+    for m in sc.m:
+        lo, hi = space.L_bounds(m)
+        if lo > hi:
+            raise ConfigError(f"design_space leaves no contact width for m={m}: "
+                              f"L_mm starts at {lo} but the size cap allows {hi}")
+    cc = cfg.contour
+    lo, hi = space.L_bounds(cc.m)
+    if not lo <= cc.s_m_mm / cc.m <= hi:
+        raise ConfigError(f"contour.s_m_mm={cc.s_m_mm} gives L={cc.s_m_mm / cc.m} outside "
+                          f"the design space's range [{lo}, {hi}] for m={cc.m}")
 
 
 def apply_overrides(cfg: RunConfig, command: str, *, out=None, resolution=None,
@@ -324,8 +356,6 @@ def apply_overrides(cfg: RunConfig, command: str, *, out=None, resolution=None,
     if seed is not None:
         cfg = replace(cfg, seed=seed)
     if resolution is not None:
-        if resolution < 1:
-            raise ConfigError(f"resolution must be positive, got {resolution}")
         if command == "profile":
             cfg = replace(cfg, profile=replace(cfg.profile, resolution=resolution))
         elif command == "sensitivity":

@@ -371,7 +371,7 @@ def feasibility_check(spec: TransmissionSpec) -> FeasibilityReport:
         return FeasibilityReport(
             eta_valid=False, profile_feasible=False, fully_convex=False,
             blocking=False,
-            notes=("eta must exceed 1/(2*pi) ~= 0.15915 for a valid profile",),
+            notes=("eta is at or below the singular value 1/(2*pi) ~= 0.15915",),
         )
     fully_convex = math.pi * spec.eta - 1.0 > 0.0
     try:
@@ -384,12 +384,13 @@ def feasibility_check(spec: TransmissionSpec) -> FeasibilityReport:
     psi_min, rho_min = (float(v) for v in min_cam_radius(
         delta, spec.p, spec.eta, spec.r, spec.m))
     blocking = abs(rho_min) <= BLOCKING_REL_TOL * spec.r
-    feasible = rho_min > 0.0 and not blocking
+    feasible = 0.0 < rho_min < math.inf and not blocking
     notes = ()
     if blocking:
         notes = ("cam curvature radius vanishes on the driving arc: roller blocks the cam",)
     elif not feasible:
-        notes = ("cam curvature radius is negative on the driving arc",)
+        notes = (f"cam curvature radius {'is negative' if rho_min < 0.0 else 'overflows'} "
+                 "on the driving arc",)
     return FeasibilityReport(
         eta_valid=True, profile_feasible=feasible, fully_convex=fully_convex,
         blocking=blocking, delta=delta, psi_min=psi_min, rho_c_min=rho_min,

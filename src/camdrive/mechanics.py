@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -152,9 +153,13 @@ def load_materials(path) -> tuple[Material, ...]:
 
     The file holds a list of objects with keys name, young_modulus_mpa,
     poisson_ratio, static_pressure_mpa and optionally allowable_pressure_mpa
-    (scalar or [low, high]); unknown keys are rejected.
+    (scalar or [low, high]); unknown keys are rejected. Every fault of the
+    file, including a row that `Material` rejects, raises ConfigError.
     """
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"material catalog {path} cannot be read: {exc}") from exc
     if not isinstance(raw, list):
         raise ConfigError(f"material catalog must be a JSON list, got {type(raw).__name__}")
     out = []
@@ -167,10 +172,20 @@ def load_materials(path) -> tuple[Material, ...]:
         for req in ("name", "young_modulus_mpa", "poisson_ratio", "static_pressure_mpa"):
             if req not in row:
                 raise ConfigError(f"material row {i} is missing {req!r}")
-        out.append(material(
-            row["name"], float(row["young_modulus_mpa"]), float(row["poisson_ratio"]),
-            row["static_pressure_mpa"], row.get("allowable_pressure_mpa"),
-        ))
+        numbers = [v for key, value in row.items() if key != "name"
+                   for v in (value if key.endswith("pressure_mpa") and isinstance(value, list)
+                             and len(value) == 2 else [value])]
+        if not isinstance(row["name"], str) or not all(  # bools are not numbers
+                type(v) in (int, float) and abs(v) <= sys.float_info.max for v in numbers):
+            raise ConfigError(f"material row {i} needs a string name and finite numbers "
+                              f"(pressures may be [low, high] pairs), got {row}")
+        try:
+            out.append(material(
+                row["name"], float(row["young_modulus_mpa"]), float(row["poisson_ratio"]),
+                row["static_pressure_mpa"], row.get("allowable_pressure_mpa"),
+            ))
+        except InvalidSpec as exc:
+            raise ConfigError(f"material row {i}: {exc}") from exc
     return tuple(out)
 
 
@@ -420,7 +435,7 @@ def segment_metrics(p, eta, r, m, torque, K_sum, delta=None) -> SegmentMetrics:
     start = driving_window(delta, m)[0]
     with np.errstate(divide="ignore", invalid="ignore"):  # rejected pairs give NaN
         psi_rho, rho_c_min = min_cam_radius(delta, p, eta, r, m)
-        ok = np.isfinite(delta) & (rho_c_min > 0.0)
+        ok = np.isfinite(delta) & (rho_c_min > 0.0) & np.isfinite(rho_c_min)
         inner = np.flatnonzero(ok & (start < psi_rho))
         psi = start[:, None].repeat(2, axis=1)  # the arc start, then the peak
         if inner.size:

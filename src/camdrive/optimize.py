@@ -407,9 +407,14 @@ def sweep(space: DesignSpace) -> SweepResult:
     if space.resolution < MIN_GRID_RESOLUTION:
         raise InvalidSpec(f"resolution must be at least {MIN_GRID_RESOLUTION}, "
                           f"got {space.resolution}")
+    if not space.m_values or len(set(space.m_values)) < len(space.m_values):
+        raise InvalidSpec(f"need one or more distinct cam counts, got {space.m_values}")
     for m in space.m_values:
         if m < 2:
             raise InfeasibleCamCount(f"cam count {m} in the design space")
+        lo, hi = space.L_bounds(m)
+        if not lo <= hi:
+            raise InvalidSpec(f"empty L range [{lo}, {hi}] for m={m}")
     _, _, D, R, pairs = _pair_grid(space, space.m_values, space.resolution)
     per_m_fronts = {}
     tables = []

@@ -7,7 +7,7 @@ import pytest
 
 from camdrive import geometry, optimize, sensitivity
 from camdrive.cli import main
-from camdrive.config import MAX_GRID_CANDIDATES, RunConfig, parse_config
+from camdrive.config import MAX_GRID_CANDIDATES, MAX_WORKERS, RunConfig, parse_config
 from camdrive.errors import ConfigError
 
 
@@ -305,6 +305,51 @@ class TestWriters:
             assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
+# configs that every command rejects as config errors
+BOUNDARY_CONFIGS = [
+    {"design_space": {"pitch_mm": float("nan")}},
+    {"mechanism": {"pitch_mm": float("nan")}},
+    {"load": {"torque_nmm": float("inf")}},
+    {"contour": {"p_levels_mpa": [500.0, float("-inf")]}},
+    {"design_space": {"r_mm": [-1.0, 2.0], "resolution": 16}},
+    {"design_space": {"r_mm": [0.0, 2.0], "resolution": 16}},
+    {"design_space": {"d_cs_mm": [-1.0, 2.0], "resolution": 16}},
+    {"design_space": {"resolution": 2}},
+    {"contour": {"resolution": 2}},
+    {"mechanism": {"pitch_mm": "50"}},
+    {"design_space": {"r_mm": ["a", 2]}},
+    {"profile": {"resolution": "64"}},
+    {"load": {"torque_nmm": "1200"}},
+    {"design_space": {"resolution": 16.5}},
+    {"sensitivity": {"samples": 64.5}},
+    {"mechanism": {"cam_count": 2.5}},
+    {"mechanism": {"cam_count": True}},
+    {"contour": {"m": 2.5}},
+    {"sensitivity": {"include_torque": "yes"}},
+    {"design_space": {"resolution": 100000}},
+    {"contour": {"resolution": 100000}},
+    {"design_space": {"resolution": 257, "m": [2, 3, 4, 5]}},
+    {"contour": {"resolution": 3664}},
+    {"profile": {"resolution": 10 ** 12}},
+    {"sensitivity": {"samples": 10 ** 12}},
+    {"sensitivity": {"rms_nodes": 10 ** 12}},
+    {"load": {"torque_nmm": 0}},
+    {"design_space": {"pitch_mm": 0}},
+    {"design_space": {"m": []}},
+    {"design_space": {"pitch_mm": -20}},
+    {"design_space": {"m": [2, 2], "resolution": 16}},
+    {"design_space": {"L_mm": [5, 2]}},
+    {"design_space": {"workers": 0}},
+    {"mechanism": {"pitch_mm": -5}},
+    {"mechanism": {"cam_count": 0}},
+    {"design_space": {"s_cap_mm": 0.5}},
+    {"materials": {"cam": "cheese"}},
+    {"materials": {"catalog_file": "no/such/catalog.json"}},
+    {"design_space": {"workers": 10 ** 5}},
+    {"mechanism": {"contact_width_mm": 10 ** 400}},
+]
+
+
 class TestConfigHandling:
     def test_unknown_top_level_key(self, tmp_path, capsys):
         code = run(tmp_path, "profile", "--out", str(tmp_path / "o"),
@@ -354,34 +399,7 @@ class TestConfigHandling:
         assert err.startswith("config error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["pareto", "contour", "metrics"])
-    @pytest.mark.parametrize("config", [
-        {"design_space": {"pitch_mm": float("nan")}},
-        {"mechanism": {"pitch_mm": float("nan")}},
-        {"load": {"torque_nmm": float("inf")}},
-        {"contour": {"p_levels_mpa": [500.0, float("-inf")]}},
-        {"design_space": {"r_mm": [-1.0, 2.0], "resolution": 16}},
-        {"design_space": {"r_mm": [0.0, 2.0], "resolution": 16}},
-        {"design_space": {"d_cs_mm": [-1.0, 2.0], "resolution": 16}},
-        {"design_space": {"resolution": 2}},
-        {"contour": {"resolution": 2}},
-        {"mechanism": {"pitch_mm": "50"}},
-        {"design_space": {"r_mm": ["a", 2]}},
-        {"profile": {"resolution": "64"}},
-        {"load": {"torque_nmm": "1200"}},
-        {"design_space": {"resolution": 16.5}},
-        {"sensitivity": {"samples": 64.5}},
-        {"mechanism": {"cam_count": 2.5}},
-        {"mechanism": {"cam_count": True}},
-        {"contour": {"m": 2.5}},
-        {"sensitivity": {"include_torque": "yes"}},
-        {"design_space": {"resolution": 100000}},
-        {"contour": {"resolution": 100000}},
-        {"design_space": {"resolution": 257, "m": [2, 3, 4, 5]}},
-        {"contour": {"resolution": 3664}},
-        {"profile": {"resolution": 10 ** 12}},
-        {"sensitivity": {"samples": 10 ** 12}},
-        {"sensitivity": {"rms_nodes": 10 ** 12}},
-    ])
+    @pytest.mark.parametrize("config", BOUNDARY_CONFIGS)
     def test_config_boundary_exits_1_with_one_line(self, tmp_path, capsys,
                                                    command, config):
         out = tmp_path / "o"
@@ -390,6 +408,73 @@ class TestConfigHandling:
         assert code == 1
         assert err.startswith("config error:") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["profile", "sensitivity"])
+    @pytest.mark.parametrize("config", BOUNDARY_CONFIGS)
+    def test_config_boundary_exits_1_on_every_command(self, tmp_path, capsys,
+                                                      command, config):
+        # the commands that never read the design space reject the same files
+        self.test_config_boundary_exits_1_with_one_line(tmp_path, capsys, command, config)
+
+    @pytest.mark.parametrize("command", ["profile", "metrics", "sensitivity",
+                                         "pareto", "contour"])
+    @pytest.mark.parametrize("catalog", [
+        "{not json",
+        json.dumps("improved steel"),
+        json.dumps([{"name": "x", "young_modulus_mpa": -1, "poisson_ratio": 0.3,
+                     "static_pressure_mpa": 100.0}]),
+        json.dumps([{"name": "x", "young_modulus_mpa": "210000", "poisson_ratio": 0.3,
+                     "static_pressure_mpa": 100.0}]),
+    ])
+    def test_catalog_faults_exit_1_with_one_line(self, tmp_path, capsys, command,
+                                                 catalog):
+        path = tmp_path / "catalog.json"
+        path.write_text(catalog)
+        out = tmp_path / "o"
+        code = run(tmp_path, command, "--out", str(out), config={
+            "materials": {"cam": "x", "roller": "x", "catalog_file": str(path)}})
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["profile", "pareto"])
+    def test_output_directory_under_a_file_exits_1(self, tmp_path, capsys, command):
+        (tmp_path / "file").write_text("")
+        code = run(tmp_path, command, "--out", str(tmp_path / "file" / "o"),
+                   "--resolution", "16")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["profile", "metrics"])
+    @pytest.mark.parametrize("mechanism, words", [
+        ({"roller_radius_mm": 9.0}, "must exceed roller radius"),  # r = e
+        ({"eta": 1.0 / (2.0 * math.pi)}, "singular"),
+        # a lone cam just above the singular eta: its radius turns negative
+        ({"eta": 0.15915495309189534, "roller_radius_mm": 0.4, "cam_count": 1},
+         "negative"),
+    ])
+    def test_infeasible_mechanism_exits_2_with_one_line(self, tmp_path, capsys,
+                                                        command, mechanism, words):
+        out = tmp_path / "o"
+        code = run(tmp_path, command, "--out", str(out), config={"mechanism": mechanism})
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("infeasible mechanism:") and err.count("\n") == 1
+        assert words in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers, ok", [(1, True), (2, True), (MAX_WORKERS, True),
+                                             (0, False), (MAX_WORKERS + 1, False),
+                                             (10 ** 5, False)])
+    def test_workers_bounded(self, workers, ok):
+        # parsed only: a pool this large would start all of its processes at once
+        if ok:
+            assert parse_config({"design_space": {"workers": workers}}).design_space.workers
+        else:
+            with pytest.raises(ConfigError, match="workers"):
+                parse_config({"design_space": {"workers": workers}})
 
     def test_grid_memory_limit_admits_resolution_256(self):
         from camdrive.config import parse_config

@@ -64,6 +64,33 @@ class TestMaterials:
         with pytest.raises(ConfigError):
             cd.load_materials(path)
 
+    def test_catalog_missing_file(self, tmp_path):
+        with pytest.raises(ConfigError):
+            cd.load_materials(tmp_path / "none.json")
+
+    @pytest.mark.parametrize("text", ["[{", "\xff"])
+    def test_catalog_not_json(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ConfigError):
+            cd.load_materials(path)
+
+    @pytest.mark.parametrize("fault", [
+        {"young_modulus_mpa": "1000"}, {"poisson_ratio": True},
+        {"static_pressure_mpa": "100"}, {"static_pressure_mpa": [100.0]},
+        {"allowable_pressure_mpa": [1.0, False]}, {"young_modulus_mpa": float("nan")},
+        {"name": 7},
+        # rows that `Material` itself rejects
+        {"young_modulus_mpa": -1.0}, {"poisson_ratio": 0.5},
+    ])
+    def test_catalog_rejects_bad_values(self, tmp_path, fault):
+        row = {"name": "x", "young_modulus_mpa": 1000.0, "poisson_ratio": 0.3,
+               "static_pressure_mpa": 100.0}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps([{**row, **fault}]))
+        with pytest.raises(ConfigError):
+            cd.load_materials(path)
+
     def test_fatigue_rule_default(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps([{

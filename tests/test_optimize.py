@@ -241,6 +241,17 @@ class TestSweep:
         with pytest.raises(InfeasibleCamCount):
             cd.sweep(cd.DesignSpace(resolution=16, m_values=(1, 2)))
 
+    @pytest.mark.parametrize("m_values", [(), (2, 2), (3, 2, 3)])
+    def test_empty_or_repeated_cam_counts_rejected(self, m_values):
+        with pytest.raises(InvalidSpec):
+            cd.sweep(cd.DesignSpace(resolution=16, m_values=m_values))
+
+    @pytest.mark.parametrize("over", [{"S_cap": 0.5}, {"L_range": (5.0, 2.0)},
+                                      {"S_cap": 2.5}])  # widths for m=2 only
+    def test_empty_width_range_rejected(self, over):
+        with pytest.raises(InvalidSpec, match="empty L range"):
+            cd.sweep(cd.DesignSpace(resolution=16, **over))
+
     def test_three_cam_front_dominates_at_low_angles(self):
         # on matched mu bins below 24 degrees the m=3 envelope is never worse
         result = cd.sweep(cd.DesignSpace(resolution=32))
