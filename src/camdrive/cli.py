@@ -70,7 +70,10 @@ def _resolve(args) -> RunConfig:
 
 def _outdir(cfg: RunConfig) -> Path:
     d = Path(cfg.output.directory)
-    d.mkdir(parents=True, exist_ok=True)
+    try:
+        d.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {d} cannot be made: {exc}") from exc
     return d
 
 
@@ -436,9 +439,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        with np.errstate(all="ignore"):  # infeasible pairs are NaN data, not warnings
-            return _COMMANDS[args.command](_resolve(args))
-    except (ConfigError, OSError) as exc:  # OSError: the output cannot be written
+        return _COMMANDS[args.command](_resolve(args))
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ModelError as exc:

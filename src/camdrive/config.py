@@ -13,7 +13,7 @@ import json
 import math
 import operator
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -154,24 +154,10 @@ class RunConfig:
     # --- serialisation -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        def section(obj):
-            out = {}
-            for f in fields(obj):
-                v = getattr(obj, f.name)
-                out[f.name] = list(v) if isinstance(v, tuple) else v
-            return out
-
-        return {
-            "mechanism": section(self.mechanism),
-            "load": section(self.load),
-            "materials": section(self.materials),
-            "profile": section(self.profile),
-            "sensitivity": section(self.sensitivity),
-            "design_space": section(self.design_space),
-            "contour": section(self.contour),
-            "output": section(self.output),
-            "seed": self.seed,
-        }
+        """Each section as a dict of its fields, tuples as lists, then the seed."""
+        return {**{name: {key: list(v) if isinstance(v, tuple) else v
+                          for key, v in vars(getattr(self, name)).items()}
+                   for name in _SECTIONS}, "seed": self.seed}
 
     def content_hash(self) -> str:
         """Hash of the model-relevant sections; where outputs land is excluded."""
@@ -240,7 +226,8 @@ def _parse_section(name: str, cls, raw: dict):
                   for key, value in raw.items()})
 
 
-def parse_config(data: dict) -> RunConfig:
+def _parse(data: dict) -> RunConfig:
+    """The RunConfig of a JSON object, its keys and types checked but not its ranges."""
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be a JSON object")
     unknown = set(data) - set(_SECTIONS) - {"seed"}
@@ -252,24 +239,30 @@ def parse_config(data: dict) -> RunConfig:
             kwargs[name] = _parse_section(name, cls, data[name])
     if "seed" in data:
         kwargs["seed"] = _typed(data["seed"], int | None, "seed")
-    cfg = RunConfig(**kwargs)
-    _validate(cfg)
-    return cfg
+    return RunConfig(**kwargs)
+
+
+def parse_config(data: dict) -> RunConfig:
+    """The RunConfig of a JSON object, every value checked as for any command."""
+    return apply_overrides(_parse(data), None)
 
 
 def load_config(path) -> RunConfig:
+    """The RunConfig of a JSON file, its keys and types checked. Its ranges are
+    checked by `apply_overrides`, once the flags have replaced what they set."""
     p = Path(path)
     try:
         data = json.loads(p.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
         raise ConfigError(f"config file {p} cannot be read: {exc}") from exc
-    return parse_config(data)
+    return _parse(data)
 
 
 # Bounds of each numeric field, as (op, bound) pairs: a value must satisfy
 # every pair. A list field has each entry checked and a null is not. Lengths
 # (mm) and the torque (N*mm) stay many orders of magnitude inside the float
-# range, so that no square or product of them overflows, and a cam drives at
+# range, so that no square or product of them overflows or underflows (a
+# subnormal torque wrote a NaN pressure), and a cam drives at
 # least one degree of the camshaft's turn. The load case, the materials, and
 # the mechanism's eta and e > r are checked by the model objects instead.
 _LENGTH = ((">=", 1e-6), ("<=", 1e6))
@@ -280,7 +273,7 @@ _RANGES = {
                      "mechanism.contact_width_mm", "design_space.r_mm", "design_space.L_mm",
                      "design_space.pitch_mm", "design_space.s_cap_mm"), _LENGTH),
     "mechanism.cam_count": ((">=", 1), _CAM_COUNT),
-    "load.torque_nmm": (("<=", 1e12),),
+    "load.torque_nmm": ((">=", 1e-6), ("<=", 1e12)),
     "load.speed_rpm": ((">=", 0.0),),
     "profile.resolution": ((">=", MIN_PROFILE_RESOLUTION), _SAMPLES),
     "sensitivity.samples": ((">=", MIN_PROFILE_SAMPLES), _SAMPLES),
@@ -301,11 +294,11 @@ _OPS = {">": (operator.gt, "above"), ">=": (operator.ge, "at least"),
         "<=": (operator.le, "at most"), "memory": (operator.le, "at most the memory limit of")}
 
 
-def _validate(cfg: RunConfig) -> None:
-    """Raise ConfigError unless every value of cfg lies in its range: the
-    range table, the rules that tie fields together, and the model objects
-    the config builds, whose constructors reject a bad load case or material.
-    """
+def _validate(cfg: RunConfig) -> DesignSpace:
+    """The design space of cfg, once every value of cfg lies in its range:
+    the range table, the rules that tie fields together, and the model
+    objects it builds, whose constructors reject a bad load case or material.
+    Raises ConfigError otherwise."""
     for path, bounds in _RANGES.items():
         section, key = path.split(".")
         value = getattr(getattr(cfg, section), key)
@@ -336,16 +329,13 @@ def _validate(cfg: RunConfig) -> None:
         if lo > hi:
             raise ConfigError(f"design_space leaves no contact width for m={m}: "
                               f"L_mm starts at {lo} but the size cap allows {hi}")
-    cc = cfg.contour
-    lo, hi = space.L_bounds(cc.m)
-    if not lo <= cc.s_m_mm / cc.m <= hi:
-        raise ConfigError(f"contour.s_m_mm={cc.s_m_mm} gives L={cc.s_m_mm / cc.m} outside "
-                          f"the design space's range [{lo}, {hi}] for m={cc.m}")
+    return space
 
 
-def apply_overrides(cfg: RunConfig, command: str, *, out=None, resolution=None,
+def apply_overrides(cfg: RunConfig, command: str | None, *, out=None, resolution=None,
                     fmt=None, mat=None, seed=None) -> RunConfig:
-    """Apply CLI flag overrides on top of the file configuration."""
+    """Apply CLI flag overrides on top of the file configuration, then check
+    every range once, and the contour's size when the command is `contour`."""
     if out is not None:
         cfg = replace(cfg, output=replace(cfg.output, directory=str(out)))
     if fmt is not None:
@@ -365,5 +355,9 @@ def apply_overrides(cfg: RunConfig, command: str, *, out=None, resolution=None,
                                                     resolution=resolution))
         elif command == "contour":
             cfg = replace(cfg, contour=replace(cfg.contour, resolution=resolution))
-    _validate(cfg)
+    cc = cfg.contour
+    lo, hi = _validate(cfg).L_bounds(cc.m)
+    if command == "contour" and not lo <= cc.s_m_mm / cc.m <= hi:
+        raise ConfigError(f"contour.s_m_mm={cc.s_m_mm} gives L={cc.s_m_mm / cc.m} outside "
+                          f"the design space's range [{lo}, {hi}] for m={cc.m}")
     return cfg

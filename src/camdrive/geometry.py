@@ -26,6 +26,9 @@ TAU = 2.0 * math.pi
 # eta within this distance of 1/(2*pi) makes the coefficient equations blow up
 ETA_SINGULAR_TOL = 1e-9
 
+# largest eta of a spec; the pitch curvature overflows from eta ~ 5.6e101 on
+ETA_MAX = 1e100
+
 # closure-angle root find: the last sign change of v_c over ROOT_SCAN_NODES
 # nodes on [-pi, 0] brackets the root, then ROOT_NEWTON_STEPS safeguarded
 # Newton steps converge inside the bracket (see `closure_angles`)
@@ -60,6 +63,8 @@ class TransmissionSpec:
             raise InvalidSpec(f"roller radius must be positive, got {self.r}")
         if self.L <= 0.0:
             raise InvalidSpec(f"contact width must be positive, got {self.L}")
+        if not self.eta <= ETA_MAX:
+            raise InvalidSpec(f"eta must be at most {ETA_MAX:g}, got {self.eta}")
         if int(self.m) != self.m or self.m < 1:
             raise InvalidSpec(f"cam count must be a positive integer, got {self.m}")
         if self.e <= self.r:
@@ -384,13 +389,12 @@ def feasibility_check(spec: TransmissionSpec) -> FeasibilityReport:
     psi_min, rho_min = (float(v) for v in min_cam_radius(
         delta, spec.p, spec.eta, spec.r, spec.m))
     blocking = abs(rho_min) <= BLOCKING_REL_TOL * spec.r
-    feasible = 0.0 < rho_min < math.inf and not blocking
+    feasible = rho_min > 0.0 and not blocking
     notes = ()
     if blocking:
         notes = ("cam curvature radius vanishes on the driving arc: roller blocks the cam",)
     elif not feasible:
-        notes = (f"cam curvature radius {'is negative' if rho_min < 0.0 else 'overflows'} "
-                 "on the driving arc",)
+        notes = ("cam curvature radius is negative on the driving arc",)
     return FeasibilityReport(
         eta_valid=True, profile_feasible=feasible, fully_convex=fully_convex,
         blocking=blocking, delta=delta, psi_min=psi_min, rho_c_min=rho_min,

@@ -172,7 +172,8 @@ def load_materials(path) -> tuple[Material, ...]:
         for req in ("name", "young_modulus_mpa", "poisson_ratio", "static_pressure_mpa"):
             if req not in row:
                 raise ConfigError(f"material row {i} is missing {req!r}")
-        numbers = [v for key, value in row.items() if key != "name"
+        numbers = [v for key, value in row.items()  # a null allowable takes the default
+                   if key != "name" and (value is not None or key != "allowable_pressure_mpa")
                    for v in (value if key.endswith("pressure_mpa") and isinstance(value, list)
                              and len(value) == 2 else [value])]
         if not isinstance(row["name"], str) or not all(  # bools are not numbers
@@ -246,7 +247,8 @@ def pressure_angle(psi, eta):
     if np.ndim(w) == 0 and abs(w) < 1e-12:
         raise PressureAngleSingular(
             f"pressure angle is +/-90 degrees at psi = pi (psi={psi!r})")
-    return np.arctan((1.0 - TAU * eta) / w)
+    with np.errstate(divide="ignore"):  # an array psi at pi gives +/-90 degrees
+        return np.arctan((1.0 - TAU * eta) / w)
 
 
 def _normal_force(mu, torque, p):

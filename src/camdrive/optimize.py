@@ -496,7 +496,7 @@ def marching_squares(x_axis, y_axis, Z, level) -> list:
     seg_cell = np.broadcast_to(cell[:, None], has.shape)[has]  # cell-major, slot order
     ea, eb = slots[has].T
     px, py = [], []
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # uncrossed edges
         for a in range(4):
             b = (a + 1) % 4
             t = (level - V[a]) / (V[b] - V[a])

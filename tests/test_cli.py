@@ -347,6 +347,7 @@ BOUNDARY_CONFIGS = [
     {"materials": {"catalog_file": "no/such/catalog.json"}},
     {"design_space": {"workers": 10 ** 5}},
     {"mechanism": {"contact_width_mm": 10 ** 400}},
+    {"load": {"torque_nmm": 5e-324}},
 ]
 
 
@@ -437,6 +438,24 @@ class TestConfigHandling:
         assert code == 1
         assert err.startswith("config error:") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["profile", "metrics", "sensitivity", "pareto"])
+    @pytest.mark.parametrize("space", [{"s_cap_mm": 50.0}, {"L_mm": [1.0, 20.0]}])
+    def test_contour_size_is_checked_on_contour_only(self, tmp_path, capsys, command,
+                                                     space):
+        # the default slice, m = 2 at S_M = 60 mm, needs L = 30 mm: outside both spaces
+        config = {"design_space": {**space, "resolution": 16}}
+        assert run(tmp_path, command, "--out", str(tmp_path / "o"), config=config) == 0
+        code = run(tmp_path, "contour", "--out", str(tmp_path / "c"), config=config)
+        err = capsys.readouterr().err
+        assert code == 1 and err.count("\n") == 1
+        assert err.startswith("config error: contour.s_m_mm=60.0")
+        assert not (tmp_path / "c").exists()
+
+    def test_flags_replace_file_values_before_the_check(self, tmp_path):
+        code = run(tmp_path, "profile", "--out", str(tmp_path / "o"), "--resolution", "64",
+                   config={"profile": {"resolution": 3}})
+        assert code == 0
 
     @pytest.mark.parametrize("command", ["profile", "pareto"])
     def test_output_directory_under_a_file_exits_1(self, tmp_path, capsys, command):

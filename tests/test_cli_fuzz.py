@@ -170,7 +170,7 @@ def test_any_config_exits_0_1_or_2_with_one_line(data):
 
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("config", [
-    {"mechanism": {"eta": 1e102}},  # the curvature overflows
+    {"mechanism": {"eta": 1e102}},  # above the model's largest eta
     {"mechanism": {"eta": 1e150}},
     {"mechanism": {"pitch_mm": 1e6, "roller_radius_mm": 1e-6, "contact_width_mm": 1e-6,
                    "cam_count": 360}},

@@ -41,10 +41,16 @@ class TestSpecInvariants:
         dict(p=50.0, eta=0.18, r=4.0, m=1.5),
         dict(p=50.0, eta=0.18, r=4.0, m=0),
         dict(p=50.0, eta=0.18, r=9.5),   # e = 9 <= r
+        dict(p=50.0, eta=1e101, r=4.0),  # above ETA_MAX
+        dict(p=50.0, eta=float("nan"), r=4.0),
     ])
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(InvalidSpec):
             cd.TransmissionSpec(**kwargs)
+
+    def test_largest_eta_accepted(self):
+        from camdrive.geometry import ETA_MAX
+        assert cd.TransmissionSpec(p=50.0, eta=ETA_MAX, r=4.0).e == 50.0 * ETA_MAX
 
 
 class TestFollowerDisplacement:

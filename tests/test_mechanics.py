@@ -99,6 +99,14 @@ class TestMaterials:
         (mat,) = cd.load_materials(path)
         assert mat.P_allow == pytest.approx(40.0)
 
+    def test_null_allowable_takes_fatigue_default(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([{
+            "name": "x", "young_modulus_mpa": 1000.0, "poisson_ratio": 0.3,
+            "static_pressure_mpa": [100.0, 200.0], "allowable_pressure_mpa": None}]))
+        (mat,) = cd.load_materials(path)
+        assert mat.p_allow == pytest.approx((40.0, 80.0))
+
     def test_invalid_constants(self):
         for E in (-1.0, float("nan")):
             with pytest.raises(InvalidSpec):
