@@ -166,12 +166,7 @@ def cmd_metrics(cfg: RunConfig) -> int:
     load = cfg.load_case()
     cam_mat, roller_mat = cfg.material_pair()
     report = _feasibility(spec)
-    K_sum = (mechanics.material_coefficient(cam_mat)
-             + mechanics.material_coefficient(roller_mat))
-    seg = mechanics.design_segment(spec, load.torque, K_sum, delta=report.delta)
-    if not seg.ok:
-        raise InfeasibleProfile("cam curvature radius is non-positive on the driving "
-                                "arc; the Hertz model does not apply")
+    seg = mechanics.hertz_segment(spec, load, cam_mat, roller_mat, delta=report.delta)
     mu_max, psi_mu, psi_P = seg.mu_max, seg.psi_mu, seg.psi_P
     P_max = seg.P_max / math.sqrt(spec.L)
     S_M = mechanics.mechanism_size(spec.m, spec.L)

@@ -273,6 +273,11 @@ def material_coefficient(mat: Material) -> float:
     return (1.0 - mat.nu ** 2) / (math.pi * mat.E)
 
 
+def compliance_sum(cam_mat: Material, roller_mat: Material) -> float:
+    """K_sum of a contact: the two bodies' material coefficients added, 1/MPa."""
+    return material_coefficient(cam_mat) + material_coefficient(roller_mat)
+
+
 def equivalent_radius(r, rho_c):
     """Harmonic combination r*rho_c/(r + rho_c) of the two contact radii, mm."""
     if np.ndim(rho_c) == 0 and rho_c <= -r:
@@ -469,6 +474,26 @@ def design_segment(spec: TransmissionSpec, torque: float, K_sum: float,
     return seg
 
 
+def hertz_segment(spec: TransmissionSpec, load: LoadCase, cam_mat: Material,
+                  roller_mat: Material, delta: float | None = None) -> SegmentMetrics:
+    """`design_segment` of a spec whose Hertz model holds on the driving arc.
+
+    The one gate of every Hertz result of a single design. Besides the
+    kernel's errors it raises InfeasibleProfile where the cam curvature
+    radius is non-positive on the arc, and the scalar `contact_state` at the
+    kernel's psi_P raises ForceSingular where the contact force diverges as
+    |mu| nears 90 degrees.
+    """
+    K_sum = compliance_sum(cam_mat, roller_mat)
+    seg = design_segment(spec, load.torque, K_sum, delta)
+    if not seg.ok:
+        raise InfeasibleProfile(
+            "cam curvature radius is non-positive on the driving arc; "
+            "the Hertz model does not apply")
+    contact_state(seg.psi_P, spec.p, spec.eta, spec.r, load.torque, K_sum, spec.L)
+    return seg
+
+
 def max_pressure_angle(spec: TransmissionSpec) -> float:
     """Largest |pressure angle| on the active segment, radians.
 
@@ -486,15 +511,9 @@ def max_hertz_pressure(spec: TransmissionSpec, load: LoadCase,
     sits exactly at the segment start (pi - delta for two conjugate cams).
     For small closure angles the radius dips inside the segment instead,
     which pulls the peak slightly in; the kernel then searches the stretch
-    up to the turnover for it. Raises InfeasibleProfile if the curvature
-    radius is non-positive anywhere on the segment.
+    up to the turnover for it. Raises as `hertz_segment` does.
     """
-    K_sum = material_coefficient(cam_mat) + material_coefficient(roller_mat)
-    seg = design_segment(spec, load.torque, K_sum)
-    if not seg.ok:
-        raise InfeasibleProfile(
-            "cam curvature radius is non-positive on the driving arc; "
-            "the Hertz model does not apply")
+    seg = hertz_segment(spec, load, cam_mat, roller_mat)
     return seg.P_max / math.sqrt(spec.L), seg.psi_P
 
 

@@ -31,8 +31,8 @@ from .mechanics import (
     LoadCase,
     Material,
     SegmentMetrics,
+    compliance_sum,
     find_material,
-    material_coefficient,
     segment_metrics,
 )
 
@@ -61,7 +61,9 @@ class DesignSpace:
     L upper bound of None means the size cap divided by the cam count, which
     is also always enforced. The d_cs lower bound of zero is kept in the grid
     even though that first column is geometrically infeasible (e = r); those
-    candidates come back flagged, not dropped.
+    candidates come back flagged, not dropped. A space holds a grid of at
+    least MIN_GRID_RESOLUTION, distinct cam counts of two or more, ordered
+    ranges and a width for every cam count, or it is not built.
     """
 
     d_cs_range: tuple[float, float] = (0.0, 30.0)
@@ -77,6 +79,24 @@ class DesignSpace:
     P_cap: float = 800.0
     S_cap: float = 90.0
     workers: int = 1
+
+    def __post_init__(self):
+        if self.resolution < MIN_GRID_RESOLUTION:
+            raise InvalidSpec(f"design space resolution must be at least "
+                              f"{MIN_GRID_RESOLUTION}, got {self.resolution}")
+        if not self.m_values or len(set(self.m_values)) < len(self.m_values):
+            raise InvalidSpec("design space needs one or more distinct cam counts, "
+                              f"got {list(self.m_values)}")
+        for m in self.m_values:
+            if m < 2:
+                raise InfeasibleCamCount(f"cam count {m} in the design space")
+            lo, hi = self.L_bounds(m)
+            if not lo <= hi:
+                raise InvalidSpec(f"design space has an empty L range [{lo}, {hi}] for m={m}")
+        for name, (lo, hi) in (("d_cs", self.d_cs_range), ("r", self.r_range)):
+            if not lo <= hi:
+                raise InvalidSpec(f"design space {name} range must be [low, high], "
+                                  f"got {[lo, hi]}")
 
     def L_bounds(self, m: int) -> tuple[float, float]:
         lo, hi = self.L_range
@@ -179,12 +199,33 @@ def dominates(a: DesignCandidate, b: DesignCandidate) -> bool:
     return all(x <= y for x, y in zip(ao, bo)) and any(x < y for x, y in zip(ao, bo))
 
 
+def _staircase_step(xs: list, ys: list, x: float, y: float):
+    """Where (x, y) enters a 2-D minimisation staircase, or None if it is covered.
+
+    The staircase lists its points with xs strictly ascending and ys strictly
+    descending. None means a point on it is <= (x, y) in both coordinates.
+    Otherwise (x, y) belongs at index j and replaces xs[j:k], ys[j:k], the
+    points it weakly dominates; the caller does the replacing.
+    """
+    i = bisect.bisect_right(xs, x)
+    if i and ys[i - 1] <= y:
+        return None
+    j = bisect.bisect_left(xs, x)
+    k = j
+    while k < len(xs) and ys[k] >= y:
+        k += 1
+    return j, k
+
+
 def nondominated_mask(objectives) -> np.ndarray:
     """Boolean mask of the maximal nondominated subset (minimisation).
 
-    Accepts an (N, 2) or (N, 3) array. Equal rows are all retained. Sort-based
-    staircase filter, O(N log N); the brute-force O(N^2) filter is kept in the
-    test suite as its oracle.
+    Accepts an (N, 2) or (N, 3) array. Equal rows are all retained. One pass
+    over the distinct rows in lexicographic order (Kung, Luccio & Preparata
+    1975): a row can be dominated only by a row before it, so it is kept
+    exactly when no earlier kept row is <= in (f1, f2), which a staircase of
+    the kept rows answers. O(N log N); the brute-force O(N^2) filter is kept
+    in the test suite as its oracle.
     """
     F = np.asarray(objectives, dtype=float)
     if F.ndim != 2 or F.shape[1] not in (2, 3):
@@ -197,64 +238,39 @@ def nondominated_mask(objectives) -> np.ndarray:
     if F.shape[1] == 2:
         F = np.column_stack([F, np.zeros(n)])
     uniq, inv = np.unique(F, axis=0, return_inverse=True)
-    inv = np.asarray(inv).reshape(-1)
     keep = np.ones(len(uniq), dtype=bool)
-    xs: list[float] = []  # staircase envelope over earlier f0 groups
+    xs: list[float] = []  # staircase of the kept rows in (f1, f2)
     ys: list[float] = []
-
-    def covered(f1: float, f2: float) -> bool:
-        i = bisect.bisect_right(xs, f1) - 1
-        return i >= 0 and ys[i] <= f2
-
-    def insert(f1: float, f2: float) -> None:
-        j = bisect.bisect_left(xs, f1)
-        left = ys[j - 1] if j > 0 else math.inf
-        if f2 >= left:
-            return
-        k = j
-        while k < len(xs) and ys[k] >= f2:
-            k += 1
-        xs[j:k] = [f1]
-        ys[j:k] = [f2]
-
-    i = 0
-    u = len(uniq)
-    while i < u:
-        j = i
-        f0 = uniq[i, 0]
-        while j < u and uniq[j, 0] == f0:
-            j += 1
-        group = range(i, j)
-        for g in group:
-            if covered(uniq[g, 1], uniq[g, 2]):
-                keep[g] = False
-        best = math.inf
-        for g in group:  # lex order within group: f1 asc, f2 asc
-            if keep[g] and uniq[g, 2] >= best:
-                keep[g] = False
-            best = min(best, uniq[g, 2])
-        for g in group:
-            if keep[g]:
-                insert(uniq[g, 1], uniq[g, 2])
-        i = j
-    return keep[inv]
+    for g, (x, y) in enumerate(uniq[:, 1:].tolist()):
+        step = _staircase_step(xs, ys, x, y)
+        if step is None:
+            keep[g] = False
+        else:
+            xs[step[0]:step[1]] = [x]
+            ys[step[0]:step[1]] = [y]
+    return keep[np.asarray(inv).reshape(-1)]
 
 
-def _candidate_sort_key(c: DesignCandidate):
-    return (c.mu_max, c.P_max, c.S_M, c.m, c.d_cs, c.r, c.L)
+def _lex_order(table: np.ndarray) -> np.ndarray:
+    """Row indices of a table in the order of its rows as sorted tuples."""
+    return np.lexsort(table.T[::-1])
+
+
+def _front(table: np.ndarray) -> np.ndarray:
+    """Indices of the nondominated rows of a (mu, P, S, m, d_cs, r, L) table.
+
+    The objectives are the first three columns, and the rows come in
+    `_lex_order`, so identical inputs always serialise identically.
+    """
+    idx = np.flatnonzero(nondominated_mask(table[:, :3]))
+    return idx[_lex_order(table[idx])]
 
 
 def pareto_front(candidates) -> list[DesignCandidate]:
-    """Maximal set of feasible, mutually nondominated candidates.
-
-    Output is ordered lexicographically by objectives so identical inputs
-    always serialise identically.
-    """
+    """Maximal set of feasible, mutually nondominated candidates, in `_front` order."""
     feas = [c for c in candidates if c.feasible]
-    if not feas:
-        return []
-    mask = nondominated_mask(np.array([c.objectives for c in feas]))
-    return sorted((c for c, k in zip(feas, mask) if k), key=_candidate_sort_key)
+    table = np.array([(c.mu_max, c.P_max, c.S_M, c.m, c.d_cs, c.r, c.L) for c in feas])
+    return [feas[i] for i in _front(table.reshape(-1, 7))]  # (0, 7) if none is feasible
 
 
 # --- vectorised grid evaluation ------------------------------------------
@@ -282,8 +298,7 @@ def _pair_metrics(space: DesignSpace, m_values, d_cs: np.ndarray, r: np.ndarray)
     processes share the chunks and keeps the kernel's temporaries small.
     """
     eta = eta_from_design(d_cs, r, space.pitch)
-    K_sum = (material_coefficient(space.cam_material)
-             + material_coefficient(space.roller_material))
+    K_sum = compliance_sum(space.cam_material, space.roller_material)
     kernel = partial(_pair_kernel, space.pitch, tuple(m_values), space.load.torque,
                      K_sum)
     etas = [eta[s:s + _PAIR_CHUNK] for s in range(0, len(eta), _PAIR_CHUNK)]
@@ -372,8 +387,8 @@ def _evaluate_grid(space: DesignSpace, m: int, D, R, geom_pair, mu_pair,
                     feasible=feas, geometry_ok=geom)
 
 
-def _per_m_front(space: DesignSpace, m: int, D, R, geom, mu, P_unit):
-    """Rows of the m-cam front as sorted columns (mu, P, S, d_cs, r, L).
+def _per_m_front(space: DesignSpace, m: int, D, R, geom, mu, P_unit) -> np.ndarray:
+    """The m-cam front as a (mu, P, S, m, d_cs, r, L) table in `_lex_order`.
 
     The rows are the feasible widths of the pairs that are nondominated in
     (mu_max, P_unit) among the pairs that pass geometry and the angle cap.
@@ -381,10 +396,9 @@ def _per_m_front(space: DesignSpace, m: int, D, R, geom, mu, P_unit):
     cand = np.flatnonzero(geom & (mu <= space.mu_cap))
     pair = cand[nondominated_mask(np.column_stack([mu[cand], P_unit[cand]]))]
     g = _evaluate_grid(space, m, D[pair], R[pair], geom[pair], mu[pair], P_unit[pair])
-    keep = np.flatnonzero(g.feasible)
-    cols = tuple(c[keep] for c in (g.mu_max, g.P_max, g.S_M, g.d_cs, g.r, g.L))
-    order = np.lexsort(cols[::-1])  # the `_candidate_sort_key` order
-    return tuple(c[order] for c in cols)
+    table = np.column_stack([g.mu_max, g.P_max, g.S_M, np.full(len(g), m), g.d_cs, g.r,
+                             g.L])[g.feasible]
+    return table[_lex_order(table)]
 
 
 def sweep(space: DesignSpace) -> SweepResult:
@@ -402,34 +416,19 @@ def sweep(space: DesignSpace) -> SweepResult:
     the tests check the fronts against the filter over the whole grid. The
     merged front is the front of the union of the per-m fronts, which
     equals the front over all evaluated feasible candidates. Fronts are
-    ordered by `_candidate_sort_key`.
+    in `_lex_order` of their (mu, P, S, m, d_cs, r, L) rows.
     """
-    if space.resolution < MIN_GRID_RESOLUTION:
-        raise InvalidSpec(f"resolution must be at least {MIN_GRID_RESOLUTION}, "
-                          f"got {space.resolution}")
-    if not space.m_values or len(set(space.m_values)) < len(space.m_values):
-        raise InvalidSpec(f"need one or more distinct cam counts, got {space.m_values}")
-    for m in space.m_values:
-        if m < 2:
-            raise InfeasibleCamCount(f"cam count {m} in the design space")
-        lo, hi = space.L_bounds(m)
-        if not lo <= hi:
-            raise InvalidSpec(f"empty L range [{lo}, {hi}] for m={m}")
     _, _, D, R, pairs = _pair_grid(space, space.m_values, space.resolution)
     per_m_fronts = {}
     tables = []
     for m in space.m_values:
-        cols = _per_m_front(space, m, D, R, *pairs[m])
-        mu, P, S, d, r, L = (c.tolist() for c in cols)
-        per_m_fronts[m] = [_candidate(space, m, *row, True)
-                           for row in zip(d, r, L, S, mu, P)]
-        tables.append(np.column_stack(cols[:3] + (np.full(len(L), m),) + cols[3:]))
-    table = np.concatenate(tables)  # columns mu, P, S, m, d_cs, r, L
+        tables.append(_per_m_front(space, m, D, R, *pairs[m]))
+        per_m_fronts[m] = [_candidate(space, m, d, r, L, S, mu, P, True)
+                           for mu, P, S, _, d, r, L in tables[-1].tolist()]
     union = [c for m in space.m_values for c in per_m_fronts[m]]
-    idx = np.flatnonzero(nondominated_mask(table[:, :3]))
-    order = idx[np.lexsort(table[idx].T[::-1])]
-    return SweepResult(space=space, front=[union[i] for i in order],
-                       per_m_fronts=per_m_fronts, pairs=(D, R, pairs))
+    front = [union[i] for i in _front(np.concatenate(tables))]
+    return SweepResult(space=space, front=front, per_m_fronts=per_m_fronts,
+                       pairs=(D, R, pairs))
 
 
 # --- fixed-size contour slices --------------------------------------------
@@ -515,7 +514,7 @@ def contour_slice(space: DesignSpace, m: int, S_M: float,
     """Objective contours over (d_cs, r) at fixed mechanism size.
 
     The locus is the two-objective (mu_max, P_max) Pareto set of the feasible
-    grid points in the slice.
+    grid points in the slice: their `_front`, whose S column is constant.
     """
     if m < 2:
         raise InfeasibleCamCount(f"cam count {m} in a contour slice")
@@ -531,12 +530,11 @@ def contour_slice(space: DesignSpace, m: int, S_M: float,
     geom, mu, P_unit = pairs[m]
     P = P_unit / math.sqrt(L)
     feas = _feasible(space, geom, mu, P, S_M)
-    locus = []
     idx = np.flatnonzero(feas)
-    if idx.size:
-        mask = nondominated_mask(np.column_stack([mu[idx], P[idx]]))
-        locus = sorted((_candidate(space, m, D[i], R[i], L, S_M, mu[i], P[i], True)
-                        for i in idx[mask]), key=_candidate_sort_key)
+    one = np.ones(len(idx))
+    table = np.column_stack([mu[idx], P[idx], S_M * one, m * one, D[idx], R[idx], L * one])
+    locus = [_candidate(space, m, D[i], R[i], L, S_M, mu[i], P[i], True)
+             for i in idx[_front(table)]]
     mu_grid = mu.reshape(res, res)
     P_grid = P.reshape(res, res)
     mu_iso = {lev: marching_squares(d_axis, r_axis, np.degrees(mu_grid), lev)
@@ -559,10 +557,11 @@ def hypervolume(objectives, ref) -> float:
     2006): the points enter in ascending f2, and between consecutive f2
     values the volume grows by the (f0, f1) area that the entered points
     dominate, times the f2 step. That area belongs to a staircase of the
-    entered points that are nondominated in (f0, f1), kept as two sorted
-    lists, and each insertion adds the newly dominated strips to it. Every
-    added term is non-negative, so the sums do not cancel. O(n log n)
-    comparisons; a list insertion also moves up to n references.
+    entered points that are nondominated in (f0, f1), kept and updated by
+    `_staircase_step` as in `nondominated_mask`, and each insertion adds the
+    newly dominated strips to it. Every added term is non-negative, so the
+    sums do not cancel. O(n log n) comparisons; a list insertion also moves
+    up to n references.
     """
     F = np.asarray(objectives, dtype=float)
     ref = np.asarray(ref, dtype=float)
@@ -572,7 +571,7 @@ def hypervolume(objectives, ref) -> float:
     if len(F) == 0:
         return 0.0
     x_ref, y_ref, z_ref = ref.tolist()
-    xs: list[float] = []  # staircase: f0 ascending, f1 descending
+    xs: list[float] = []  # staircase of the entered points in (f0, f1)
     ys: list[float] = []
     area = volume = 0.0
     z_prev = None
@@ -580,16 +579,14 @@ def hypervolume(objectives, ref) -> float:
         if z_prev is not None:
             volume += area * (z - z_prev)
         z_prev = z
-        i = bisect.bisect_right(xs, x)
-        if i and ys[i - 1] <= y:
+        step = _staircase_step(xs, ys, x, y)
+        if step is None:
             continue  # weakly dominated in (f0, f1)
-        j = bisect.bisect_left(xs, x)
+        j, k = step
         top = ys[j - 1] if j else y_ref
-        k = j
-        while k < len(xs) and ys[k] >= y:  # points the new one dominates
-            area += (xs[k] - x) * (top - ys[k])
-            top = ys[k]
-            k += 1
+        for xk, yk in zip(xs[j:k], ys[j:k]):  # points the new one dominates
+            area += (xk - x) * (top - yk)
+            top = yk
         area += ((xs[k] if k < len(xs) else x_ref) - x) * (top - y)
         xs[j:k] = [x]
         ys[j:k] = [y]

@@ -21,8 +21,8 @@ from .mechanics import (
     Material,
     SegmentMetrics,
     active_segment,
-    design_segment,
-    material_coefficient,
+    compliance_sum,
+    hertz_segment,
     pressure_sensitivities,
 )
 
@@ -52,10 +52,6 @@ class SensitivityReport:
     rms_ranking: tuple[str, ...]
 
 
-def _k_sum(materials: tuple[Material, Material]) -> float:
-    return material_coefficient(materials[0]) + material_coefficient(materials[1])
-
-
 def _sensitivities(spec, load, materials, psi):
     """P and its normalised partials (r, eta, p, L, torque) at cam angle psi.
 
@@ -63,7 +59,7 @@ def _sensitivities(spec, load, materials, psi):
     because the Hertz model does not apply there.
     """
     P, partials = pressure_sensitivities(psi, spec.p, spec.eta, spec.r, load.torque,
-                                         _k_sum(materials), spec.L)
+                                         compliance_sum(*materials), spec.L)
     if np.isnan(P).any():
         raise InfeasibleProfile(
             "cam curvature radius is not positive at the probed cam angle")
@@ -95,13 +91,8 @@ def pressure_partials(spec: TransmissionSpec, load: LoadCase,
 
 
 def _segment(spec, load, materials) -> tuple[SegmentMetrics, ActiveSegment]:
-    """Kernel metrics and driving arc; the kernel's errors, or InfeasibleProfile
-    where the cam curvature radius is not positive on the arc."""
-    seg = design_segment(spec, load.torque, _k_sum(materials))
-    if not seg.ok:
-        raise InfeasibleProfile(
-            "cam curvature radius is non-positive on the driving arc; "
-            "the Hertz model does not apply")
+    """Kernel metrics and driving arc; raises as `hertz_segment` does."""
+    seg = hertz_segment(spec, load, *materials)
     return seg, active_segment(spec, seg.delta)
 
 

@@ -70,12 +70,6 @@ class Canvas:
             f'<circle cx="{_fmt(self._sx(x))}" cy="{_fmt(self._sy(y))}"'
             f' r="{_fmt(abs(radius) * scale)}" stroke="{stroke}" fill="{fill}"/>')
 
-    def text(self, x, y, label, size=12, anchor="start", color="#000000"):
-        self.elements.append(
-            f'<text x="{_fmt(self._sx(x))}" y="{_fmt(self._sy(y))}"'
-            f' font-family="sans-serif" font-size="{size}" fill="{color}"'
-            f' text-anchor="{anchor}">{label}</text>')
-
     def page_text(self, px, py, label, size=12, anchor="start", color="#000000"):
         self.elements.append(
             f'<text x="{_fmt(px)}" y="{_fmt(py)}" font-family="sans-serif"'

@@ -348,6 +348,8 @@ BOUNDARY_CONFIGS = [
     {"design_space": {"workers": 10 ** 5}},
     {"mechanism": {"contact_width_mm": 10 ** 400}},
     {"load": {"torque_nmm": 5e-324}},
+    {"design_space": {"d_cs_mm": [5.0, 2.0]}},
+    {"design_space": {"r_mm": [10.0, 4.0]}},
 ]
 
 
@@ -483,6 +485,28 @@ class TestConfigHandling:
         assert err.startswith("infeasible mechanism:") and err.count("\n") == 1
         assert words in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("eta", [1e4, 1e5])
+    def test_near_90_degree_design_fails_alike(self, tmp_path, capsys, eta):
+        # metrics and sensitivity share the Hertz gate and its force limit
+        reasons = []
+        for command, prefix in (("metrics", "infeasible mechanism: "),
+                                ("sensitivity", "infeasible nominal design: ")):
+            out = tmp_path / command
+            code = run(tmp_path, command, "--out", str(out),
+                       config={"mechanism": {"eta": eta}})
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith(prefix) and err.count("\n") == 1
+            assert not out.exists()
+            reasons.append(err[len(prefix):])
+        assert reasons[0] == reasons[1] and "90 degrees" in reasons[0]
+
+    @pytest.mark.parametrize("command", ["profile", "metrics", "sensitivity"])
+    def test_large_eta_below_the_force_limit_runs(self, tmp_path, capsys, command):
+        code = run(tmp_path, command, "--out", str(tmp_path / "o"),
+                   config={"mechanism": {"eta": 1e3}})
+        assert code == 0
 
     @pytest.mark.parametrize("workers, ok", [(1, True), (2, True), (MAX_WORKERS, True),
                                              (0, False), (MAX_WORKERS + 1, False),

@@ -16,7 +16,7 @@ from camdrive.errors import (
     PressureAngleSingular,
 )
 from camdrive.geometry import TAU
-from camdrive.mechanics import contact_state, segment_metrics
+from camdrive.mechanics import compliance_sum, contact_state, segment_metrics
 
 import oracles
 
@@ -125,6 +125,11 @@ class TestMaterialCoefficient:
 
     def test_identical_bodies_symmetric(self, steel):
         assert cd.material_coefficient(steel) == cd.material_coefficient(steel)
+
+    def test_compliance_sum_adds_both_bodies(self, steel):
+        cast = cd.find_material("grey cast iron")
+        assert compliance_sum(steel, cast) == (cd.material_coefficient(steel)
+                                               + cd.material_coefficient(cast))
 
 
 class TestEquivalentRadius:

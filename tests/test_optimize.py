@@ -177,6 +177,16 @@ class TestParetoFront:
         f2 = cd.pareto_front(list(reversed(cands)))
         assert [c.objectives for c in f1] == [c.objectives for c in f2]
 
+    def test_ties_in_every_objective_ordered_by_design(self, rng):
+        # eight designs on each objective vector; (0.2, 500, 60) is dominated
+        objectives = [(0.2, 500.0, 60.0), (0.1, 600.0, 60.0), (0.2, 500.0, 40.0)]
+        cands = [cd.DesignCandidate(d_cs=d, r=r, L=S / m, m=m, mu_max=mu, P_max=P,
+                                    S_M=S, feasible=True)
+                 for mu, P, S in objectives for m in (3, 2) for d in (2.0, 1.0)
+                 for r in (5.0, 4.0)]
+        front = cd.pareto_front([cands[i] for i in rng.permutation(len(cands))])
+        assert _rows(front) == sorted(_rows(cands[8:]))
+
 
 class TestSweep:
     def test_front_equals_brute_force_filter(self):
@@ -251,6 +261,11 @@ class TestSweep:
     def test_empty_width_range_rejected(self, over):
         with pytest.raises(InvalidSpec, match="empty L range"):
             cd.sweep(cd.DesignSpace(resolution=16, **over))
+
+    @pytest.mark.parametrize("over", [{"d_cs_range": (5.0, 2.0)}, {"r_range": (10.0, 4.0)}])
+    def test_unordered_range_rejected(self, over):
+        with pytest.raises(InvalidSpec, match=r"range must be \[low, high\]"):
+            cd.DesignSpace(**over)
 
     def test_three_cam_front_dominates_at_low_angles(self):
         # on matched mu bins below 24 degrees the m=3 envelope is never worse
@@ -351,6 +366,11 @@ class TestContourSlice:
         for c in sl.locus:
             assert np.isclose(sl.d_axis, c.d_cs).any()
             assert np.isclose(sl.r_axis, c.r).any()
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_default_locus_in_sorted_tuple_order(self, m):
+        rows = _rows(cd.contour_slice(cd.DesignSpace(), m, 60.0).locus)
+        assert len(rows) > 5 and rows == sorted(rows)
 
     def test_invalid_size_rejected(self):
         with pytest.raises(InvalidSpec):
