@@ -29,9 +29,8 @@ ETA_SINGULAR_TOL = 1e-9
 # largest eta of a spec; the pitch curvature overflows from eta ~ 5.6e101 on
 ETA_MAX = 1e100
 
-# closure-angle root find: the last sign change of v_c over ROOT_SCAN_NODES
-# nodes on [-pi, 0] brackets the root, then ROOT_NEWTON_STEPS safeguarded
-# Newton steps converge inside the bracket (see `closure_angles`)
+# `last_root`: the last sign change over ROOT_SCAN_NODES scan nodes brackets
+# the root, and ROOT_NEWTON_STEPS safeguarded Newton steps converge inside it
 ROOT_SCAN_NODES = 17
 ROOT_NEWTON_STEPS = 6
 
@@ -163,11 +162,6 @@ def profile_coefficients(psi, p, eta):
     return b1, b2, delta_angle
 
 
-def _ordinate(psi, p, eta, r):
-    """Profile ordinate v_c of the contact point in the cam frame, mm."""
-    return _ordinate_slope(psi, p, eta, r)[0]
-
-
 def _ordinate_slope(psi, p, eta, r):
     """Profile ordinate v_c, mm, and its derivative dv_c/dpsi, mm/rad.
 
@@ -190,7 +184,7 @@ def cam_profile_point(psi, spec: TransmissionSpec):
     """Contact point C in the cam-fixed frame: (u_c, v_c), mm."""
     b1, b2, d = profile_coefficients(psi, spec.p, spec.eta)
     u_c = b1 * np.cos(psi) + (b2 - spec.r) * np.cos(d - psi)
-    return u_c, _ordinate(psi, spec.p, spec.eta, spec.r)
+    return u_c, _ordinate_slope(psi, spec.p, spec.eta, spec.r)[0]
 
 
 def pitch_curve_point(psi, spec: TransmissionSpec):
@@ -241,29 +235,51 @@ def cam_curvature(kappa_p, r):
     return 1.0 / cam_curvature_radius(kappa_p, r)
 
 
-def _last_sign_change(v):
-    """Per row of v: index of the last interval where v changes sign, and
-    whether there is one. The last change is the root nearest zero."""
+def last_root(g, nodes):
+    """Root of g in the last sign change along each row of scan nodes.
+
+    nodes is one row shared by every pair or one row per pair. g(x) returns
+    the value and the slope of g elementwise, for x with one row per pair
+    (or one shared row) against per-pair parameters held as (n, 1) columns.
+    The false-position point of the bracket starts ROOT_NEWTON_STEPS Newton
+    steps, safeguarded as in "rtsafe" (Numerical Recipes): each step first
+    moves the bracket end on the iterate's side of the root to the iterate,
+    and a step that would leave the bracket, or is NaN or inf, bisects
+    instead. The bracket test is inclusive, so a converged iterate stays.
+    Every step is elementwise and the step count fixed, so a pair's root
+    does not depend on its batch. Returns the roots and whether each row has
+    a sign change; a row without one gets its first node (NaN stays NaN).
+    """
+    nodes = np.atleast_2d(nodes)
+    v = g(nodes)[0]
+    nodes = np.broadcast_to(nodes, v.shape)
     change = v[:, :-1] * v[:, 1:] <= 0.0
-    return change.shape[1] - 1 - change[:, ::-1].argmax(axis=1), change.any(axis=1)
+    found = change.any(axis=1)
+    k = change.shape[1] - 1 - change[:, ::-1].argmax(axis=1)
+    rows = np.arange(len(v))
+    lo, hi, v_lo, v_hi = nodes[rows, k], nodes[rows, k + 1], v[rows, k], v[rows, k + 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = lo - v_lo * (hi - lo) / (v_hi - v_lo)
+        for _ in range(ROOT_NEWTON_STEPS):
+            x = np.where((lo <= x) & (x <= hi), x, 0.5 * (lo + hi))
+            v, slope = (a[:, 0] for a in g(x[:, None]))
+            right = v * v_lo > 0.0  # the root lies right of x
+            lo = np.where(right, x, lo)
+            hi = np.where(right, hi, x)
+            x = x - v / slope
+    x = np.where((lo <= x) & (x <= hi), x, 0.5 * (lo + hi))
+    return np.where(found, x, nodes[:, 0]), found
 
 
 def closure_angles(p, eta, r) -> np.ndarray:
     """Closure angle of each (eta, r) pair: the root of v_c on [-pi, 0] nearest zero.
 
-    The last sign change of v_c over ROOT_SCAN_NODES nodes brackets the
-    root. The false-position point of the bracket starts ROOT_NEWTON_STEPS
-    Newton steps on the analytic slope (`_ordinate_slope`), safeguarded as
-    in "rtsafe" (Numerical Recipes): each step first moves the bracket end
-    on the iterate's side of the root to the iterate, and a step that would
-    leave the bracket, or is NaN or inf, bisects instead. The bracket test
-    is inclusive, so a converged iterate stays where it is. Every step is
-    elementwise per pair and the step count is fixed, so a pair's root does
-    not depend on the batch it is solved in. NaN where v_c has no sign
-    change (the profile does not close) and where eta or r is NaN.
+    `last_root` of v_c and its slope (`_ordinate_slope`) over
+    ROOT_SCAN_NODES nodes on [-pi, 0]. NaN where v_c has no sign change (the
+    profile does not close) and where eta or r is NaN.
 
     That the coarse scan brackets the right root is sampling evidence, not
-    a proof; `scripts/closure_evidence.py` reprints it. Over 200,000
+    a proof; `scripts/root_evidence.py` reprints it. Over 200,000
     random pairs of the valid region (1/(2*pi) < eta <= 2, 0 < r < e) a
     1025-node scan finds no sign change in 4,736 and exactly one in the
     rest. Against that scan refined by bisection this solver gives the same
@@ -276,21 +292,8 @@ def closure_angles(p, eta, r) -> np.ndarray:
     """
     eta, r = np.broadcast_arrays(np.atleast_1d(np.asarray(eta, dtype=float)),
                                  np.atleast_1d(np.asarray(r, dtype=float)))
-    nodes = np.linspace(-math.pi, 0.0, ROOT_SCAN_NODES)
-    v = _ordinate(nodes, p, eta[:, None], r[:, None])
-    k, found = _last_sign_change(v)
-    rows = np.arange(len(eta))
-    lo, hi, v_lo, v_hi = nodes[k], nodes[k + 1], v[rows, k], v[rows, k + 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        psi = lo - v_lo * (hi - lo) / (v_hi - v_lo)
-        for _ in range(ROOT_NEWTON_STEPS):
-            psi = np.where((lo <= psi) & (psi <= hi), psi, 0.5 * (lo + hi))
-            v, slope = _ordinate_slope(psi, p, eta, r)
-            right = v * v_lo > 0.0  # the root lies right of psi
-            lo = np.where(right, psi, lo)
-            hi = np.where(right, hi, psi)
-            psi = psi - v / slope
-    psi = np.where((lo <= psi) & (psi <= hi), psi, 0.5 * (lo + hi))
+    psi, found = last_root(lambda x: _ordinate_slope(x, p, eta[:, None], r[:, None]),
+                           np.linspace(-math.pi, 0.0, ROOT_SCAN_NODES))
     return np.where(found, psi, np.nan)
 
 

@@ -36,22 +36,16 @@ from .errors import (
 )
 from .geometry import (
     ETA_SINGULAR_TOL,
+    ROOT_SCAN_NODES,
     TAU,
     TransmissionSpec,
     cam_curvature_radius,
     closure_angles,
     driving_window,
+    last_root,
     min_cam_radius,
     pitch_curvature,
 )
-
-# Hertz peak search: scan the bracket on PEAK_SCAN_NODES nodes, then rescan
-# the best node's neighbours PEAK_PASSES times, 264 evaluations per pair.
-# The bracket is at most 1.5 rad long and each rescan narrows the node
-# spacing 16-fold, to below 2e-10 rad in the end
-PEAK_SCAN_NODES = 33
-PEAK_PASSES = 7
-_PEAK_T = np.linspace(0.0, 1.0, PEAK_SCAN_NODES)
 
 # fatigue design rule: allowable running pressure is 40% of the static one
 FATIGUE_FRACTION = 0.4
@@ -370,42 +364,45 @@ class SegmentMetrics(NamedTuple):
     ok: np.ndarray
 
 
+def _hertz_log_slope(w, q, k):
+    """g = dln(f)/dw and g' for f = s^2/(w*D) of `_hertz_peak_angle`.
+
+    With D = s^1.5 - k(w^2 + q^2 - q), D' = w(3*sqrt(s) - 2k) and
+    D'' = 3*sqrt(s) + 3w^2/sqrt(s) - 2k: g = 4w/s - 1/w - D'/D and
+    g' = 4/s - 8w^2/s^2 + 1/w^2 - D''/D + (D'/D)^2.
+    """
+    w2 = w * w
+    s = w2 + q * q
+    root_s = np.sqrt(s)
+    D = s * root_s - k * (s - q)
+    d1 = w * (3.0 * root_s - 2.0 * k) / D
+    return (4.0 * w / s - 1.0 / w - d1, 4.0 / s - 8.0 * w2 / (s * s) + 1.0 / w2
+            - (3.0 * root_s + 3.0 * w2 / root_s - 2.0 * k) / D + d1 * d1)
+
+
 def _hertz_peak_angle(a, b, p, eta, r):
     """Cam angle of the largest Hertz pressure of each pair on [a, b] past pi.
 
-    With w = psi - pi > 0, s = w^2 + q^2 and k = 2*pi*r/p, the squared
-    pressure is proportional to F/R_equ, that is to
-    s^2 / (w * (s^1.5 - k*(w^2 + q(q - 1)))): 1/cos(mu) = sqrt(s)/w and
+    With w = psi - pi > 0, q = 2*pi*eta - 1, s = w^2 + q^2 and k = 2*pi*r/p,
+    the squared pressure is proportional to F/R_equ, that is to
+    f = s^2 / (w * (s^1.5 - k*(w^2 + q(q - 1)))): 1/cos(mu) = sqrt(s)/w and
     R_equ = r*(1 - r*kappa_p), with kappa_p = (2*pi/p)(w^2 + q(q - 1))/s^1.5.
-    The search maximises that, by rescans of the best node's neighbours
-    with a fixed pass count, so every step is elementwise per pair. Assumes
-    a convex cam on [a, b].
+    The search is `last_root` of g = dln(f)/dw (`_hertz_log_slope`) over
+    ROOT_SCAN_NODES nodes on [a - pi, b - pi]. Assumes a convex cam on [a, b].
 
-    The caller weighs the pressure at a itself, so the first scan picks its
-    best node past a. On some pairs the pressure falls from a, dips and
-    rises to an interior maximum about as high as the value at a; there the
-    node at a can outrank every node next to a maximum that is higher
-    still. A search that kept that node missed such maxima by as much as
-    1.2e-5 relative with 33 nodes.
+    The caller passes b = pi + w*, the curvature turnover: w* <= 1.5 < pi <= w
+    at the arc end, so the turnover is never clipped to the end. kappa_p is
+    stationary there, so g = dln(F)/dw = -q^2/(w*s) < 0 at b, and the last
+    sign change is from + to -, a maximum. That holds also where the
+    pressure falls from a, dips and rises to an interior maximum about as
+    high as the value at a. Where g has no sign change, the pressure falls
+    from a, and the search returns a; the caller weighs the pressure there.
     """
-    rows = np.arange(len(a))
     q = (TAU * eta - 1.0)[:, None]
-    q2 = q * q
-    c = q2 - q
     k = (TAU / p) * r[:, None]
-
-    def best_node(lo, hi, first):
-        w = lo[:, None] + (hi - lo)[:, None] * _PEAK_T
-        w2 = w * w
-        s = w2 + q2
-        f = s * s / (w * (s * np.sqrt(s) - k * (w2 + c)))
-        return w, first + np.argmax(f[:, first:], axis=1)
-
-    w, j = best_node(a - math.pi, b - math.pi, 1)
-    for _ in range(PEAK_PASSES):
-        w, j = best_node(w[rows, np.maximum(j - 1, 0)],
-                         w[rows, np.minimum(j + 1, PEAK_SCAN_NODES - 1)], 0)
-    return math.pi + w[rows, j]
+    w, _ = last_root(lambda x: _hertz_log_slope(x, q, k),
+                     np.linspace(a - math.pi, b - math.pi, ROOT_SCAN_NODES, axis=1))
+    return math.pi + w
 
 
 def segment_metrics(p, eta, r, m, torque, K_sum, delta=None) -> SegmentMetrics:

@@ -38,7 +38,7 @@ from .mechanics import (
 
 _DEFAULT_STEEL = find_material("improved steel")
 
-_PAIR_CHUNK = 256
+_PAIR_CHUNK = 4096
 
 # smallest grid resolution of a sweep or a contour slice
 MIN_GRID_RESOLUTION = 16

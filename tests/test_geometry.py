@@ -12,7 +12,7 @@ from camdrive.errors import (
     NoRootFound,
     RollerBlocksCam,
 )
-from camdrive.geometry import TAU, closure_angles
+from camdrive.geometry import ETA_MAX, TAU, closure_angles, curvature_turnover, last_root
 
 import oracles
 
@@ -277,6 +277,66 @@ class TestClosureAngles:
         single = [closure_angles(self.P, e, q)[0] for e, q in zip(eta[:40], r[:40])]
         assert np.array_equal(whole[:40], single, equal_nan=True)
         assert 0 < np.isnan(whole).sum() < 500
+
+
+def sine(c):
+    """g(x) = sin(c*x) and its slope, for per-row frequencies c."""
+    c = np.asarray(c, dtype=float)[:, None]
+    return lambda x: (np.sin(c * x), c * np.cos(c * x))
+
+
+class TestLastRoot:
+    def test_several_sign_changes_give_the_last_root(self):
+        # roots of sin(c*x) at k*pi/c; several lie on [0.3, 9.7] for each c
+        c = np.array([1.0, 1.5, 2.0, 2.9])
+        x, found = last_root(sine(c), np.linspace(0.3, 9.7, 97))
+        last = np.floor(9.7 * c / math.pi) * math.pi / c
+        assert found.all()
+        assert np.allclose(x, last, rtol=0.0, atol=1e-14)
+
+    def test_row_without_a_change_is_not_found(self):
+        nodes = np.linspace(-1.0, 1.0, 17)
+        shift = np.array([[0.5], [2.0], [-2.0]])
+        x, found = last_root(lambda x: (x + shift, np.ones_like(x + shift)), nodes)
+        assert found.tolist() == [True, False, False]
+        assert x[0] == -0.5 and (x[1:] == nodes[0]).all()
+
+    def test_nan_rows_stay_nan(self):
+        # NaN values of g have no sign change; a NaN node row gives a NaN root
+        c = np.array([1.0, np.nan, 2.0])
+        nodes = np.linspace(0.3, 5.0, 33)
+        x, found = last_root(sine(c), nodes)
+        assert found.tolist() == [True, False, True]
+        rows = np.vstack([nodes, nodes, np.full(33, np.nan)])
+        x, found = last_root(sine([1.0, 1.0, 1.0]), rows)
+        assert found.tolist() == [True, True, False]
+        assert np.isfinite(x[:2]).all() and np.isnan(x[2])
+
+    def test_per_pair_rows_agree_with_shared_nodes(self, rng):
+        c = rng.uniform(0.5, 3.0, 50)
+        nodes = np.linspace(0.3, 9.7, 17)
+        shared = last_root(sine(c), nodes)
+        per_pair = last_root(sine(c), np.tile(nodes, (50, 1)))
+        for a, b in zip(shared, per_pair):
+            assert np.array_equal(a, b)
+
+    def test_batching_is_bitwise_invisible(self, rng):
+        c = rng.uniform(0.5, 3.0, 300)
+        lo = rng.uniform(0.0, 2.0, 300)
+        rows = np.linspace(lo, lo + rng.uniform(1.0, 8.0, 300), 17, axis=1)
+        whole = last_root(sine(c), rows)
+        chunks = [last_root(sine(c[s:s + 37]), rows[s:s + 37]) for s in range(0, 300, 37)]
+        single = [last_root(sine(c[i:i + 1]), rows[i]) for i in range(300)]
+        for parts in (chunks, single):
+            for a, b in zip(whole, zip(*parts)):
+                assert np.array_equal(a, np.concatenate(b))
+        assert 0 < whole[1].sum() < 300
+
+
+@given(st.floats(1.0 / TAU, ETA_MAX, exclude_min=True))
+def test_curvature_turnover_stays_within_one_and_a_half(eta):
+    # so the turnover pi + w* never reaches the driving arc's end, where w >= pi
+    assert curvature_turnover(eta) - math.pi <= 1.5
 
 
 class TestMinProfileRadius:

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import camdrive as cd
@@ -15,8 +15,13 @@ from camdrive.errors import (
     InvalidSpec,
     PressureAngleSingular,
 )
-from camdrive.geometry import TAU
-from camdrive.mechanics import compliance_sum, contact_state, segment_metrics
+from camdrive.geometry import TAU, curvature_turnover, driving_window, min_cam_radius
+from camdrive.mechanics import (
+    _hertz_log_slope,
+    compliance_sum,
+    contact_state,
+    segment_metrics,
+)
 
 import oracles
 
@@ -387,6 +392,21 @@ class TestSegmentMetrics:
                 two_peak += 1
                 near_tie += ref.P_max < ref.P[0] * (1.0 + 1e-5)
         assert two_peak >= 100 and near_tie >= 15
+
+
+@settings(max_examples=100)
+@given(st.floats(0.16, 0.7), st.floats(0.05, 0.99))
+def test_log_slope_is_negative_at_the_end_of_the_peak_search(eta, rfrac):
+    # the search for an inner pair ends at the curvature turnover, where the
+    # log-derivative of the squared pressure is negative, so its last sign
+    # change is a maximum
+    p, r = 20.0, rfrac * eta * 20.0
+    seg = segment_metrics(p, [eta], [r], 2, 1200.0, 2.0 * K_STEEL)
+    start = driving_window(seg.delta, 2)[0]
+    b = min_cam_radius(seg.delta, p, np.array([eta]), r, 2)[0]
+    assume(seg.ok[0] and start[0] < b[0])
+    assert b[0] == curvature_turnover(eta)
+    assert _hertz_log_slope(b[0] - math.pi, TAU * eta - 1.0, TAU * r / p)[0] < 0.0
 
 
 class TestMechanismSize:
