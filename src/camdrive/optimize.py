@@ -294,8 +294,8 @@ def _pair_metrics(space: DesignSpace, m_values, d_cs: np.ndarray, r: np.ndarray)
 
     d_cs = 0 puts the roller on the cam axis line (e = r), which no profile
     allows; those pairs and the ones the kernel rejects get NaN metrics.
-    Pairs go to the kernel in chunks of _PAIR_CHUNK, which lets `workers`
-    processes share the chunks and keeps the kernel's temporaries small.
+    Pairs go to the kernel in chunks of _PAIR_CHUNK, shared by `workers`
+    processes: large enough to hide the kernel's fixed cost per call.
     """
     eta = eta_from_design(d_cs, r, space.pitch)
     K_sum = compliance_sum(space.cam_material, space.roller_material)
