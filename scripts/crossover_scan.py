@@ -8,7 +8,6 @@ locates the angle where that stops.
 
 Usage: python scripts/crossover_scan.py [resolution]
 """
-import math
 import sys
 
 import numpy as np
@@ -16,9 +15,9 @@ import numpy as np
 import camdrive as cd
 
 
-def envelope(front, grid_deg):
-    mu = np.array([math.degrees(c.mu_max) for c in front])
-    P = np.array([c.P_max for c in front])
+def envelope(table, grid_deg):
+    """Lower envelope of P_max over mu_max of a (mu, P, ...) front table."""
+    mu, P = np.degrees(table[:, 0]), table[:, 1]
     order = np.argsort(mu)
     mu, P = mu[order], np.minimum.accumulate(P[order])
     idx = np.searchsorted(mu, grid_deg, side="right") - 1
@@ -32,10 +31,10 @@ def main() -> int:
     resolution = int(sys.argv[1]) if len(sys.argv) > 1 else 64
     result = cd.sweep(cd.DesignSpace(resolution=resolution))
     grid = np.arange(10.0, 30.01, 0.5)
-    env = {m: envelope(front, grid) for m, front in result.per_m_fronts.items()}
+    env = {m: envelope(table, grid) for m, table in result.tables.items()}
     print(f"resolution {resolution}: "
-          + ", ".join(f"m={m}: {len(f)} front points"
-                      for m, f in result.per_m_fronts.items()))
+          + ", ".join(f"m={m}: {len(t)} front points"
+                      for m, t in result.tables.items()))
     print(f"{'mu_max[deg]':>12} {'P(m=2)[MPa]':>12} {'P(m=3)[MPa]':>12} {'gap':>9}")
     crossover = None
     for g, p2, p3 in zip(grid, env[2], env[3]):

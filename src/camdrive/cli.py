@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -285,85 +286,101 @@ def _front_rows(front):
                c.feasible, c.convex_profile]
 
 
+def _table_lines(space, table) -> list[str]:
+    """The CSV lines of a (mu, P, S, m, d_cs, r, L) front table: `_front_rows`
+    of its candidates, each row formatted once."""
+    mu, P, S, m, d_cs, r, L = table.T
+    convex = math.pi * optimize.eta_from_design(d_cs, r, space.pitch) > 1.0
+    buf = io.StringIO()
+    csv.writer(buf).writerows(zip(
+        m.astype(int).tolist(), d_cs.tolist(), r.tolist(), L.tolist(),
+        np.degrees(mu).tolist(), P.tolist(), S.tolist(), [True] * len(table),
+        convex.tolist()))
+    return buf.getvalue().splitlines(keepends=True)
+
+
+def _write_csv_lines(path: Path, header: list[str], lines) -> None:
+    """Header, then rows that are already CSV lines."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(lines)
+
+
 def cmd_pareto(cfg: RunConfig) -> int:
     space = cfg.space()
     result = optimize.sweep(space)
     out = _outdir(cfg)
     if _wants(cfg, "csv"):
-        _write_csv(out / "pareto_front.csv", _FRONT_HEADER, _front_rows(result.front))
-        for m, front in result.per_m_fronts.items():
-            _write_csv(out / f"pareto_front_m{m}.csv", _FRONT_HEADER,
-                       _front_rows(front))
+        lines = []
+        for m, table in result.tables.items():
+            lines_m = _table_lines(space, table)
+            _write_csv_lines(out / f"pareto_front_m{m}.csv", _FRONT_HEADER, lines_m)
+            lines += lines_m
+        _write_csv_lines(out / "pareto_front.csv", _FRONT_HEADER,
+                         [lines[i] for i in result.front_index.tolist()])
+    sizes = {m: len(table) for m, table in result.tables.items()}
     if _wants(cfg, "json"):
         _write_json(out / "pareto.json", {
             **_meta(cfg),
             "design_space": space.to_dict(),
             "evaluated": result.evaluated,
-            "front_size": len(result.front),
-            "per_m_front_size": {str(m): len(f)
-                                 for m, f in result.per_m_fronts.items()},
-            "front": [
-                {"m": c.m, "d_cs_mm": c.d_cs, "r_mm": c.r, "L_mm": c.L,
-                 "mu_max_deg": math.degrees(c.mu_max), "p_max_mpa": c.P_max,
-                 "s_m_mm": c.S_M, "convex_profile": c.convex_profile}
-                for c in result.front
-            ],
+            "front_size": len(result.front_index),
+            "per_m_front_size": {str(m): n for m, n in sizes.items()},
         })
     if _wants(cfg, "svg"):
         _pareto_svgs(out, result)
-    print(f"sweep: {result.evaluated} candidates, merged front {len(result.front)}, "
-          + ", ".join(f"m={m}: {len(f)}" for m, f in result.per_m_fronts.items()))
+    print(f"sweep: {result.evaluated} candidates, merged front {len(result.front_index)}, "
+          + ", ".join(f"m={m}: {n}" for m, n in sizes.items()))
     return EXIT_OK
 
 
 _M_COLORS = {2: "#aa3322", 3: "#2255aa"}
 
 
+def _plotted(table) -> np.ndarray:
+    """mu_max in degrees, P_max and S_M of a front table's rows."""
+    return np.column_stack([np.degrees(table[:, 0]), table[:, 1], table[:, 2]])
+
+
 def _pareto_svgs(out: Path, result) -> None:
-    fronts = result.per_m_fronts
-    axes = {
-        "pareto_mu_sm.svg": (lambda c: math.degrees(c.mu_max), lambda c: c.S_M,
-                             "mu_max [deg]", "S_M [mm]"),
-        "pareto_p_mu.svg": (lambda c: math.degrees(c.mu_max), lambda c: c.P_max,
-                            "mu_max [deg]", "P_max [MPa]"),
-        "pareto_p_sm.svg": (lambda c: c.S_M, lambda c: c.P_max,
-                            "S_M [mm]", "P_max [MPa]"),
-    }
-    allc = [c for front in fronts.values() for c in front]
-    if not allc:
+    fronts = {m: _plotted(table) for m, table in result.tables.items()}
+    allc = np.concatenate(list(fronts.values()))
+    if not len(allc):
         return
-    for name, (fx, fy, xl, yl) in axes.items():
-        xs = [fx(c) for c in allc]
-        ys = [fy(c) for c in allc]
-        canvas = Canvas(padded_range(min(xs), max(xs)),
-                        padded_range(min(ys), max(ys)))
+    MU, P, S = range(3)
+    axes = {
+        "pareto_mu_sm.svg": (MU, S, "mu_max [deg]", "S_M [mm]"),
+        "pareto_p_mu.svg": (MU, P, "mu_max [deg]", "P_max [MPa]"),
+        "pareto_p_sm.svg": (S, P, "S_M [mm]", "P_max [MPa]"),
+    }
+    for name, (ix, iy, xl, yl) in axes.items():
+        canvas = Canvas(padded_range(float(allc[:, ix].min()), float(allc[:, ix].max())),
+                        padded_range(float(allc[:, iy].min()), float(allc[:, iy].max())))
         canvas.axes(xl, yl)
         y = 18
         for m, front in fronts.items():
             color = _M_COLORS.get(m, "#000000")
-            for c in front:
-                canvas.circle(fx(c), fy(c), 2.2, stroke=color)
+            canvas.circles(front[:, ix], front[:, iy], 2.2, stroke=color)
             canvas.page_text(canvas.width - 150, y, f"{m} conjugate cams",
                              color=color)
             y += 16
         canvas.write(out / name)
     # isometric 3D scatter of the merged front
-    front = result.front
-    mus = [math.degrees(c.mu_max) for c in front]
-    ps = [c.P_max for c in front]
-    sms = [c.S_M for c in front]
+    table = result.front_table
 
     def norm(vals):
-        lo, hi = min(vals), max(vals)
-        return [(v - lo) / (hi - lo) if hi > lo else 0.5 for v in vals]
+        lo, hi = vals.min(), vals.max()
+        return (vals - lo) / (hi - lo) if hi > lo else np.full(len(vals), 0.5)
 
-    nx, ny, nz = norm(mus), norm(sms), norm(ps)
+    front = _plotted(table)
+    nx, ny, nz = norm(front[:, MU]), norm(front[:, S]), norm(front[:, P])
     ca, cb = math.cos(math.radians(30)), math.sin(math.radians(30))
-    px = [(x - y) * ca for x, y, z in zip(nx, ny, nz)]
-    py = [(x + y) * cb + z for x, y, z in zip(nx, ny, nz)]
-    canvas = Canvas(padded_range(min(px), max(px)), padded_range(min(py), max(py)))
-    for c, x, y in zip(front, px, py):
-        canvas.circle(x, y, 2.2, stroke=_M_COLORS.get(c.m, "#000000"))
+    px = (nx - ny) * ca
+    py = (nx + ny) * cb + nz
+    canvas = Canvas(padded_range(float(px.min()), float(px.max())),
+                    padded_range(float(py.min()), float(py.max())))
+    canvas.circles(px, py, 2.2, stroke=[_M_COLORS.get(m, "#000000")
+                                        for m in table[:, 3].astype(int).tolist()])
     canvas.page_text(14, 18, "merged front, isometric axes: mu_max, S_M, P_max")
     canvas.write(out / "pareto_3d.svg")
 

@@ -350,19 +350,39 @@ class GridData:
 class SweepResult:
     """Merged and per-m Pareto fronts of a sweep.
 
+    `tables` holds each cam count's front as a (mu, P, S, m, d_cs, r, L)
+    table in `_lex_order`, and `front_index` the merged front as row indices
+    into those tables concatenated in m order. `front` and `per_m_fronts`,
+    the same fronts as `DesignCandidate` lists, are built when first read.
     `pairs` holds the (d_cs, r) pairs and their metrics by cam count, as
     (d_cs, r, {m: (geometry_ok, mu_max, P_unit)}); `grids`, the evaluation
     of every (d_cs, r, L) candidate, is built from them when first read.
     """
 
     space: DesignSpace
-    front: list = field(repr=False)
-    per_m_fronts: dict = field(repr=False)
+    tables: dict = field(repr=False)
+    front_index: np.ndarray = field(repr=False)
     pairs: tuple = field(repr=False)
 
     @property
     def evaluated(self) -> int:
         return len(self.space.m_values) * self.space.resolution ** 3
+
+    @property
+    def front_table(self) -> np.ndarray:
+        """The merged front as a (mu, P, S, m, d_cs, r, L) table."""
+        return np.concatenate(list(self.tables.values()))[self.front_index]
+
+    @cached_property
+    def per_m_fronts(self) -> dict:
+        return {m: [_candidate(self.space, m, d, r, L, S, mu, P, True)
+                    for mu, P, S, _, d, r, L in table.tolist()]
+                for m, table in self.tables.items()}
+
+    @cached_property
+    def front(self) -> list:
+        union = [c for front in self.per_m_fronts.values() for c in front]
+        return [union[i] for i in self.front_index.tolist()]
 
     @cached_property
     def grids(self) -> dict:
@@ -416,18 +436,13 @@ def sweep(space: DesignSpace) -> SweepResult:
     the tests check the fronts against the filter over the whole grid. The
     merged front is the front of the union of the per-m fronts, which
     equals the front over all evaluated feasible candidates. Fronts are
-    in `_lex_order` of their (mu, P, S, m, d_cs, r, L) rows.
+    in `_lex_order` of their (mu, P, S, m, d_cs, r, L) rows, and the result
+    keeps them as those tables; no candidate is built until one is read.
     """
     _, _, D, R, pairs = _pair_grid(space, space.m_values, space.resolution)
-    per_m_fronts = {}
-    tables = []
-    for m in space.m_values:
-        tables.append(_per_m_front(space, m, D, R, *pairs[m]))
-        per_m_fronts[m] = [_candidate(space, m, d, r, L, S, mu, P, True)
-                           for mu, P, S, _, d, r, L in tables[-1].tolist()]
-    union = [c for m in space.m_values for c in per_m_fronts[m]]
-    front = [union[i] for i in _front(np.concatenate(tables))]
-    return SweepResult(space=space, front=front, per_m_fronts=per_m_fronts,
+    tables = {m: _per_m_front(space, m, D, R, *pairs[m]) for m in space.m_values}
+    return SweepResult(space=space, tables=tables,
+                       front_index=_front(np.concatenate(list(tables.values()))),
                        pairs=(D, R, pairs))
 
 

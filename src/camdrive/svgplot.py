@@ -9,12 +9,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 def _fmt(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"non-finite coordinate {x!r} in SVG output")
     s = f"{x:.3f}"
     return "0.000" if s == "-0.000" else s
+
+
+def _fmt_all(values: list) -> list:
+    """`_fmt` of each of a list of finite floats."""
+    return ["0.000" if s == "-0.000" else s for s in map("{:.3f}".format, values)]
 
 
 @dataclass
@@ -61,6 +68,31 @@ class Canvas:
         self.elements.append(
             f'<circle cx="{_fmt(self._sx(x))}" cy="{_fmt(self._sy(y))}"'
             f' r="{_fmt(radius_px)}" stroke="{stroke}" fill="{fill}"/>')
+
+    def circles(self, xs, ys, radius_px=2.5, stroke="#000000"):
+        """`circle` of each point in turn, mapped and formatted as whole arrays.
+
+        `stroke` is one colour or a sequence of one colour per point. The
+        elements are those of the `circle` loop, string for string, and a
+        non-finite value raises `_fmt`'s error for the value the loop would
+        meet first.
+        """
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        sx = np.broadcast_to(self._sx(xs), xs.shape)
+        sy = np.broadcast_to(self._sy(ys), ys.shape)
+        finite = np.isfinite(sx).all() and np.isfinite(sy).all()
+        sx, sy = sx.tolist(), sy.tolist()
+        if not sx:
+            return
+        if not (finite and math.isfinite(radius_px)):
+            for x, y in zip(sx, sy):
+                _fmt(x), _fmt(y), _fmt(radius_px)
+        strokes = [stroke] * len(sx) if isinstance(stroke, str) else stroke
+        r = _fmt(radius_px)
+        self.elements.extend(
+            f'<circle cx="{cx}" cy="{cy}" r="{r}" stroke="{s}" fill="none"/>'
+            for cx, cy, s in zip(_fmt_all(sx), _fmt_all(sy), strokes, strict=True))
 
     def data_circle(self, x, y, radius, stroke="#000000", fill="none"):
         """Circle whose radius lives in data units (x scale)."""

@@ -221,6 +221,24 @@ class TestParetoCommand:
         assert (out / "pareto_front_m2.csv").exists()
         assert (out / "pareto_front_m3.csv").exists()
 
+    def test_json_holds_sizes_not_the_front(self, tmp_path):
+        out = tmp_path / "p"
+        assert run(tmp_path, "pareto", "--out", str(out), "--resolution", "16") == 0
+        meta = json.loads((out / "pareto.json").read_text())
+        assert "front" not in meta
+        assert meta["front_size"] == len(read_csv(out / "pareto_front.csv")) - 1
+        assert meta["per_m_front_size"] == {
+            m: len(read_csv(out / f"pareto_front_m{m}.csv")) - 1 for m in ("2", "3")}
+        assert meta["front_size"] > 0
+
+    def test_rerun_writes_every_file_byte_identical(self, tmp_path):
+        out = tmp_path / "p"
+        assert run(tmp_path, "pareto", "--out", str(out), "--resolution", "20") == 0
+        first = {f.name: f.read_bytes() for f in out.iterdir()}
+        assert len(first) == 8 and sum(n.endswith(".svg") for n in first) == 4
+        assert run(tmp_path, "pareto", "--out", str(out), "--resolution", "20") == 0
+        assert {f.name: f.read_bytes() for f in out.iterdir()} == first
+
 
 class TestContourCommand:
     def test_style_flag_changes_svg_not_data(self, tmp_path):
