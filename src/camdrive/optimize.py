@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -78,7 +77,6 @@ class DesignSpace:
     mu_cap: float = math.radians(30.0)
     P_cap: float = 800.0
     S_cap: float = 90.0
-    workers: int = 1
 
     def __post_init__(self):
         if self.resolution < MIN_GRID_RESOLUTION:
@@ -121,7 +119,6 @@ class DesignSpace:
             "mu_cap_deg": math.degrees(self.mu_cap),
             "p_cap_mpa": self.P_cap,
             "s_cap_mm": self.S_cap,
-            "workers": self.workers,
         }
 
 
@@ -275,42 +272,30 @@ def pareto_front(candidates) -> list[DesignCandidate]:
 
 # --- vectorised grid evaluation ------------------------------------------
 
-def _pair_kernel(p, m_values, torque, K_sum, eta, r) -> list:
-    """`segment_metrics` of one chunk of pairs for each cam count in turn.
-
-    The closure angle does not depend on m, so the first call solves it and
-    the others reuse it.
-    """
-    segs = []
-    delta = None
-    for m in m_values:
-        segs.append(segment_metrics(p, eta, r, m, torque, K_sum, delta=delta))
-        delta = segs[-1].delta
-    return segs
-
-
 def _pair_metrics(space: DesignSpace, m_values, d_cs: np.ndarray, r: np.ndarray) -> dict:
     """Geometry flag, mu_max and unit-width P_max of each (d_cs, r) pair, by m.
 
     d_cs = 0 puts the roller on the cam axis line (e = r), which no profile
     allows; those pairs and the ones the kernel rejects get NaN metrics.
-    Pairs go to the kernel in chunks of _PAIR_CHUNK, shared by `workers`
-    processes: large enough to hide the kernel's fixed cost per call.
+    Pairs go to the kernel in chunks of _PAIR_CHUNK, which bound its
+    (chunk, ROOT_SCAN_NODES) arrays and hide its fixed cost per call. The
+    closure angle does not depend on m, so each chunk solves it for the
+    first cam count and the others reuse it.
     """
     eta = eta_from_design(d_cs, r, space.pitch)
     K_sum = compliance_sum(space.cam_material, space.roller_material)
-    kernel = partial(_pair_kernel, space.pitch, tuple(m_values), space.load.torque,
-                     K_sum)
-    etas = [eta[s:s + _PAIR_CHUNK] for s in range(0, len(eta), _PAIR_CHUNK)]
-    rs = [r[s:s + _PAIR_CHUNK] for s in range(0, len(r), _PAIR_CHUNK)]
-    if space.workers > 1 and len(etas) > 1:
-        with ProcessPoolExecutor(max_workers=space.workers) as pool:
-            parts = list(pool.map(kernel, etas, rs))
-    else:
-        parts = list(map(kernel, etas, rs))
+    parts = {m: [] for m in m_values}
+    for s in range(0, len(eta), _PAIR_CHUNK):
+        delta = None
+        for m in m_values:
+            seg = segment_metrics(space.pitch, eta[s:s + _PAIR_CHUNK], r[s:s + _PAIR_CHUNK],
+                                  m, space.load.torque, K_sum, delta=delta)
+            parts[m].append(seg)
+            delta = seg.delta
     out = {}
-    for m, segs in zip(m_values, zip(*parts)):
+    for m, segs in parts.items():
         seg = SegmentMetrics(*(np.concatenate(col) for col in zip(*segs)))
+        # e > r exactly: eta*p, all the kernel sees, can round above r at d_cs = 0
         geom = (d_cs > 0.0) & seg.ok
         out[m] = (geom, np.where(geom, seg.mu_max, np.nan),
                   np.where(geom, seg.P_max, np.nan))

@@ -410,12 +410,5 @@ def test_criterion_11_determinism(tmp_path):
     identical = all(f.read_bytes() == first[f.name]
                     for f in sorted(out.iterdir())
                     if f.suffix in (".csv", ".json"))
-    r1 = cd.sweep(cd.DesignSpace(resolution=20, workers=1))
-    r2 = cd.sweep(cd.DesignSpace(resolution=20, workers=2))
-    parallel_same = all(
-        np.array_equal(r1.grids[m].P_max, r2.grids[m].P_max, equal_nan=True)
-        and np.array_equal(r1.grids[m].mu_max, r2.grids[m].mu_max, equal_nan=True)
-        for m in (2, 3)) and [c.x for c in r1.front] == [c.x for c in r2.front]
-    verdict(11, identical and parallel_same,
-            f"{len(first)} CSV/JSON files byte-identical across reruns; "
-            "parallel evaluation (2 workers) bitwise-identical to serial")
+    verdict(11, identical,
+            f"{len(first)} CSV/JSON files byte-identical across reruns")

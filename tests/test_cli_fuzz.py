@@ -6,10 +6,10 @@ mechanism) with one line on stderr, never with a traceback; `pareto` and
 every number written is finite, except the NaN cells of `contour_grid.csv`
 where the geometry fails. Configs start from a small valid one and get one
 or two fields replaced by non-finite, negative, zero, huge, wrongly typed
-or repeated values. Resolutions stay at or below 24, sample counts near
-their minimums and `workers` at or below 2; the one larger count drawn,
-1e300, is far past every memory limit. Warnings are errors: a run prints
-nothing on stderr but its one line.
+or repeated values. Resolutions stay at or below 24 and sample counts near
+their minimums; `workers` accepts only 1, so its other draws exit 1. The
+one larger count drawn, 1e300, is far past every memory limit. Warnings
+are errors: a run prints nothing on stderr but its one line.
 """
 import contextlib
 import csv

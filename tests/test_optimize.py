@@ -1,5 +1,4 @@
 import math
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -235,42 +234,20 @@ class TestSweep:
                                   equal_nan=True)
         assert [c.x for c in r1.front] == [c.x for c in r2.front]
 
-    def test_parallel_evaluation_identical(self):
-        r1 = cd.sweep(small_space(workers=1))
-        r2 = cd.sweep(small_space(workers=2))
-        for m in (2, 3):
-            assert np.array_equal(r1.grids[m].mu_max, r2.grids[m].mu_max,
-                                  equal_nan=True)
-            assert np.array_equal(r1.grids[m].P_max, r2.grids[m].P_max,
-                                  equal_nan=True)
-        assert [c.x for c in r1.front] == [c.x for c in r2.front]
-
-    def test_parallel_chunks_identical(self, monkeypatch):
-        # resolution 16 is one chunk of _PAIR_CHUNK pairs and starts no pool;
-        # 64-pair chunks (cut in this process) send four chunks to two workers
-        pools = []
-
-        class CountingPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(kwargs)
-                super().__init__(*args, **kwargs)
-
-        whole = cd.sweep(small_space(workers=1))
+    def test_chunks_identical(self, monkeypatch):
+        # resolution 16 is one chunk of _PAIR_CHUNK pairs; 64-pair chunks make four
+        whole = cd.sweep(small_space())
         monkeypatch.setattr(optimize, "_PAIR_CHUNK", 64)
-        monkeypatch.setattr(optimize, "ProcessPoolExecutor", CountingPool)
-        serial = cd.sweep(small_space(workers=1))
-        assert pools == []
-        parallel = cd.sweep(small_space(workers=2))
-        assert pools == [{"max_workers": 2}]
-        for res in (serial, parallel):
-            for m in (2, 3):
-                for col in ("d_cs", "r", "L", "mu_max", "P_max", "S_M", "feasible",
-                            "geometry_ok"):
-                    assert np.array_equal(getattr(whole.grids[m], col),
-                                          getattr(res.grids[m], col), equal_nan=True)
-            assert [c.x for c in res.front] == [c.x for c in whole.front]
-            assert [(c.mu_max, c.P_max) for c in res.front] == \
-                [(c.mu_max, c.P_max) for c in whole.front]
+        chunked = cd.sweep(small_space())
+        for m in (2, 3):
+            for col in ("d_cs", "r", "L", "mu_max", "P_max", "S_M", "feasible",
+                        "geometry_ok"):
+                assert np.array_equal(getattr(whole.grids[m], col),
+                                      getattr(chunked.grids[m], col), equal_nan=True)
+            assert np.array_equal(chunked.tables[m], whole.tables[m])
+        assert [c.x for c in chunked.front] == [c.x for c in whole.front]
+        assert [(c.mu_max, c.P_max) for c in chunked.front] == \
+            [(c.mu_max, c.P_max) for c in whole.front]
 
     def test_minimum_resolution(self):
         with pytest.raises(InvalidSpec):

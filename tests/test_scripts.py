@@ -1,0 +1,52 @@
+"""Smoke tests of the scripts under `scripts/`: each runs as its own process.
+
+`root_evidence.py` is left out: it takes about 20 s.
+"""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+STUDY_TREE = {
+    "profile": {"profile.csv", "profile.json", "profile.svg"},
+    "metrics": {"metrics.csv", "metrics.json"},
+    "sensitivity": {"sensitivity.json", "sensitivity.svg", "sensitivity_profile.csv",
+                    "sensitivity_tables.csv"},
+    "pareto": {"pareto.json", "pareto_3d.svg", "pareto_front.csv", "pareto_front_m2.csv",
+               "pareto_front_m3.csv", "pareto_mu_sm.svg", "pareto_p_mu.svg",
+               "pareto_p_sm.svg"},
+    "contour_m2": {"contour.json", "contour.svg", "contour_grid.csv", "contour_locus.csv"},
+    "contour_m3": {"contour.json", "contour.svg", "contour_grid.csv", "contour_locus.csv"},
+}
+
+
+def run_script(name, *args, cwd):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_reproduce_study_writes_the_study_tree(tmp_path):
+    out = tmp_path / "study"
+    proc = run_script("reproduce_study.py", out, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert {d.name: {f.name for f in d.iterdir()} for d in out.iterdir()} == STUDY_TREE
+    assert all(f.stat().st_size > 0 for f in out.glob("*/*"))
+    assert "sweep: 524288 candidates" in proc.stdout
+
+
+def test_crossover_scan_prints_the_envelope_table(tmp_path):
+    proc = run_script("crossover_scan.py", 16, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("resolution 16: m=2: ") and "m=3: " in lines[0]
+    assert lines[1].split() == ["mu_max[deg]", "P(m=2)[MPa]", "P(m=3)[MPa]", "gap"]
+    assert len(lines) == 2 + 41 + 1  # mu_max from 10 to 30 deg in 0.5 deg steps
+    assert lines[-1].startswith(("three-cam envelope never loses",
+                                 "two-cam envelope takes over"))
+    assert list(tmp_path.iterdir()) == []
