@@ -11,8 +11,6 @@ to exit codes, each with one line on stderr.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -82,12 +80,22 @@ def _wants(cfg: RunConfig, fmt: str) -> bool:
     return fmt in cfg.output.formats or "all" in cfg.output.formats
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """Header, then rows of Python scalars; csv writes a float as its repr."""
+def _csv_lines(*columns):
+    """The CSV lines of the rows that zip the columns, one line at a time.
+
+    For Python floats, ints, bools and strings holding no comma, double
+    quote, carriage return or newline, these are the lines `csv.writer`
+    writes: it writes a float as its repr, which is `str(float)`, quotes only
+    fields holding one of those four characters and ends a line with CRLF.
+    """
+    return (",".join(map(str, row)) + "\r\n" for row in zip(*columns))
+
+
+def _write_csv(path: Path, header: list[str], lines) -> None:
+    """Header, then rows that are already CSV lines, streamed to the file."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.writelines(_csv_lines(*zip(header)))  # one row: the header
+        fh.writelines(lines)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -118,7 +126,9 @@ def cmd_profile(cfg: RunConfig) -> int:
         _write_csv(out / "profile.csv",
                    ["psi_rad", "u_c_mm", "v_c_mm", "u_p_mm", "v_p_mm",
                     "kappa_p_per_mm", "rho_c_mm"],
-                   prof.rows())
+                   _csv_lines(*(a.tolist() for a in (
+                       prof.psi, prof.u_c, prof.v_c, prof.u_p, prof.v_p,
+                       prof.kappa_p, prof.rho_c))))
     if _wants(cfg, "json"):
         _write_json(out / "profile.json", {
             **_meta(cfg),
@@ -201,8 +211,9 @@ def cmd_metrics(cfg: RunConfig) -> int:
                    ["mu_max_deg", "psi_at_mu_max_rad", "p_max_mpa",
                     "psi_at_p_max_rad", "size_mm", "fully_convex",
                     "profile_feasible", "allowable_pressure_ok"],
-                   [[math.degrees(mu_max), psi_mu, P_max, psi_P, S_M,
-                     report.fully_convex, report.profile_feasible, allowable]])
+                   _csv_lines(*zip([math.degrees(mu_max), psi_mu, P_max, psi_P, S_M,
+                                    report.fully_convex, report.profile_feasible,
+                                    allowable])))
     print(f"mu_max   = {math.degrees(mu_max):.4f} deg at psi = {psi_mu:.4f} rad")
     print(f"P_max    = {P_max:.4f} MPa at psi = {psi_P:.4f} rad")
     print(f"S_M      = {S_M:.4f} mm")
@@ -227,13 +238,12 @@ def cmd_sensitivity(cfg: RunConfig) -> int:
     if _wants(cfg, "csv"):
         _write_csv(out / "sensitivity_profile.csv",
                    ["psi_rad"] + [f"dP_d{n}_norm_mpa" for n in names],
-                   zip(rep.psi.tolist(), *(rep.pointwise[n].tolist() for n in names)))
+                   _csv_lines(rep.psi.tolist(), *(rep.pointwise[n].tolist() for n in names)))
         _write_csv(out / "sensitivity_tables.csv",
                    ["mode", "r", "eta", "p", "L", "ranking"],
-                   [["at_max"] + [rep.at_max[n] for n in sensitivity.PARAMS]
-                    + [" ".join(rep.at_max_ranking)],
-                    ["rms"] + [rep.rms[n] for n in sensitivity.PARAMS]
-                    + [" ".join(rep.rms_ranking)]])
+                   _csv_lines(["at_max", "rms"],
+                              *([rep.at_max[n], rep.rms[n]] for n in sensitivity.PARAMS),
+                              [" ".join(rep.at_max_ranking), " ".join(rep.rms_ranking)]))
     if _wants(cfg, "json"):
         _write_json(out / "sensitivity.json", {
             **_meta(cfg),
@@ -280,30 +290,21 @@ _FRONT_HEADER = ["m", "d_cs_mm", "r_mm", "L_mm", "mu_max_deg", "p_max_mpa",
                  "s_m_mm", "feasible", "convex_profile"]
 
 
-def _front_rows(front):
-    for c in front:
-        yield [c.m, c.d_cs, c.r, c.L, math.degrees(c.mu_max), c.P_max, c.S_M,
-               c.feasible, c.convex_profile]
+def _front_lines(front):
+    """The CSV lines of a list of candidates, one `_FRONT_HEADER` row each."""
+    return _csv_lines(*zip(*([c.m, c.d_cs, c.r, c.L, math.degrees(c.mu_max), c.P_max,
+                              c.S_M, c.feasible, c.convex_profile] for c in front)))
 
 
 def _table_lines(space, table) -> list[str]:
-    """The CSV lines of a (mu, P, S, m, d_cs, r, L) front table: `_front_rows`
+    """The CSV lines of a (mu, P, S, m, d_cs, r, L) front table: `_front_lines`
     of its candidates, each row formatted once."""
     mu, P, S, m, d_cs, r, L = table.T
     convex = math.pi * optimize.eta_from_design(d_cs, r, space.pitch) > 1.0
-    buf = io.StringIO()
-    csv.writer(buf).writerows(zip(
+    return list(_csv_lines(
         m.astype(int).tolist(), d_cs.tolist(), r.tolist(), L.tolist(),
         np.degrees(mu).tolist(), P.tolist(), S.tolist(), [True] * len(table),
         convex.tolist()))
-    return buf.getvalue().splitlines(keepends=True)
-
-
-def _write_csv_lines(path: Path, header: list[str], lines) -> None:
-    """Header, then rows that are already CSV lines."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(header)
-        fh.writelines(lines)
 
 
 def cmd_pareto(cfg: RunConfig) -> int:
@@ -314,10 +315,10 @@ def cmd_pareto(cfg: RunConfig) -> int:
         lines = []
         for m, table in result.tables.items():
             lines_m = _table_lines(space, table)
-            _write_csv_lines(out / f"pareto_front_m{m}.csv", _FRONT_HEADER, lines_m)
+            _write_csv(out / f"pareto_front_m{m}.csv", _FRONT_HEADER, lines_m)
             lines += lines_m
-        _write_csv_lines(out / "pareto_front.csv", _FRONT_HEADER,
-                         [lines[i] for i in result.front_index.tolist()])
+        _write_csv(out / "pareto_front.csv", _FRONT_HEADER,
+                   [lines[i] for i in result.front_index.tolist()])
     sizes = {m: len(table) for m, table in result.tables.items()}
     if _wants(cfg, "json"):
         _write_json(out / "pareto.json", {
@@ -394,12 +395,13 @@ def cmd_contour(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     if _wants(cfg, "csv"):
         res = len(sl.d_axis)
+        d_cs = [s for s in map(str, sl.d_axis.tolist()) for _ in range(res)]
         _write_csv(out / "contour_grid.csv",
                    ["d_cs_mm", "r_mm", "mu_max_deg", "p_max_mpa", "feasible"],
-                   zip(np.repeat(sl.d_axis, res).tolist(), np.tile(sl.r_axis, res).tolist(),
-                       np.degrees(sl.mu_grid).ravel().tolist(), sl.P_grid.ravel().tolist(),
-                       sl.feasible.ravel().tolist()))
-        _write_csv(out / "contour_locus.csv", _FRONT_HEADER, _front_rows(sl.locus))
+                   _csv_lines(d_cs, list(map(str, sl.r_axis.tolist())) * res,
+                              np.degrees(sl.mu_grid).ravel().tolist(),
+                              sl.P_grid.ravel().tolist(), sl.feasible.ravel().tolist()))
+        _write_csv(out / "contour_locus.csv", _FRONT_HEADER, _front_lines(sl.locus))
     if _wants(cfg, "json"):
         _write_json(out / "contour.json", {
             **_meta(cfg),
@@ -418,14 +420,11 @@ def _contour_svg(path: Path, sl, dashed_pressure: bool) -> None:
     canvas = Canvas(padded_range(float(sl.d_axis[0]), float(sl.d_axis[-1])),
                     padded_range(float(sl.r_axis[0]), float(sl.r_axis[-1])))
     canvas.axes("d_cs [mm]", "r [mm]")
-    for lev, segs in sl.mu_isolines.items():
-        for (x1, y1), (x2, y2) in segs:
-            canvas.segment(x1, y1, x2, y2, stroke="#228833",
-                           dashed=not dashed_pressure)
-    for lev, segs in sl.P_isolines.items():
-        for (x1, y1), (x2, y2) in segs:
-            canvas.segment(x1, y1, x2, y2, stroke="#aa3322",
-                           dashed=dashed_pressure)
+    for isolines, stroke, dashed in ((sl.mu_isolines, "#228833", not dashed_pressure),
+                                     (sl.P_isolines, "#aa3322", dashed_pressure)):
+        for segs in isolines.values():
+            ends = np.array(segs, dtype=float).reshape(-1, 4)  # x1, y1, x2, y2
+            canvas.segments(*ends.T, stroke=stroke, dashed=dashed)
     for c in sl.locus:
         canvas.circle(c.d_cs, c.r, 2.4, stroke="#000000", fill="#000000")
     canvas.page_text(14, 18, "pressure-angle contours (green), "

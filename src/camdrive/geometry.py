@@ -126,11 +126,6 @@ class CamProfile:
     def resolution(self) -> int:
         return len(self.psi)
 
-    def rows(self):
-        """Per-sample tuples (psi, u_c, v_c, u_p, v_p, kappa_p, rho_c) of floats."""
-        return zip(*(a.tolist() for a in (self.psi, self.u_c, self.v_c, self.u_p,
-                                          self.v_p, self.kappa_p, self.rho_c)))
-
 
 def follower_displacement(psi, p):
     """Follower position for cam angle psi; rises by exactly p per turn."""

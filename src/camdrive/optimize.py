@@ -471,6 +471,8 @@ def _edge_table() -> np.ndarray:
 
 
 _EDGE_TABLE = _edge_table()
+_CORNER_DI = np.array([0, 1, 1, 0])  # corner k of cell (i, j) is (i + DI[k], j + DJ[k])
+_CORNER_DJ = np.array([0, 0, 1, 1])
 
 
 def marching_squares(x_axis, y_axis, Z, level) -> list:
@@ -479,32 +481,31 @@ def marching_squares(x_axis, y_axis, Z, level) -> list:
     Z is indexed [i, j] for (x_axis[i], y_axis[j]); cells touching NaN are
     skipped. Returns a list of ((x1, y1), (x2, y2)) segments ordered by
     cell, i-major, and within a saddle cell by edge. An edge from corner a
-    to corner b is crossed at t = (level - va)/(vb - va) of its length.
+    to corner b is crossed at t = (level - va)/(vb - va) of its length; only
+    the crossed edges, two per segment, are interpolated.
     """
     Z = np.asarray(Z, dtype=float)
-    x = np.asarray(x_axis, dtype=float)[:, None]
-    y = np.asarray(y_axis, dtype=float)[None, :]
+    x = np.asarray(x_axis, dtype=float)
+    y = np.asarray(y_axis, dtype=float)
     V = (Z[:-1, :-1], Z[1:, :-1], Z[1:, 1:], Z[:-1, 1:])
-    X = (x[:-1], x[1:], x[1:], x[:-1])
-    Y = (y[:, :-1], y[:, :-1], y[:, 1:], y[:, 1:])
     valid = ~(np.isnan(V[0]) | np.isnan(V[1]) | np.isnan(V[2]) | np.isnan(V[3]))
     case = sum((V[k] < level).astype(int) << k for k in range(4))
     slots = _EDGE_TABLE[case[valid]]                       # (cells, 2, 2)
     cell = np.flatnonzero(valid)
     has = slots[:, :, 0] >= 0
     seg_cell = np.broadcast_to(cell[:, None], has.shape)[has]  # cell-major, slot order
-    ea, eb = slots[has].T
-    px, py = [], []
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # uncrossed edges
-        for a in range(4):
+    i, j = np.divmod(seg_cell, case.shape[1])
+    ends = []
+    with np.errstate(invalid="ignore", over="ignore"):  # infinite or huge corners
+        for a in slots[has].T:
             b = (a + 1) % 4
-            t = (level - V[a]) / (V[b] - V[a])
-            px.append(np.broadcast_to(X[a] + t * (X[b] - X[a]), case.shape).ravel())
-            py.append(np.broadcast_to(Y[a] + t * (Y[b] - Y[a]), case.shape).ravel())
-    px, py = np.stack(px), np.stack(py)
-    ends = [(px[e, seg_cell].tolist(), py[e, seg_cell].tolist()) for e in (ea, eb)]
-    return [((x1, y1), (x2, y2))
-            for x1, y1, x2, y2 in zip(*ends[0], *ends[1])]
+            ia, ja = i + _CORNER_DI[a], j + _CORNER_DJ[a]
+            ib, jb = i + _CORNER_DI[b], j + _CORNER_DJ[b]
+            va = Z[ia, ja]
+            t = (level - va) / (Z[ib, jb] - va)
+            ends += [(x[ia] + t * (x[ib] - x[ia])).tolist(),
+                     (y[ja] + t * (y[jb] - y[ja])).tolist()]
+    return [((x1, y1), (x2, y2)) for x1, y1, x2, y2 in zip(*ends)]
 
 
 def contour_slice(space: DesignSpace, m: int, S_M: float,
@@ -537,8 +538,8 @@ def contour_slice(space: DesignSpace, m: int, S_M: float,
              for i in idx[_front(table)]]
     mu_grid = mu.reshape(res, res)
     P_grid = P.reshape(res, res)
-    mu_iso = {lev: marching_squares(d_axis, r_axis, np.degrees(mu_grid), lev)
-              for lev in mu_levels_deg}
+    mu_deg = np.degrees(mu_grid)
+    mu_iso = {lev: marching_squares(d_axis, r_axis, mu_deg, lev) for lev in mu_levels_deg}
     P_iso = {lev: marching_squares(d_axis, r_axis, P_grid, lev) for lev in P_levels}
     return ContourSlice(m=m, S_M=S_M, L=L, d_axis=d_axis, r_axis=r_axis,
                         mu_grid=mu_grid, P_grid=P_grid,

@@ -24,6 +24,16 @@ def _fmt_all(values: list) -> list:
     return ["0.000" if s == "-0.000" else s for s in map("{:.3f}".format, values)]
 
 
+def _check_finite(*columns) -> None:
+    """Raise `_fmt`'s error for the first non-finite value that a loop over
+    the rows of the broadcast columns, each row in column order, would meet."""
+    if all(np.isfinite(c).all() for c in columns):
+        return
+    for row in zip(*np.broadcast_arrays(*columns)):
+        for v in row:
+            _fmt(float(v))
+
+
 @dataclass
 class Canvas:
     """Data-space to page-space mapping plus an element buffer."""
@@ -49,9 +59,19 @@ class Canvas:
         frac = (y - y0) / (y1 - y0)
         return self.height - self.margin - frac * (self.height - 2.0 * self.margin)
 
+    def _page(self, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+        """Page coordinates of data points, as two float arrays."""
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
+        return (np.broadcast_to(self._sx(xs), xs.shape),
+                np.broadcast_to(self._sy(ys), ys.shape))
+
     def polyline(self, xs, ys, stroke="#000000", width=1.0, dashed=False):
-        pts = " ".join(f"{_fmt(self._sx(x))},{_fmt(self._sy(y))}"
-                       for x, y in zip(xs, ys))
+        """One polyline through the points, mapped and formatted as whole
+        arrays; a non-finite page coordinate raises `_fmt`'s error."""
+        sx, sy = self._page(xs, ys)
+        _check_finite(sx, sy)
+        pts = " ".join(map("{},{}".format, _fmt_all(sx.tolist()), _fmt_all(sy.tolist())))
         dash = ' stroke-dasharray="6,4"' if dashed else ""
         self.elements.append(
             f'<polyline fill="none" stroke="{stroke}" stroke-width="{width}"'
@@ -63,6 +83,24 @@ class Canvas:
             f'<line x1="{_fmt(self._sx(x1))}" y1="{_fmt(self._sy(y1))}"'
             f' x2="{_fmt(self._sx(x2))}" y2="{_fmt(self._sy(y2))}"'
             f' stroke="{stroke}" stroke-width="{width}"{dash}/>')
+
+    def segments(self, x1s, y1s, x2s, y2s, stroke="#000000", width=1.0, dashed=False):
+        """`segment` of each (x1, y1, x2, y2) in turn, mapped and formatted as
+        whole arrays.
+
+        The elements are those of the `segment` loop, string for string, and
+        a non-finite value raises `_fmt`'s error for the value the loop would
+        meet first.
+        """
+        sx1, sy1 = self._page(x1s, y1s)
+        sx2, sy2 = self._page(x2s, y2s)
+        _check_finite(sx1, sy1, sx2, sy2)
+        tail = f' stroke="{stroke}" stroke-width="{width}"'
+        tail += ' stroke-dasharray="6,4"/>' if dashed else "/>"
+        self.elements.extend(
+            f'<line x1="{a}" y1="{b}" x2="{c}" y2="{d}"{tail}'
+            for a, b, c, d in zip(*(_fmt_all(v.tolist()) for v in (sx1, sy1, sx2, sy2)),
+                                  strict=True))
 
     def circle(self, x, y, radius_px=2.5, stroke="#000000", fill="none"):
         self.elements.append(
@@ -77,17 +115,11 @@ class Canvas:
         non-finite value raises `_fmt`'s error for the value the loop would
         meet first.
         """
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        sx = np.broadcast_to(self._sx(xs), xs.shape)
-        sy = np.broadcast_to(self._sy(ys), ys.shape)
-        finite = np.isfinite(sx).all() and np.isfinite(sy).all()
-        sx, sy = sx.tolist(), sy.tolist()
-        if not sx:
+        sx, sy = self._page(xs, ys)
+        if not sx.size:
             return
-        if not (finite and math.isfinite(radius_px)):
-            for x, y in zip(sx, sy):
-                _fmt(x), _fmt(y), _fmt(radius_px)
+        _check_finite(sx, sy, radius_px)
+        sx, sy = sx.tolist(), sy.tolist()
         strokes = [stroke] * len(sx) if isinstance(stroke, str) else stroke
         r = _fmt(radius_px)
         self.elements.extend(

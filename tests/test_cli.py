@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from camdrive import geometry, optimize, sensitivity
-from camdrive.cli import main
+from camdrive.cli import _csv_lines, main
 from camdrive.config import MAX_GRID_CANDIDATES, RunConfig, parse_config
 from camdrive.errors import ConfigError
 
@@ -290,6 +290,16 @@ class TestWriters:
         assert written == cell_csv(tmp_path / "grid.csv",
                                    read_csv(out / "contour_grid.csv")[0], rows)
 
+    def test_contour_locus(self, tmp_path):
+        out = tmp_path / "c"
+        assert run(tmp_path, "contour", "--out", str(out), "--resolution", "32") == 0
+        sl = optimize.contour_slice(RunConfig().space(), 2, 60.0, resolution=32)
+        assert len(sl.locus) > 1
+        rows = ([c.m, c.d_cs, c.r, c.L, math.degrees(c.mu_max), c.P_max, c.S_M,
+                 c.feasible, c.convex_profile] for c in sl.locus)
+        assert (out / "contour_locus.csv").read_bytes() == cell_csv(
+            tmp_path / "locus.csv", read_csv(out / "contour_locus.csv")[0], rows)
+
     def test_designs_rows(self, tmp_path):
         cfg = RunConfig()
         out = tmp_path / "d"
@@ -321,6 +331,47 @@ class TestWriters:
         for name in ("profile.json", "metrics.json", "sensitivity.json"):
             text = (out / name).read_text()
             assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+class TestCsvLines:
+    """`_csv_lines` writes the lines `csv.writer` writes for the same rows."""
+
+    @staticmethod
+    def writer_bytes(path, rows) -> bytes:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        return path.read_bytes()
+
+    @staticmethod
+    def line_bytes(path, columns) -> bytes:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(_csv_lines(*columns))
+        return path.read_bytes()
+
+    def test_special_values(self, tmp_path):
+        floats = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16,
+                  9999999999999998.0, 1e-7, 1e-5, 0.0001, 0.1 + 0.2, 1.7976931348623157e308,
+                  math.pi, -2.5, 123456789.125]
+        n = len(floats)
+        columns = [floats, list(range(-3, n - 3)), [k % 2 == 0 for k in range(n)],
+                   [("r eta p L", "L p eta r", "at_max", "rms")[k % 4] for k in range(n)],
+                   floats[::-1]]
+        rows = list(zip(*columns))
+        got = self.line_bytes(tmp_path / "lines.csv", columns)
+        assert got == self.writer_bytes(tmp_path / "writer.csv", rows)
+        assert b"nan,-3,True,r eta p L,123456789.125\r\n" in got
+
+    def test_random_floats(self, tmp_path):
+        rng = np.random.default_rng(5)
+        columns = [(rng.standard_normal(400) * 10.0 ** rng.integers(-20, 20, 400)).tolist()
+                   for _ in range(3)]
+        assert self.line_bytes(tmp_path / "lines.csv", columns) == \
+            self.writer_bytes(tmp_path / "writer.csv", zip(*columns))
+
+    def test_header_and_one_row(self, tmp_path):
+        header = ["mode", "r", "eta", "p", "L", "ranking"]
+        assert list(_csv_lines(*zip(header))) == ["mode,r,eta,p,L,ranking\r\n"]
+        assert list(_csv_lines()) == []
 
 
 # configs that every command rejects as config errors

@@ -448,6 +448,31 @@ class TestMarchingSquares:
             total += len(self.assert_same_segments(sl.d_axis, sl.r_axis, sl.P_grid, lev))
         assert total > 100
 
+    def test_table_matches_cell_loop_at_full_size(self):
+        """A res-96 slice: the NaN d_cs = 0 column, every default level, and
+        (mu - a)(P - b) at level 0, which has saddle cells where the mu = a
+        and P = b iso-lines cross."""
+        sl = cd.contour_slice(cd.DesignSpace(), 2, 60.0, resolution=96)
+        mu_deg = np.degrees(sl.mu_grid)
+        assert sl.d_axis[0] == 0.0 and np.isnan(mu_deg[0]).all()
+        assert np.isnan(sl.P_grid[0]).all()
+        for lev in sl.mu_levels:
+            self.assert_same_segments(sl.d_axis, sl.r_axis, mu_deg, lev)
+        for lev in sl.P_levels:
+            self.assert_same_segments(sl.d_axis, sl.r_axis, sl.P_grid, lev)
+        saddles = 0
+        for a, b in ((20.0, 700.0), (25.0, 600.0), (25.0, 650.0), (25.0, 700.0),
+                     (30.0, 600.0)):
+            Z = (mu_deg - a) * (sl.P_grid - b)
+            below, nan = Z < 0.0, np.isnan(Z)
+            saddles += int(np.sum((below[:-1, :-1] == below[1:, 1:])
+                                  & (below[1:, :-1] == below[:-1, 1:])
+                                  & (below[:-1, :-1] != below[1:, :-1])
+                                  & ~(nan[:-1, :-1] | nan[1:, :-1] | nan[1:, 1:]
+                                      | nan[:-1, 1:])))
+            self.assert_same_segments(sl.d_axis, sl.r_axis, Z, 0.0)
+        assert saddles >= 5
+
     def test_degenerate_grids(self):
         assert marching_squares([0.0], [0.0, 1.0], np.zeros((1, 2)), 0.5) == []
         assert marching_squares([0.0, 1.0], [0.0], np.zeros((2, 1)), 0.5) == []

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from camdrive.svgplot import Canvas
+from camdrive.svgplot import Canvas, _fmt
 
 
 def looped(canvas_args, xs, ys, radius_px, stroke):
@@ -87,3 +87,135 @@ class TestCircles:
             batched(args, xs, ys, radius, "#000000")
         assert str(batch_error.value) == str(loop_error.value)
         assert "non-finite coordinate" in str(batch_error.value)
+
+
+def looped_segments(canvas_args, x1s, y1s, x2s, y2s, **style):
+    """Elements of one `Canvas.segment` call per segment."""
+    canvas = Canvas(*canvas_args)
+    for x1, y1, x2, y2 in zip(x1s, y1s, x2s, y2s):
+        canvas.segment(x1, y1, x2, y2, **style)
+    return canvas.elements
+
+
+def batched_segments(canvas_args, x1s, y1s, x2s, y2s, **style):
+    canvas = Canvas(*canvas_args)
+    canvas.segments(*(np.asarray(v, dtype=float) for v in (x1s, y1s, x2s, y2s)), **style)
+    return canvas.elements
+
+
+class TestSegments:
+    """`Canvas.segments` writes the elements of a `Canvas.segment` loop."""
+
+    @pytest.mark.parametrize("dashed", [False, True])
+    def test_random_segments(self, dashed):
+        rng = np.random.default_rng(11)
+        ends = [rng.uniform(lo, hi, 600).tolist()
+                for lo, hi in ((0.0, 8.0), (1.0, 5.0), (0.0, 8.0), (1.0, 5.0))]
+        args = ((-0.4, 8.4), (0.8, 5.2))
+        style = {"stroke": "#228833", "width": 1.0, "dashed": dashed}
+        elements = batched_segments(args, *ends, **style)
+        assert len(elements) == 600
+        assert elements == looped_segments(args, *ends, **style)
+
+    def test_degenerate_ranges(self):
+        ends = ([1.0, 2.0], [5.0, 6.0], [3.0, 4.0], [7.0, 8.0])
+        args = ((2.0, 2.0), (6.0, 6.0))
+        elements = batched_segments(args, *ends, stroke="#aa3322", dashed=True)
+        assert elements == looped_segments(args, *ends, stroke="#aa3322", dashed=True)
+        assert all('x1="320.000" y1="240.000" x2="320.000" y2="240.000"' in e
+                   for e in elements)
+
+    def test_negative_zero_prints_zero(self):
+        canvas = Canvas((0.0, 1.0), (0.0, 1.0))
+        x = (-0.0004 - canvas.margin) / (canvas.width - 2.0 * canvas.margin)
+        assert f"{canvas._sx(x):.3f}" == "-0.000"
+        args = ((0.0, 1.0), (0.0, 1.0))
+        ends = ([0.5], [0.5], [x], [0.25])
+        elements = batched_segments(args, *ends)
+        assert elements == looped_segments(args, *ends)
+        assert 'x2="0.000"' in elements[0]
+
+    def test_empty_input_adds_nothing(self):
+        canvas = Canvas((0.0, 1.0), (0.0, 1.0))
+        canvas.segments([], [], [], [])
+        assert canvas.elements == []
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [(1, 0), (1, 1), (2, 2), (0, 3), "several"])
+    def test_non_finite_raises_the_loop_error(self, bad, where):
+        ends = [[0.2, 0.4, 0.6], [0.3, 0.5, 0.7], [0.1, 0.9, 0.5], [0.8, 0.2, 0.4]]
+        if where == "several":  # the loop meets y2 of segment 1 first
+            ends[3][1], ends[0][2], ends[1][2] = bad, math.nan, math.inf
+        else:
+            ends[where[1]][where[0]] = bad
+        args = ((0.0, 1.0), (0.0, 1.0))
+        with pytest.raises(ValueError) as loop_error:
+            looped_segments(args, *ends)
+        with pytest.raises(ValueError) as batch_error:
+            batched_segments(args, *ends)
+        assert str(batch_error.value) == str(loop_error.value)
+        assert "non-finite coordinate" in str(batch_error.value)
+
+
+def polyline_oracle(canvas, xs, ys, stroke="#000000", width=1.0, dashed=False):
+    """The polyline element written one point at a time."""
+    pts = " ".join(f"{_fmt(canvas._sx(x))},{_fmt(canvas._sy(y))}"
+                   for x, y in zip(xs, ys))
+    dash = ' stroke-dasharray="6,4"' if dashed else ""
+    return (f'<polyline fill="none" stroke="{stroke}" stroke-width="{width}"'
+            f'{dash} points="{pts}"/>')
+
+
+class TestPolyline:
+    """`Canvas.polyline` writes the element of the per-point formula."""
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_random_points(self, as_array):
+        rng = np.random.default_rng(12)
+        xs = np.cumsum(rng.uniform(0.0, 0.01, 2048))
+        ys = rng.normal(0.0, 40.0, 2048)
+        canvas = Canvas((-0.5, 21.0), (-150.0, 150.0))
+        want = polyline_oracle(canvas, xs.tolist(), ys.tolist(), "#777777", 1.4, True)
+        if not as_array:
+            xs, ys = xs.tolist(), ys.tolist()
+        canvas.polyline(xs, ys, stroke="#777777", width=1.4, dashed=True)
+        assert canvas.elements == [want]
+
+    def test_two_points_and_degenerate_range(self):
+        canvas = Canvas((3.0, 3.0), (-1.0, 1.0))
+        want = polyline_oracle(canvas, [1.0, 5.0], [0.0, 0.0], "#bbbbbb", 0.8)
+        canvas.polyline([1.0, 5.0], [0.0, 0.0], stroke="#bbbbbb", width=0.8)
+        assert canvas.elements == [want]
+        assert 'points="320.000,240.000 320.000,240.000"' in want
+
+    def test_negative_zero_prints_zero(self):
+        canvas = Canvas((0.0, 1.0), (0.0, 1.0))
+        x = (-0.0004 - canvas.margin) / (canvas.width - 2.0 * canvas.margin)
+        want = polyline_oracle(canvas, [x, 0.5], [0.5, 0.5])
+        canvas.polyline([x, 0.5], [0.5, 0.5])
+        assert canvas.elements == [want]
+        assert 'points="0.000,' in want
+
+    def test_empty_input(self):
+        canvas = Canvas((0.0, 1.0), (0.0, 1.0))
+        want = polyline_oracle(canvas, [], [])
+        canvas.polyline([], [])
+        assert canvas.elements == [want]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["x", "y", "x and y"])
+    def test_non_finite_raises_the_loop_error(self, bad, where):
+        xs, ys = [0.2, 0.4, 0.6], [0.3, 0.5, 0.7]
+        if where == "x":
+            xs[2] = bad
+        elif where == "y":
+            ys[1] = bad
+        else:  # the loop meets y of point 1 before x of point 2
+            ys[1], xs[2] = bad, math.nan
+        canvas = Canvas((0.0, 1.0), (0.0, 1.0))
+        with pytest.raises(ValueError) as loop_error:
+            polyline_oracle(canvas, xs, ys)
+        with pytest.raises(ValueError) as batch_error:
+            canvas.polyline(xs, ys)
+        assert str(batch_error.value) == str(loop_error.value)
+        assert canvas.elements == []
