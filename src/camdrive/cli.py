@@ -290,17 +290,11 @@ _FRONT_HEADER = ["m", "d_cs_mm", "r_mm", "L_mm", "mu_max_deg", "p_max_mpa",
                  "s_m_mm", "feasible", "convex_profile"]
 
 
-def _front_lines(front):
-    """The CSV lines of a list of candidates, one `_FRONT_HEADER` row each."""
-    return _csv_lines(*zip(*([c.m, c.d_cs, c.r, c.L, math.degrees(c.mu_max), c.P_max,
-                              c.S_M, c.feasible, c.convex_profile] for c in front)))
-
-
 def _table_lines(space, table) -> list[str]:
-    """The CSV lines of a (mu, P, S, m, d_cs, r, L) front table: `_front_lines`
-    of its candidates, each row formatted once."""
+    """The CSV lines of a (mu, P, S, m, d_cs, r, L) front table, one
+    `_FRONT_HEADER` row each."""
     mu, P, S, m, d_cs, r, L = table.T
-    convex = math.pi * optimize.eta_from_design(d_cs, r, space.pitch) > 1.0
+    convex = geometry.fully_convex(optimize.eta_from_design(d_cs, r, space.pitch))
     return list(_csv_lines(
         m.astype(int).tolist(), d_cs.tolist(), r.tolist(), L.tolist(),
         np.degrees(mu).tolist(), P.tolist(), S.tolist(), [True] * len(table),
@@ -401,18 +395,19 @@ def cmd_contour(cfg: RunConfig) -> int:
                    _csv_lines(d_cs, list(map(str, sl.r_axis.tolist())) * res,
                               np.degrees(sl.mu_grid).ravel().tolist(),
                               sl.P_grid.ravel().tolist(), sl.feasible.ravel().tolist()))
-        _write_csv(out / "contour_locus.csv", _FRONT_HEADER, _front_lines(sl.locus))
+        _write_csv(out / "contour_locus.csv", _FRONT_HEADER,
+                   _table_lines(sl.space, sl.locus_table))
     if _wants(cfg, "json"):
         _write_json(out / "contour.json", {
             **_meta(cfg),
             "m": sl.m, "s_m_mm": sl.S_M, "L_mm": sl.L,
             "mu_levels_deg": list(sl.mu_levels),
             "p_levels_mpa": list(sl.P_levels),
-            "locus_size": len(sl.locus),
+            "locus_size": len(sl.locus_table),
         })
     if _wants(cfg, "svg"):
         _contour_svg(out / "contour.svg", sl, cfg.contour.dashed_pressure)
-    print(f"contour: m={sl.m}, S_M={sl.S_M} mm, locus {len(sl.locus)} points -> {out}")
+    print(f"contour: m={sl.m}, S_M={sl.S_M} mm, locus {len(sl.locus_table)} points -> {out}")
     return EXIT_OK
 
 
@@ -422,11 +417,10 @@ def _contour_svg(path: Path, sl, dashed_pressure: bool) -> None:
     canvas.axes("d_cs [mm]", "r [mm]")
     for isolines, stroke, dashed in ((sl.mu_isolines, "#228833", not dashed_pressure),
                                      (sl.P_isolines, "#aa3322", dashed_pressure)):
-        for segs in isolines.values():
-            ends = np.array(segs, dtype=float).reshape(-1, 4)  # x1, y1, x2, y2
+        for ends in isolines.values():
             canvas.segments(*ends.T, stroke=stroke, dashed=dashed)
-    for c in sl.locus:
-        canvas.circle(c.d_cs, c.r, 2.4, stroke="#000000", fill="#000000")
+    canvas.circles(sl.locus_table[:, 4], sl.locus_table[:, 5], 2.4, stroke="#000000",
+                   fill="#000000")
     canvas.page_text(14, 18, "pressure-angle contours (green), "
                              "Hertz-pressure contours (red), optimal locus (dots)")
     canvas.write(path)

@@ -25,14 +25,14 @@ from .sensitivity import MIN_PROFILE_SAMPLES, MIN_RMS_NODES
 
 FORMATS = ("csv", "json", "svg")
 
-# Memory limit of a study's grid. A sweep holds the metrics of its (d_cs, r)
-# pairs and the rows of its fronts, not its (d_cs, r, L, m) candidates: at
-# this many candidates (resolution 256 with four cam counts) it peaked at
-# 127 MB, and 64 bytes per candidate only once `SweepResult.grids` is read.
-# A contour slice holds about 300 bytes per (d_cs, r) cell, a profile or a
-# sensitivity study about 340 bytes per sample and 150 per rms node
-# (measured peak RSS of the CLI, numpy 2.4 on Python 3.11), so a fifth as
-# many cells, samples or nodes take at most about 4.5 GB.
+# Most (d_cs, r, L, m) candidates of a sweep. A sweep holds its pairs and its
+# fronts, not its candidates (64 bytes each once `SweepResult.grids` is read),
+# so this bounds its run time and front size, not its memory: four times this
+# many (resolution 512, m = [2, 3]) took 1.9 s and 125 MB in `sweep`. A contour
+# slice holds about 300 bytes per (d_cs, r) cell, a profile or a sensitivity
+# study about 340 bytes per sample and 150 per rms node (measured peak RSS of
+# the CLI, numpy 2.4 on Python 3.11), so their memory limit, a fifth as many
+# cells, samples or nodes, takes at most about 4.5 GB.
 MAX_GRID_CANDIDATES = 2 ** 26
 
 # Most cams on one camshaft: each drives at least one degree of its turn
@@ -310,7 +310,7 @@ def _validate(cfg: RunConfig) -> DesignSpace:
     size = len(sc.m) * sc.resolution ** 3
     if size > MAX_GRID_CANDIDATES:
         raise ConfigError(f"design_space.resolution {sc.resolution} makes a grid of {size} "
-                          f"points, above the memory limit of {MAX_GRID_CANDIDATES}")
+                          f"candidates, above the sweep limit of {MAX_GRID_CANDIDATES}")
     try:
         return cfg.space()
     except ModelError as exc:

@@ -205,6 +205,12 @@ def pitch_curvature(psi, p, eta):
     return (TAU / p) * num / den
 
 
+def fully_convex(eta):
+    """Whether the whole profile is convex, elementwise: pi*eta > 1, which
+    makes the `pitch_curvature` numerator positive at every angle."""
+    return math.pi * np.asarray(eta, dtype=float) > 1.0
+
+
 def cam_curvature_radius(kappa_p, r):
     """Signed cam curvature radius (1 - r*kappa_p)/kappa_p, mm.
 
@@ -376,12 +382,12 @@ def feasibility_check(spec: TransmissionSpec) -> FeasibilityReport:
             blocking=False,
             notes=("eta is at or below the singular value 1/(2*pi) ~= 0.15915",),
         )
-    fully_convex = math.pi * spec.eta - 1.0 > 0.0
+    convex = bool(fully_convex(spec.eta))
     try:
         delta = extended_angle(spec)
     except NoRootFound:
         return FeasibilityReport(
-            eta_valid=True, profile_feasible=False, fully_convex=fully_convex,
+            eta_valid=True, profile_feasible=False, fully_convex=convex,
             blocking=False, notes=("profile does not close: no root of v_c on [-pi, 0)",),
         )
     psi_min, rho_min = (float(v) for v in min_cam_radius(
@@ -394,7 +400,7 @@ def feasibility_check(spec: TransmissionSpec) -> FeasibilityReport:
     elif not feasible:
         notes = ("cam curvature radius is negative on the driving arc",)
     return FeasibilityReport(
-        eta_valid=True, profile_feasible=feasible, fully_convex=fully_convex,
+        eta_valid=True, profile_feasible=feasible, fully_convex=convex,
         blocking=blocking, delta=delta, psi_min=psi_min, rho_c_min=rho_min,
         notes=notes,
     )

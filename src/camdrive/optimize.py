@@ -22,10 +22,12 @@ import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
 from .errors import InfeasibleCamCount, InvalidSpec
+from .geometry import fully_convex
 from .mechanics import (
     LoadCase,
     Material,
@@ -42,10 +44,8 @@ _PAIR_CHUNK = 4096
 # smallest grid resolution of a sweep or a contour slice
 MIN_GRID_RESOLUTION = 16
 
-VIOLATION_GEOMETRY = "geometry"
-VIOLATION_PRESSURE_ANGLE = "pressure-angle"
-VIOLATION_HERTZ = "hertz-pressure"
-VIOLATION_SIZE = "size"
+# a candidate's violations, in the column order of `_violations`
+VIOLATIONS = ("geometry", "pressure-angle", "hertz-pressure", "size")
 
 
 def eta_from_design(d_cs: float, r: float, pitch: float) -> float:
@@ -146,48 +146,43 @@ class DesignCandidate:
         return (self.mu_max, self.P_max, self.S_M)
 
 
-def _candidate(space: DesignSpace, m: int, d_cs, r, L, S_M, mu_max, P_max,
-               geometry_ok) -> DesignCandidate:
-    """Build a candidate; violations are listed geometry first, then the caps."""
-    violations = []
-    if not geometry_ok:
-        violations.append(VIOLATION_GEOMETRY)
-    else:
-        if mu_max > space.mu_cap:
-            violations.append(VIOLATION_PRESSURE_ANGLE)
-        if P_max > space.P_cap:
-            violations.append(VIOLATION_HERTZ)
-    if S_M > space.S_cap:
-        violations.append(VIOLATION_SIZE)
-    eta = eta_from_design(d_cs, r, space.pitch)
-    return DesignCandidate(
-        d_cs=float(d_cs), r=float(r), L=float(L), m=m, mu_max=float(mu_max),
-        P_max=float(P_max), S_M=float(S_M), feasible=not violations,
-        violations=tuple(violations), convex_profile=bool(math.pi * eta > 1.0),
-    )
+def _violations(space: DesignSpace, geometry_ok, mu, P, S) -> np.ndarray:
+    """The verdict on candidates, an (n, 4) mask with a column per entry of
+    `VIOLATIONS`; feasible means no violation. The angle and pressure caps
+    count only where geometry passed. A value passes its cap when it is at
+    most the cap, so a NaN value or cap fails it."""
+    return np.column_stack([~geometry_ok, geometry_ok & ~(mu <= space.mu_cap),
+                            geometry_ok & ~(P <= space.P_cap), ~(S <= space.S_cap)])
 
 
-def _feasible(space: DesignSpace, geometry_ok, mu_max, P_max, S_M):
-    """Array form of the `_candidate` verdict: geometry ok and every cap met."""
-    with np.errstate(invalid="ignore"):
-        return (geometry_ok & (mu_max <= space.mu_cap) & (P_max <= space.P_cap)
-                & (S_M <= space.S_cap))
+def _candidates(space: DesignSpace, table: np.ndarray, violations=None) -> list:
+    """The rows of a (mu, P, S, m, d_cs, r, L) table as `DesignCandidate`s,
+    with their `_violations` mask; a front's rows, without one, are feasible."""
+    if violations is None:
+        violations = np.zeros((len(table), len(VIOLATIONS)), dtype=bool)
+    convex = fully_convex(eta_from_design(table[:, 4], table[:, 5], space.pitch))
+    return [DesignCandidate(d_cs=d, r=r, L=L, m=int(m), mu_max=mu, P_max=P, S_M=S,
+                            feasible=not any(bad), violations=tuple(compress(VIOLATIONS, bad)),
+                            convex_profile=c)
+            for (mu, P, S, m, d, r, L), bad, c in zip(table.tolist(), violations.tolist(),
+                                                      convex.tolist())]
 
 
 def evaluate_candidate(x, space: DesignSpace) -> DesignCandidate:
     """Evaluate one design vector; infeasibility comes back as flags.
 
-    The sweep's evaluation on a batch of one pair, so it agrees with the
-    sweep arrays bit for bit.
+    The sweep's evaluation on a batch of one pair at one width, so it agrees
+    with the sweep arrays bit for bit. A cam count below two fails geometry;
+    a width that is not finite and positive raises InvalidSpec.
     """
     d_cs, r, L, m = float(x[0]), float(x[1]), float(x[2]), int(x[3])
-    mu_max = P_max = float("nan")
-    geometry_ok = False
-    if m >= 2:
-        geom, mu, P_unit = _pair_metrics(space, (m,), np.array([d_cs]),
-                                         np.array([r]))[m]
-        geometry_ok, mu_max, P_max = geom[0], mu[0], P_unit[0] / math.sqrt(L)
-    return _candidate(space, m, d_cs, r, L, m * L, mu_max, P_max, geometry_ok)
+    if not (math.isfinite(L) and L > 0.0):
+        raise InvalidSpec(f"contact width must be finite and positive, got {L}")
+    D, R = np.array([d_cs]), np.array([r])
+    metrics = (_pair_metrics(space, (m,), D, R)[m] if m >= 2
+               else (np.array([False]), np.array([np.nan]), np.array([np.nan])))
+    g = _evaluate_grid(space, m, D, R, *metrics, np.array([L]), np.array([m * L]))
+    return _candidates(space, g.table(), g.violations)[0]
 
 
 def dominates(a: DesignCandidate, b: DesignCandidate) -> bool:
@@ -323,12 +318,18 @@ class GridData:
     S_M: np.ndarray
     feasible: np.ndarray
     geometry_ok: np.ndarray
+    violations: np.ndarray  # (n, 4) `_violations` mask
 
     def __len__(self) -> int:
         return len(self.d_cs)
 
     def objectives(self) -> np.ndarray:
         return np.column_stack([self.mu_max, self.P_max, self.S_M])
+
+    def table(self) -> np.ndarray:
+        """The rows as a (mu, P, S, m, d_cs, r, L) table."""
+        return np.column_stack([self.mu_max, self.P_max, self.S_M, np.full(len(self), self.m),
+                                self.d_cs, self.r, self.L])
 
 
 @dataclass(frozen=True)
@@ -360,9 +361,7 @@ class SweepResult:
 
     @cached_property
     def per_m_fronts(self) -> dict:
-        return {m: [_candidate(self.space, m, d, r, L, S, mu, P, True)
-                    for mu, P, S, _, d, r, L in table.tolist()]
-                for m, table in self.tables.items()}
+        return {m: _candidates(self.space, table) for m, table in self.tables.items()}
 
     @cached_property
     def front(self) -> list:
@@ -372,24 +371,26 @@ class SweepResult:
     @cached_property
     def grids(self) -> dict:
         D, R, metrics = self.pairs
-        return {m: _evaluate_grid(self.space, m, D, R, *metrics[m])
+        L_axis = self.space.L_axis
+        return {m: _evaluate_grid(self.space, m, D, R, *metrics[m], L_axis(m), m * L_axis(m))
                 for m in self.space.m_values}
 
 
-def _evaluate_grid(space: DesignSpace, m: int, D, R, geom_pair, mu_pair,
-                   P_pair) -> GridData:
-    L_axis = space.L_axis(m)
+def _evaluate_grid(space: DesignSpace, m: int, D, R, geom_pair, mu_pair, P_pair,
+                   L_axis, S_axis) -> GridData:
+    """Every candidate evaluation: the (d_cs, r) pairs and their metrics at
+    the widths `L_axis` of sizes `S_axis`, pair-major, with P = P_unit/sqrt(L)
+    and the `_violations` verdict."""
     nL = len(L_axis)
     L = np.tile(L_axis, len(D))
-    dd = np.repeat(D, nL)
-    rr = np.repeat(R, nL)
+    S = np.tile(S_axis, len(D))
     mu = np.repeat(mu_pair, nL)
     P = np.repeat(P_pair, nL) / np.sqrt(L)
-    S = m * L
     geom = np.repeat(geom_pair, nL)
-    feas = _feasible(space, geom, mu, P, S)
-    return GridData(m=m, d_cs=dd, r=rr, L=L, mu_max=mu, P_max=P, S_M=S,
-                    feasible=feas, geometry_ok=geom)
+    violations = _violations(space, geom, mu, P, S)
+    return GridData(m=m, d_cs=np.repeat(D, nL), r=np.repeat(R, nL), L=L, mu_max=mu,
+                    P_max=P, S_M=S, feasible=~violations.any(axis=1), geometry_ok=geom,
+                    violations=violations)
 
 
 def _per_m_front(space: DesignSpace, m: int, D, R, geom, mu, P_unit) -> np.ndarray:
@@ -400,9 +401,9 @@ def _per_m_front(space: DesignSpace, m: int, D, R, geom, mu, P_unit) -> np.ndarr
     """
     cand = np.flatnonzero(geom & (mu <= space.mu_cap))
     pair = cand[nondominated_mask(np.column_stack([mu[cand], P_unit[cand]]))]
-    g = _evaluate_grid(space, m, D[pair], R[pair], geom[pair], mu[pair], P_unit[pair])
-    table = np.column_stack([g.mu_max, g.P_max, g.S_M, np.full(len(g), m), g.d_cs, g.r,
-                             g.L])[g.feasible]
+    L = space.L_axis(m)
+    g = _evaluate_grid(space, m, D[pair], R[pair], geom[pair], mu[pair], P_unit[pair], L, m * L)
+    table = g.table()[g.feasible]
     return table[_lex_order(table)]
 
 
@@ -416,7 +417,7 @@ def sweep(space: DesignSpace) -> SweepResult:
     exactly when it is feasible and pair i is on the 2-D (mu_max, P_unit)
     front of the pairs that pass geometry and the angle cap (Kung, Luccio &
     Preparata 1975). Only those pairs get an L axis, and their rows pass
-    the same `_feasible` verdict as the grid's. Two P_unit values divided
+    the same `_violations` verdict as the grid's. Two P_unit values divided
     by one sqrt(L) never swap order, though two an ulp apart could tie;
     the tests check the fronts against the filter over the whole grid. The
     merged front is the front of the union of the per-m fronts, which
@@ -435,8 +436,13 @@ def sweep(space: DesignSpace) -> SweepResult:
 
 @dataclass(frozen=True)
 class ContourSlice:
-    """mu_max and P_max over the (d_cs, r) plane at fixed size and cam count."""
+    """mu_max and P_max over the (d_cs, r) plane at fixed size and cam count.
 
+    The locus, the two-objective front, is kept as a table as in
+    `SweepResult.tables`; `locus` is built from it when first read.
+    """
+
+    space: DesignSpace
     m: int
     S_M: float
     L: float
@@ -445,11 +451,15 @@ class ContourSlice:
     mu_grid: np.ndarray       # radians, NaN where geometry fails
     P_grid: np.ndarray        # MPa, NaN where geometry fails
     feasible: np.ndarray      # caps applied
-    locus: list               # DesignCandidate list, the 2-objective front
+    locus_table: np.ndarray = field(repr=False)  # (mu, P, S, m, d_cs, r, L) rows
     mu_levels: tuple
     P_levels: tuple
-    mu_isolines: dict = field(repr=False)
+    mu_isolines: dict = field(repr=False)  # level -> `marching_squares` segments
     P_isolines: dict = field(repr=False)
+
+    @cached_property
+    def locus(self) -> list:
+        return _candidates(self.space, self.locus_table)
 
 
 def _edge_table() -> np.ndarray:
@@ -475,11 +485,11 @@ _CORNER_DI = np.array([0, 1, 1, 0])  # corner k of cell (i, j) is (i + DI[k], j 
 _CORNER_DJ = np.array([0, 0, 1, 1])
 
 
-def marching_squares(x_axis, y_axis, Z, level) -> list:
+def marching_squares(x_axis, y_axis, Z, level) -> np.ndarray:
     """Iso-line segments of Z(x, y) at a level, by linear cell interpolation.
 
     Z is indexed [i, j] for (x_axis[i], y_axis[j]); cells touching NaN are
-    skipped. Returns a list of ((x1, y1), (x2, y2)) segments ordered by
+    skipped. Returns an (n, 4) array of (x1, y1, x2, y2) segments ordered by
     cell, i-major, and within a saddle cell by edge. An edge from corner a
     to corner b is crossed at t = (level - va)/(vb - va) of its length; only
     the crossed edges, two per segment, are interpolated.
@@ -503,9 +513,8 @@ def marching_squares(x_axis, y_axis, Z, level) -> list:
             ib, jb = i + _CORNER_DI[b], j + _CORNER_DJ[b]
             va = Z[ia, ja]
             t = (level - va) / (Z[ib, jb] - va)
-            ends += [(x[ia] + t * (x[ib] - x[ia])).tolist(),
-                     (y[ja] + t * (y[jb] - y[ja])).tolist()]
-    return [((x1, y1), (x2, y2)) for x1, y1, x2, y2 in zip(*ends)]
+            ends += [x[ia] + t * (x[ib] - x[ia]), y[ja] + t * (y[jb] - y[ja])]
+    return np.column_stack(ends)
 
 
 def contour_slice(space: DesignSpace, m: int, S_M: float,
@@ -515,7 +524,9 @@ def contour_slice(space: DesignSpace, m: int, S_M: float,
     """Objective contours over (d_cs, r) at fixed mechanism size.
 
     The locus is the two-objective (mu_max, P_max) Pareto set of the feasible
-    grid points in the slice: their `_front`, whose S column is constant.
+    grid points in the slice: their `_front`, whose S column is constant. The
+    pairs are laid out at the one width S_M/m, and their size column is S_M
+    itself: m*(S_M/m) can differ from S_M in the last bit.
     """
     if m < 2:
         raise InfeasibleCamCount(f"cam count {m} in a contour slice")
@@ -528,22 +539,16 @@ def contour_slice(space: DesignSpace, m: int, S_M: float,
     if res < MIN_GRID_RESOLUTION:
         raise InvalidSpec(f"resolution must be at least {MIN_GRID_RESOLUTION}, got {res}")
     d_axis, r_axis, D, R, pairs = _pair_grid(space, (m,), res)
-    geom, mu, P_unit = pairs[m]
-    P = P_unit / math.sqrt(L)
-    feas = _feasible(space, geom, mu, P, S_M)
-    idx = np.flatnonzero(feas)
-    one = np.ones(len(idx))
-    table = np.column_stack([mu[idx], P[idx], S_M * one, m * one, D[idx], R[idx], L * one])
-    locus = [_candidate(space, m, D[i], R[i], L, S_M, mu[i], P[i], True)
-             for i in idx[_front(table)]]
-    mu_grid = mu.reshape(res, res)
-    P_grid = P.reshape(res, res)
+    g = _evaluate_grid(space, m, D, R, *pairs[m], np.array([L]), np.array([S_M]))
+    table = g.table()[g.feasible]
+    mu_grid = g.mu_max.reshape(res, res)
+    P_grid = g.P_max.reshape(res, res)
     mu_deg = np.degrees(mu_grid)
     mu_iso = {lev: marching_squares(d_axis, r_axis, mu_deg, lev) for lev in mu_levels_deg}
     P_iso = {lev: marching_squares(d_axis, r_axis, P_grid, lev) for lev in P_levels}
-    return ContourSlice(m=m, S_M=S_M, L=L, d_axis=d_axis, r_axis=r_axis,
+    return ContourSlice(space=space, m=m, S_M=S_M, L=L, d_axis=d_axis, r_axis=r_axis,
                         mu_grid=mu_grid, P_grid=P_grid,
-                        feasible=feas.reshape(res, res), locus=locus,
+                        feasible=g.feasible.reshape(res, res), locus_table=table[_front(table)],
                         mu_levels=tuple(mu_levels_deg), P_levels=tuple(P_levels),
                         mu_isolines=mu_iso, P_isolines=P_iso)
 

@@ -77,20 +77,12 @@ class Canvas:
             f'<polyline fill="none" stroke="{stroke}" stroke-width="{width}"'
             f'{dash} points="{pts}"/>')
 
-    def segment(self, x1, y1, x2, y2, stroke="#000000", width=1.0, dashed=False):
-        dash = ' stroke-dasharray="6,4"' if dashed else ""
-        self.elements.append(
-            f'<line x1="{_fmt(self._sx(x1))}" y1="{_fmt(self._sy(y1))}"'
-            f' x2="{_fmt(self._sx(x2))}" y2="{_fmt(self._sy(y2))}"'
-            f' stroke="{stroke}" stroke-width="{width}"{dash}/>')
-
     def segments(self, x1s, y1s, x2s, y2s, stroke="#000000", width=1.0, dashed=False):
-        """`segment` of each (x1, y1, x2, y2) in turn, mapped and formatted as
+        """One line element per (x1, y1, x2, y2), mapped and formatted as
         whole arrays.
 
-        The elements are those of the `segment` loop, string for string, and
-        a non-finite value raises `_fmt`'s error for the value the loop would
-        meet first.
+        A non-finite page coordinate raises `_fmt`'s error for the first one
+        in row order, x1, y1, x2, y2 within a row.
         """
         sx1, sy1 = self._page(x1s, y1s)
         sx2, sy2 = self._page(x2s, y2s)
@@ -102,18 +94,12 @@ class Canvas:
             for a, b, c, d in zip(*(_fmt_all(v.tolist()) for v in (sx1, sy1, sx2, sy2)),
                                   strict=True))
 
-    def circle(self, x, y, radius_px=2.5, stroke="#000000", fill="none"):
-        self.elements.append(
-            f'<circle cx="{_fmt(self._sx(x))}" cy="{_fmt(self._sy(y))}"'
-            f' r="{_fmt(radius_px)}" stroke="{stroke}" fill="{fill}"/>')
+    def circles(self, xs, ys, radius_px=2.5, stroke="#000000", fill="none"):
+        """One circle element per point, mapped and formatted as whole arrays.
 
-    def circles(self, xs, ys, radius_px=2.5, stroke="#000000"):
-        """`circle` of each point in turn, mapped and formatted as whole arrays.
-
-        `stroke` is one colour or a sequence of one colour per point. The
-        elements are those of the `circle` loop, string for string, and a
-        non-finite value raises `_fmt`'s error for the value the loop would
-        meet first.
+        `stroke` is one colour or a sequence of one colour per point. A
+        non-finite value raises `_fmt`'s error for the first one in point
+        order, x, y and then the radius within a point.
         """
         sx, sy = self._page(xs, ys)
         if not sx.size:
@@ -123,7 +109,7 @@ class Canvas:
         strokes = [stroke] * len(sx) if isinstance(stroke, str) else stroke
         r = _fmt(radius_px)
         self.elements.extend(
-            f'<circle cx="{cx}" cy="{cy}" r="{r}" stroke="{s}" fill="none"/>'
+            f'<circle cx="{cx}" cy="{cy}" r="{r}" stroke="{s}" fill="{fill}"/>'
             for cx, cy, s in zip(_fmt_all(sx), _fmt_all(sy), strokes, strict=True))
 
     def data_circle(self, x, y, radius, stroke="#000000", fill="none"):

@@ -288,3 +288,57 @@ def random_valid_specs(rng: np.random.Generator, count: int):
         L = float(rng.uniform(5.0, 45.0))
         out.append(dict(p=p, eta=eta, r=r, m=m, L=L))
     return out
+
+
+def candidate_verdict(space, geometry_ok, mu_max, P_max, S_M) -> tuple:
+    """Violation names of one candidate by an if-chain, geometry first, then
+    the caps; the angle and pressure caps count only where geometry passed,
+    and a value passes its cap when it is at most the cap."""
+    violations = []
+    if not geometry_ok:
+        violations.append("geometry")
+    else:
+        if not mu_max <= space.mu_cap:
+            violations.append("pressure-angle")
+        if not P_max <= space.P_cap:
+            violations.append("hertz-pressure")
+    if not S_M <= space.S_cap:
+        violations.append("size")
+    return tuple(violations)
+
+
+def svg_number(v: float) -> str:
+    """A page coordinate as the SVG writer prints it: three decimals, no -0."""
+    if not math.isfinite(v):
+        raise ValueError(f"non-finite coordinate {v!r} in SVG output")
+    s = f"{v:.3f}"
+    return "0.000" if s == "-0.000" else s
+
+
+def svg_page_point(canvas, x: float, y: float) -> tuple[float, float]:
+    """Page coordinates of a data point: the data ranges fill the canvas
+    inside its margins, y points up and a zero-width range maps to the
+    middle."""
+    (x0, x1), (y0, y1) = canvas.x_range, canvas.y_range
+    inner_w = canvas.width - 2.0 * canvas.margin
+    inner_h = canvas.height - 2.0 * canvas.margin
+    px = canvas.width / 2.0 if x1 == x0 else canvas.margin + (x - x0) / (x1 - x0) * inner_w
+    py = (canvas.height / 2.0 if y1 == y0
+          else canvas.height - canvas.margin - (y - y0) / (y1 - y0) * inner_h)
+    return px, py
+
+
+def svg_circle(canvas, x, y, radius_px, stroke, fill="none") -> str:
+    """One circle element, its fields formatted one at a time."""
+    px, py = svg_page_point(canvas, x, y)
+    return (f'<circle cx="{svg_number(px)}" cy="{svg_number(py)}"'
+            f' r="{svg_number(radius_px)}" stroke="{stroke}" fill="{fill}"/>')
+
+
+def svg_line(canvas, x1, y1, x2, y2, stroke="#000000", width=1.0, dashed=False) -> str:
+    """One line element, its fields formatted one at a time."""
+    (a, b), (c, d) = svg_page_point(canvas, x1, y1), svg_page_point(canvas, x2, y2)
+    dash = ' stroke-dasharray="6,4"' if dashed else ""
+    return (f'<line x1="{svg_number(a)}" y1="{svg_number(b)}"'
+            f' x2="{svg_number(c)}" y2="{svg_number(d)}"'
+            f' stroke="{stroke}" stroke-width="{width}"{dash}/>')

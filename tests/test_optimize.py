@@ -11,6 +11,7 @@ from camdrive.errors import InfeasibleCamCount, InvalidSpec
 from camdrive.optimize import (
     GridData,
     _pair_grid,
+    _violations,
     eta_from_design,
     marching_squares,
     nondominated_mask,
@@ -81,6 +82,89 @@ class TestEvaluateCandidate:
                 spec, space.load, space.cam_material, space.roller_material)
             assert c.mu_max == pytest.approx(ref.mu_max, rel=1e-9)
             assert c.P_max == pytest.approx(ref.P_max, rel=1e-9)
+
+    @pytest.mark.parametrize("L", [math.nan, math.inf, -math.inf, -1.0, 0.0, -0.0])
+    def test_bad_width_rejected(self, L):
+        with pytest.raises(InvalidSpec, match="contact width"):
+            cd.evaluate_candidate((1.0, 4.0, L, 3), cd.DesignSpace())
+
+    def test_matches_grid_rows(self):
+        # every kind of row: d_cs = 0 geometry failures, each cap and, for m = 3,
+        # the last width, whose size rounds above the cap
+        space = cd.DesignSpace(**FRONT_SPACES["L-ends-at-size-cap"])
+        seen = set()
+        for m, g in cd.sweep(space).grids.items():
+            first = np.unique(g.violations, axis=0, return_index=True)[1]
+            for i in sorted({*range(0, len(g), 97), *first.tolist()}):
+                c = cd.evaluate_candidate((g.d_cs[i], g.r[i], g.L[i], m), space)
+                assert c.violations == _verdict_names(g.violations[i])
+                assert c.feasible == g.feasible[i]
+                assert c.convex_profile == (math.pi * eta_from_design(
+                    c.d_cs, c.r, space.pitch) > 1.0)
+                assert np.array_equal(c.objectives, (g.mu_max[i], g.P_max[i], g.S_M[i]),
+                                      equal_nan=True)
+                seen.update(c.violations or ("feasible",))
+        assert seen == {"geometry", "pressure-angle", "hertz-pressure", "size", "feasible"}
+
+
+def _verdict_names(row) -> tuple:
+    return tuple(name for name, v in zip(optimize.VIOLATIONS, row) if v)
+
+
+class TestVerdict:
+    """`_violations` against the scalar if-chain of `oracles.candidate_verdict`."""
+
+    @staticmethod
+    def assert_matches_oracle(space, geom, mu, P, S):
+        mask = _violations(space, geom, mu, P, S)
+        assert mask.shape == (len(geom), 4) and mask.dtype == bool
+        for row, g, u, p, s in zip(mask.tolist(), geom.tolist(), mu.tolist(), P.tolist(),
+                                   S.tolist()):
+            assert _verdict_names(row) == oracles.candidate_verdict(space, g, u, p, s)
+
+    def test_random_rows(self, rng):
+        space = cd.DesignSpace()
+        n = 2000
+        geom = rng.random(n) < 0.8
+        mu = np.where(geom, rng.uniform(0.0, 2.0 * space.mu_cap, n), np.nan)
+        P = np.where(geom, rng.uniform(0.5, 1.5, n) * space.P_cap, np.nan)
+        S = rng.uniform(0.5, 1.5, n) * space.S_cap
+        self.assert_matches_oracle(space, geom, mu, P, S)
+
+    def test_rows_at_the_caps_pass(self):
+        space = cd.DesignSpace()
+        mu_cap, P_cap, S_cap = space.mu_cap, space.P_cap, space.S_cap
+        up = lambda v: np.nextafter(v, np.inf)  # noqa: E731
+        rows = [(True, mu_cap, P_cap, S_cap), (True, up(mu_cap), P_cap, S_cap),
+                (True, mu_cap, up(P_cap), S_cap), (True, mu_cap, P_cap, up(S_cap)),
+                (True, up(mu_cap), up(P_cap), up(S_cap)),
+                (False, np.nan, np.nan, S_cap), (False, np.nan, np.nan, up(S_cap)),
+                (False, np.nan, np.nan, 2.0 * S_cap), (False, 2.0 * mu_cap, 2.0 * P_cap, S_cap)]
+        geom, mu, P, S = (np.array(col) for col in zip(*rows))
+        self.assert_matches_oracle(space, geom, mu, P, S)
+        assert not _violations(space, geom, mu, P, S)[0].any()
+
+    def test_nan_fails_its_cap(self):
+        geom = np.array([True, True, True])
+        mu, P, S = np.array([np.nan, 0.1, 0.1]), np.array([500.0, np.nan, 500.0]), \
+            np.array([60.0, 60.0, 60.0])
+        self.assert_matches_oracle(cd.DesignSpace(), geom, mu, P, S)
+        assert _violations(cd.DesignSpace(), geom, mu, P, S).tolist() == [
+            [False, True, False, False], [False, False, True, False],
+            [False, False, False, False]]
+        nan_caps = cd.DesignSpace(mu_cap=math.nan, P_cap=math.nan)
+        self.assert_matches_oracle(nan_caps, geom, mu, P, S)
+        assert _violations(nan_caps, geom, mu, P, S)[:, 1:3].all()
+
+    @pytest.mark.parametrize("m", [1, 0, -2])
+    @pytest.mark.parametrize("L", [30.0, 95.0])
+    def test_cam_counts_below_two(self, m, L):
+        space = cd.DesignSpace()
+        c = cd.evaluate_candidate((2.0, 4.0, L, m), space)
+        assert math.isnan(c.mu_max) and math.isnan(c.P_max) and c.S_M == m * L
+        assert c.violations == oracles.candidate_verdict(space, False, c.mu_max, c.P_max,
+                                                         c.S_M)
+        assert not c.feasible
 
 
 class TestDominates:
@@ -398,24 +482,23 @@ class TestMarchingSquares:
         X, Y = np.meshgrid(xs, ys, indexing="ij")
         Z = X * X + Y * Y
         segs = marching_squares(xs, ys, Z, 1.0)
-        assert len(segs) > 40
-        for (x1, y1), (x2, y2) in segs:
+        assert segs.shape[1] == 4 and len(segs) > 40
+        for x1, y1, x2, y2 in segs.tolist():
             for x, y in ((x1, y1), (x2, y2)):
                 assert math.hypot(x, y) == pytest.approx(1.0, abs=0.01)
 
     def test_nan_cells_skipped(self):
         xs = ys = np.linspace(0.0, 1.0, 5)
         Z = np.full((5, 5), float("nan"))
-        assert marching_squares(xs, ys, Z, 0.5) == []
+        assert marching_squares(xs, ys, Z, 0.5).shape == (0, 4)
 
     @staticmethod
     def assert_same_segments(xs, ys, Z, level):
         got = marching_squares(xs, ys, Z, level)
-        want = oracles.marching_squares_loop(xs, ys, Z, level)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):  # same order, same bits
-            assert [float(v).hex() for pt in g for v in pt] == \
-                [float(v).hex() for pt in w for v in pt]
+        want = np.array(oracles.marching_squares_loop(xs, ys, Z, level),
+                        dtype=float).reshape(-1, 4)  # rows of (x1, y1, x2, y2)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # same order, same bits
         return got
 
     def test_table_matches_cell_loop_on_random_grids(self):
@@ -474,8 +557,8 @@ class TestMarchingSquares:
         assert saddles >= 5
 
     def test_degenerate_grids(self):
-        assert marching_squares([0.0], [0.0, 1.0], np.zeros((1, 2)), 0.5) == []
-        assert marching_squares([0.0, 1.0], [0.0], np.zeros((2, 1)), 0.5) == []
+        assert marching_squares([0.0], [0.0, 1.0], np.zeros((1, 2)), 0.5).shape == (0, 4)
+        assert marching_squares([0.0, 1.0], [0.0], np.zeros((2, 1)), 0.5).shape == (0, 4)
 
 
 class TestHypervolume:

@@ -5,24 +5,25 @@ import pytest
 
 from camdrive.svgplot import Canvas, _fmt
 
+import oracles
 
-def looped(canvas_args, xs, ys, radius_px, stroke):
-    """Elements of one `Canvas.circle` call per point."""
+
+def looped(canvas_args, xs, ys, radius_px, stroke, fill="none"):
+    """Elements of `oracles.svg_circle`, one point at a time."""
     canvas = Canvas(*canvas_args)
     strokes = [stroke] * len(xs) if isinstance(stroke, str) else stroke
-    for x, y, s in zip(xs, ys, strokes):
-        canvas.circle(x, y, radius_px, stroke=s)
-    return canvas.elements
+    return [oracles.svg_circle(canvas, x, y, radius_px, s, fill)
+            for x, y, s in zip(xs, ys, strokes)]
 
 
-def batched(canvas_args, xs, ys, radius_px, stroke):
+def batched(canvas_args, xs, ys, radius_px, stroke, fill="none"):
     canvas = Canvas(*canvas_args)
-    canvas.circles(np.asarray(xs), np.asarray(ys), radius_px, stroke=stroke)
+    canvas.circles(np.asarray(xs), np.asarray(ys), radius_px, stroke=stroke, fill=fill)
     return canvas.elements
 
 
 class TestCircles:
-    """`Canvas.circles` writes the elements of a `Canvas.circle` loop."""
+    """`Canvas.circles` writes the elements of the per-point oracle."""
 
     def test_random_points(self):
         rng = np.random.default_rng(7)
@@ -32,6 +33,13 @@ class TestCircles:
         elements = batched(args, xs, ys, 2.2, "#aa3322")
         assert len(elements) == 500
         assert elements == looped(args, xs, ys, 2.2, "#aa3322")
+
+    def test_fill(self):
+        xs, ys = [0.1, 0.5, 0.9], [0.2, 0.4, 0.8]
+        args = ((0.0, 1.0), (0.0, 1.0))
+        elements = batched(args, xs, ys, 2.4, "#000000", fill="#000000")
+        assert elements == looped(args, xs, ys, 2.4, "#000000", fill="#000000")
+        assert all(e.endswith(' fill="#000000"/>') for e in elements)
 
     def test_per_point_strokes(self):
         rng = np.random.default_rng(8)
@@ -90,11 +98,10 @@ class TestCircles:
 
 
 def looped_segments(canvas_args, x1s, y1s, x2s, y2s, **style):
-    """Elements of one `Canvas.segment` call per segment."""
+    """Elements of `oracles.svg_line`, one segment at a time."""
     canvas = Canvas(*canvas_args)
-    for x1, y1, x2, y2 in zip(x1s, y1s, x2s, y2s):
-        canvas.segment(x1, y1, x2, y2, **style)
-    return canvas.elements
+    return [oracles.svg_line(canvas, x1, y1, x2, y2, **style)
+            for x1, y1, x2, y2 in zip(x1s, y1s, x2s, y2s)]
 
 
 def batched_segments(canvas_args, x1s, y1s, x2s, y2s, **style):
@@ -104,7 +111,7 @@ def batched_segments(canvas_args, x1s, y1s, x2s, y2s, **style):
 
 
 class TestSegments:
-    """`Canvas.segments` writes the elements of a `Canvas.segment` loop."""
+    """`Canvas.segments` writes the elements of the per-segment oracle."""
 
     @pytest.mark.parametrize("dashed", [False, True])
     def test_random_segments(self, dashed):
