@@ -20,7 +20,7 @@ import numpy as np
 
 from . import geometry, mechanics, optimize, sensitivity
 from .config import RunConfig, apply_overrides, load_config
-from .errors import ConfigError, InfeasibleProfile, ModelError
+from .errors import ConfigError, ModelError
 from .svgplot import Canvas, padded_range
 
 EXIT_OK = 0
@@ -107,19 +107,11 @@ def _meta(cfg: RunConfig) -> dict:
     return {"config": cfg.to_dict(), "config_hash": cfg.content_hash()}
 
 
-def _feasibility(spec) -> geometry.FeasibilityReport:
-    """The spec's feasibility report; raises with its note when it is not ok."""
-    report = geometry.feasibility_check(spec)
-    if not report.ok:
-        raise InfeasibleProfile(report.notes[0])
-    return report
-
-
 # --- profile ----------------------------------------------------------------
 
 def cmd_profile(cfg: RunConfig) -> int:
     spec = cfg.spec()
-    report = _feasibility(spec)
+    report = geometry.require_feasible(spec)
     prof = geometry.sample_profile(spec, cfg.profile.resolution)
     out = _outdir(cfg)
     if _wants(cfg, "csv"):
@@ -176,8 +168,7 @@ def cmd_metrics(cfg: RunConfig) -> int:
     spec = cfg.spec()
     load = cfg.load_case()
     cam_mat, roller_mat = cfg.material_pair()
-    report = _feasibility(spec)
-    seg = mechanics.hertz_segment(spec, load, cam_mat, roller_mat, delta=report.delta)
+    report, seg = mechanics.hertz_segment(spec, load, cam_mat, roller_mat)
     mu_max, psi_mu, psi_P = seg.mu_max, seg.psi_mu, seg.psi_P
     P_max = seg.P_max / math.sqrt(spec.L)
     S_M = mechanics.mechanism_size(spec.m, spec.L)

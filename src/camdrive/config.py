@@ -14,6 +14,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -125,13 +126,15 @@ class RunConfig:
     def load_case(self) -> LoadCase:
         return LoadCase(torque=self.load.torque_nmm, speed_rpm=self.load.speed_rpm)
 
+    @cached_property
     def catalog(self) -> tuple[Material, ...]:
+        """The material catalog; a run reads its file once, when its config is checked."""
         if self.materials.catalog_file:
             return load_materials(self.materials.catalog_file)
         return builtin_materials()
 
     def material_pair(self) -> tuple[Material, Material]:
-        catalog = self.catalog()
+        catalog = self.catalog
         return (find_material(self.materials.cam, catalog),
                 find_material(self.materials.roller, catalog))
 

@@ -6,11 +6,11 @@ Angles are in radians, lengths in millimetres, curvatures in 1/mm.
 
 Each quantity has one formula here, written for numpy arrays: the profile
 ordinate v_c, the closure root, the pitch curvature and its turnover, the
-cam curvature radius, its minimum over the driving arc and the driving
-window. The batched segment kernel in `mechanics` and the scalar functions
-below call the same formulas. Checks that raise apply to scalar arguments;
-array arguments carry NaN or inf through, and batched callers mask those
-samples themselves.
+cam curvature radius, its minimum over the driving arc, the driving window
+and the geometry verdict `driving_arc`. The batched segment kernel in
+`mechanics` and the scalar functions below call the same formulas. Checks
+that raise apply to scalar arguments; array arguments carry NaN or inf
+through, and the verdict's cause codes mark the failed pairs.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EtaSingular, InvalidSpec, NoRootFound, RollerBlocksCam
+from .errors import EtaSingular, InfeasibleProfile, InvalidSpec, NoRootFound, RollerBlocksCam
 
 TAU = 2.0 * math.pi
 
@@ -36,6 +36,25 @@ ROOT_NEWTON_STEPS = 6
 
 DEFAULT_PROFILE_RESOLUTION = 2048
 MIN_PROFILE_RESOLUTION = 16
+
+# a cam curvature radius within this fraction of r of zero: the roller blocks the cam
+BLOCKING_REL_TOL = 1e-6
+
+# the note of each cause code of `driving_arc`, and the error the gate raises
+GEOMETRY_NOTES = (
+    "",
+    "eta is at or below the singular value 1/(2*pi) ~= 0.15915",
+    "profile does not close: no root of v_c on [-pi, 0)",
+    "cam curvature radius vanishes on the driving arc: roller blocks the cam",
+    "cam curvature radius is negative or not finite on the driving arc",
+)
+_GEOMETRY_ERRORS = (None, NoRootFound, NoRootFound, RollerBlocksCam, InfeasibleProfile)
+
+
+def require_positive(what: str, value) -> None:
+    """Raise InvalidSpec unless value is positive and finite; NaN fails."""
+    if not 0.0 < value < math.inf:
+        raise InvalidSpec(f"{what} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -56,12 +75,9 @@ class TransmissionSpec:
     L: float = 10.0
 
     def __post_init__(self):
-        if self.p <= 0.0:
-            raise InvalidSpec(f"pitch must be positive, got {self.p}")
-        if self.r <= 0.0:
-            raise InvalidSpec(f"roller radius must be positive, got {self.r}")
-        if self.L <= 0.0:
-            raise InvalidSpec(f"contact width must be positive, got {self.L}")
+        for what, value in (("pitch", self.p), ("roller radius", self.r),
+                            ("contact width", self.L)):
+            require_positive(what, value)
         if not self.eta <= ETA_MAX:
             raise InvalidSpec(f"eta must be at most {ETA_MAX:g}, got {self.eta}")
         if int(self.m) != self.m or self.m < 1:
@@ -85,11 +101,14 @@ class TransmissionSpec:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Feasibility and convexity classification of one spec.
+    """Geometry verdict and convexity of one spec.
 
-    Infeasibility is data, not an error: every spec gets a report.
+    Infeasibility is data, not an error: every spec gets a report. cause is
+    the `driving_arc` cause code, 0 when the spec passes, and the flags and
+    the note follow from it.
     """
 
+    cause: int
     eta_valid: bool
     profile_feasible: bool
     fully_convex: bool
@@ -101,7 +120,7 @@ class FeasibilityReport:
 
     @property
     def ok(self) -> bool:
-        return self.eta_valid and self.profile_feasible and not self.blocking
+        return self.cause == 0
 
 
 @dataclass(frozen=True)
@@ -307,10 +326,7 @@ def extended_angle(spec: TransmissionSpec) -> float:
     _check_eta(spec.eta)
     delta = float(closure_angles(spec.p, spec.eta, spec.r)[0])
     if math.isnan(delta):
-        raise NoRootFound(
-            f"v_c has no sign change on [-pi, 0) for p={spec.p}, eta={spec.eta}, "
-            f"r={spec.r}: the profile does not close"
-        )
+        raise NoRootFound(GEOMETRY_NOTES[2])
     return delta
 
 
@@ -367,43 +383,51 @@ def min_profile_radius(spec: TransmissionSpec) -> tuple[float, float]:
     return float(psi_min), float(rho_min)
 
 
-BLOCKING_REL_TOL = 1e-6
+def driving_arc(p, eta, r, m, delta=None):
+    """The geometry verdict of each (eta, r) pair on one of m cams' driving arc.
+
+    Returns the closure angle (`closure_angles`, NaN where eta fails), the
+    angle and value of the smallest cam curvature radius rho on the arc
+    (`min_cam_radius`) and a cause code, which indexes `GEOMETRY_NOTES`: 0
+    passes, else the first that applies of 1, eta at or below 1/(2*pi)
+    (ETA_SINGULAR_TOL); 2, no closure root; 3, |rho| <= BLOCKING_REL_TOL*r,
+    the roller blocks the cam; 4, rho not finite and positive. eta and r
+    share a shape; `delta` takes the closure angles of an earlier call."""
+    eta = np.asarray(eta, dtype=float)
+    r = np.asarray(r, dtype=float)
+    eta_ok = TAU * eta - 1.0 >= ETA_SINGULAR_TOL
+    if delta is None:
+        delta = closure_angles(p, np.where(eta_ok, eta, np.nan), r)
+    delta = np.asarray(delta, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):  # failed pairs give NaN
+        psi_min, rho_min = min_cam_radius(delta, p, eta, r, m)
+    cause = np.select([~eta_ok, np.isnan(delta), np.abs(rho_min) <= BLOCKING_REL_TOL * r,
+                       ~((0.0 < rho_min) & (rho_min < math.inf))], [1, 2, 3, 4])
+    return delta, psi_min, rho_min, cause
 
 
 def feasibility_check(spec: TransmissionSpec) -> FeasibilityReport:
-    """Classify a spec: eta validity, driving-arc feasibility, convexity.
+    """Classify a spec: `driving_arc` on a batch of one, and convexity.
 
-    Never raises; every failure mode is reported as flags plus a note.
+    Never raises; a failed verdict is reported as its cause and note.
     """
-    q = TAU * spec.eta - 1.0
-    if q < ETA_SINGULAR_TOL:
-        return FeasibilityReport(
-            eta_valid=False, profile_feasible=False, fully_convex=False,
-            blocking=False,
-            notes=("eta is at or below the singular value 1/(2*pi) ~= 0.15915",),
-        )
-    convex = bool(fully_convex(spec.eta))
-    try:
-        delta = extended_angle(spec)
-    except NoRootFound:
-        return FeasibilityReport(
-            eta_valid=True, profile_feasible=False, fully_convex=convex,
-            blocking=False, notes=("profile does not close: no root of v_c on [-pi, 0)",),
-        )
-    psi_min, rho_min = (float(v) for v in min_cam_radius(
-        delta, spec.p, spec.eta, spec.r, spec.m))
-    blocking = abs(rho_min) <= BLOCKING_REL_TOL * spec.r
-    feasible = rho_min > 0.0 and not blocking
-    notes = ()
-    if blocking:
-        notes = ("cam curvature radius vanishes on the driving arc: roller blocks the cam",)
-    elif not feasible:
-        notes = ("cam curvature radius is negative on the driving arc",)
+    delta, psi_min, rho_min, cause = (v[0].item() for v in driving_arc(
+        spec.p, [spec.eta], [spec.r], spec.m))
+    delta, psi_min, rho_min = (None if math.isnan(v) else v for v in (delta, psi_min, rho_min))
     return FeasibilityReport(
-        eta_valid=True, profile_feasible=feasible, fully_convex=convex,
-        blocking=blocking, delta=delta, psi_min=psi_min, rho_c_min=rho_min,
-        notes=notes,
-    )
+        cause=cause, eta_valid=cause != 1, profile_feasible=cause == 0,
+        fully_convex=bool(fully_convex(spec.eta)), blocking=cause == 3, delta=delta,
+        psi_min=psi_min, rho_c_min=rho_min, notes=(GEOMETRY_NOTES[cause],) if cause else ())
+
+
+def require_feasible(spec: TransmissionSpec) -> FeasibilityReport:
+    """The report of a spec that passes `feasibility_check`: the one gate of a
+    single design. A failed verdict raises NoRootFound (causes 1 and 2),
+    RollerBlocksCam (3) or InfeasibleProfile (4), with its note."""
+    report = feasibility_check(spec)
+    if report.cause:
+        raise _GEOMETRY_ERRORS[report.cause](report.notes[0])
+    return report
 
 
 def sample_profile(spec: TransmissionSpec,

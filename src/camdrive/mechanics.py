@@ -29,22 +29,21 @@ from .errors import (
     DegenerateContact,
     ForceSingular,
     InfeasibleCamCount,
-    InfeasibleProfile,
     InvalidSpec,
-    NoRootFound,
     PressureAngleSingular,
 )
 from .geometry import (
-    ETA_SINGULAR_TOL,
     ROOT_SCAN_NODES,
     TAU,
+    FeasibilityReport,
     TransmissionSpec,
     cam_curvature_radius,
-    closure_angles,
+    driving_arc,
     driving_window,
     last_root,
-    min_cam_radius,
     pitch_curvature,
+    require_feasible,
+    require_positive,
 )
 
 # fatigue design rule: allowable running pressure is 40% of the static one
@@ -68,8 +67,7 @@ class Material:
     p_allow: tuple[float, float]
 
     def __post_init__(self):
-        if not 0.0 < self.E < math.inf:
-            raise InvalidSpec(f"Young modulus must be positive and finite, got {self.E}")
+        require_positive("Young modulus", self.E)
         if not 0.0 <= self.nu < 0.5:
             raise InvalidSpec(f"Poisson ratio must lie in [0, 0.5), got {self.nu}")
 
@@ -192,8 +190,7 @@ class LoadCase:
     speed_rpm: float | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.torque < math.inf:
-            raise InvalidSpec(f"torque must be positive and finite, got {self.torque}")
+        require_positive("torque", self.torque)
 
     @property
     def high_speed(self) -> bool:
@@ -345,14 +342,14 @@ class SegmentMetrics(NamedTuple):
     """Per-pair results of `segment_metrics`: arrays, or floats for one design.
 
     delta      closure angle, rad; NaN where eta <= 1/(2*pi) or the profile
-               does not close
+               does not close (`driving_arc`)
     mu_max     largest |pressure angle| on the driving arc, rad
     psi_mu     cam angle where it occurs (the arc start), rad
     P_max      largest Hertz pressure at unit contact width (L = 1 mm), MPa;
                width L divides it by sqrt(L). NaN unless ok
     psi_P      cam angle where it occurs, rad; NaN unless ok
-    rho_c_min  smallest cam curvature radius on the arc (`min_cam_radius`), mm
-    ok         the profile closes and its radius is positive on the whole arc
+    rho_c_min  smallest cam curvature radius on the arc (`driving_arc`), mm
+    ok         the pair passes the `driving_arc` verdict
     """
 
     delta: np.ndarray
@@ -416,9 +413,9 @@ def segment_metrics(p, eta, r, m, torque, K_sum, delta=None) -> SegmentMetrics:
 
     - |mu| = arctan(q/w) falls along the arc, so mu_max is its value at
       the arc start.
-    - The radius minimum and the ok flag come from `min_cam_radius`. On a
-      convex arc the smallest radius sits where kappa_p peaks: at the
-      curvature turnover clipped to the arc.
+    - The closure angle, the radius minimum and the ok flag come from the
+      geometry verdict `driving_arc`. On a convex arc the smallest radius
+      sits where kappa_p peaks: at the curvature turnover clipped to the arc.
     - Past that angle both the contact force and 1/(1 - r*kappa_p) fall,
       so the pressure peak lies between the arc start and the angle of the
       smallest radius. Where that angle is the start, so is the peak. The
@@ -433,13 +430,10 @@ def segment_metrics(p, eta, r, m, torque, K_sum, delta=None) -> SegmentMetrics:
             f"a single cam cannot drive the follower positively (m={m})")
     eta = np.asarray(eta, dtype=float)
     r = np.asarray(r, dtype=float)
-    eta = np.where(TAU * eta - 1.0 >= ETA_SINGULAR_TOL, eta, np.nan)
-    delta = (closure_angles(p, eta, r) if delta is None
-             else np.asarray(delta, dtype=float))
+    delta, psi_rho, rho_c_min, cause = driving_arc(p, eta, r, m, delta)
+    ok = cause == 0
     start = driving_window(delta, m)[0]
     with np.errstate(divide="ignore", invalid="ignore"):  # rejected pairs give NaN
-        psi_rho, rho_c_min = min_cam_radius(delta, p, eta, r, m)
-        ok = np.isfinite(delta) & (rho_c_min > 0.0) & np.isfinite(rho_c_min)
         inner = np.flatnonzero(ok & (start < psi_rho))
         psi = start[:, None].repeat(2, axis=1)  # the arc start, then the peak
         if inner.size:
@@ -453,42 +447,26 @@ def segment_metrics(p, eta, r, m, torque, K_sum, delta=None) -> SegmentMetrics:
         rho_c_min=rho_c_min, ok=ok)
 
 
-def design_segment(spec: TransmissionSpec, torque: float, K_sum: float,
-                   delta: float | None = None) -> SegmentMetrics:
-    """`segment_metrics` of one spec, unpacked to floats.
-
-    delta, when given, is the spec's closure angle, already solved.
-    Raises InfeasibleCamCount for m < 2 and NoRootFound when eta is at or
-    below 1/(2*pi) or the profile does not close.
-    """
+def design_segment(spec: TransmissionSpec, torque: float,
+                   K_sum: float) -> tuple[FeasibilityReport, SegmentMetrics]:
+    """The report of a spec that passes the geometry gate `require_feasible`
+    and its `segment_metrics`, unpacked to floats. Raises as the gate does,
+    and InfeasibleCamCount for m < 2."""
+    report = require_feasible(spec)
     seg = SegmentMetrics(*(v[0].item() for v in segment_metrics(
-        spec.p, [spec.eta], [spec.r], spec.m, torque, K_sum,
-        delta=None if delta is None else [delta])))
-    if math.isnan(seg.delta):
-        raise NoRootFound(
-            f"no closure angle for p={spec.p}, eta={spec.eta}, r={spec.r}: eta "
-            "must exceed 1/(2*pi) and v_c must change sign on [-pi, 0)")
-    return seg
+        spec.p, [spec.eta], [spec.r], spec.m, torque, K_sum, delta=[report.delta])))
+    return report, seg
 
 
 def hertz_segment(spec: TransmissionSpec, load: LoadCase, cam_mat: Material,
-                  roller_mat: Material, delta: float | None = None) -> SegmentMetrics:
-    """`design_segment` of a spec whose Hertz model holds on the driving arc.
-
-    The one gate of every Hertz result of a single design. Besides the
-    kernel's errors it raises InfeasibleProfile where the cam curvature
-    radius is non-positive on the arc, and the scalar `contact_state` at the
-    kernel's psi_P raises ForceSingular where the contact force diverges as
-    |mu| nears 90 degrees.
-    """
+                  roller_mat: Material) -> tuple[FeasibilityReport, SegmentMetrics]:
+    """`design_segment` of a spec whose Hertz model holds on the driving arc:
+    the scalar `contact_state` at the kernel's psi_P also raises ForceSingular
+    where the contact force diverges as |mu| nears 90 degrees."""
     K_sum = compliance_sum(cam_mat, roller_mat)
-    seg = design_segment(spec, load.torque, K_sum, delta)
-    if not seg.ok:
-        raise InfeasibleProfile(
-            "cam curvature radius is non-positive on the driving arc; "
-            "the Hertz model does not apply")
+    report, seg = design_segment(spec, load.torque, K_sum)
     contact_state(seg.psi_P, spec.p, spec.eta, spec.r, load.torque, K_sum, spec.L)
-    return seg
+    return report, seg
 
 
 def max_pressure_angle(spec: TransmissionSpec) -> float:
@@ -497,7 +475,7 @@ def max_pressure_angle(spec: TransmissionSpec) -> float:
     |mu| falls monotonically along the segment, so this is its value at the
     segment start. The load does not enter it.
     """
-    return design_segment(spec, 1.0, 1.0).mu_max
+    return design_segment(spec, 1.0, 1.0)[1].mu_max
 
 
 def max_hertz_pressure(spec: TransmissionSpec, load: LoadCase,
@@ -510,7 +488,7 @@ def max_hertz_pressure(spec: TransmissionSpec, load: LoadCase,
     which pulls the peak slightly in; the kernel then searches the stretch
     up to the turnover for it. Raises as `hertz_segment` does.
     """
-    seg = hertz_segment(spec, load, cam_mat, roller_mat)
+    seg = hertz_segment(spec, load, cam_mat, roller_mat)[1]
     return seg.P_max / math.sqrt(spec.L), seg.psi_P
 
 
@@ -519,6 +497,5 @@ def mechanism_size(m: int, L: float) -> float:
     if m < 2:
         raise InfeasibleCamCount(
             f"a single cam cannot drive the follower positively (m={m})")
-    if L <= 0.0:
-        raise InvalidSpec(f"contact width must be positive, got {L}")
+    require_positive("contact width", L)
     return m * L

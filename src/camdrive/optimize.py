@@ -27,7 +27,7 @@ from itertools import compress
 import numpy as np
 
 from .errors import InfeasibleCamCount, InvalidSpec
-from .geometry import fully_convex
+from .geometry import fully_convex, require_positive
 from .mechanics import (
     LoadCase,
     Material,
@@ -62,7 +62,7 @@ class DesignSpace:
     even though that first column is geometrically infeasible (e = r); those
     candidates come back flagged, not dropped. A space holds a grid of at
     least MIN_GRID_RESOLUTION, distinct cam counts of two or more, ordered
-    ranges and a width for every cam count, or it is not built.
+    ranges, a width per cam count and a positive finite pitch and caps, or it is not built.
     """
 
     d_cs_range: tuple[float, float] = (0.0, 30.0)
@@ -79,6 +79,9 @@ class DesignSpace:
     S_cap: float = 90.0
 
     def __post_init__(self):
+        for what, value in (("pitch", self.pitch), ("pressure-angle cap", self.mu_cap),
+                            ("Hertz pressure cap", self.P_cap), ("size cap", self.S_cap)):
+            require_positive(f"design space {what}", value)
         if self.resolution < MIN_GRID_RESOLUTION:
             raise InvalidSpec(f"design space resolution must be at least "
                               f"{MIN_GRID_RESOLUTION}, got {self.resolution}")
@@ -176,8 +179,7 @@ def evaluate_candidate(x, space: DesignSpace) -> DesignCandidate:
     a width that is not finite and positive raises InvalidSpec.
     """
     d_cs, r, L, m = float(x[0]), float(x[1]), float(x[2]), int(x[3])
-    if not (math.isfinite(L) and L > 0.0):
-        raise InvalidSpec(f"contact width must be finite and positive, got {L}")
+    require_positive("contact width", L)
     D, R = np.array([d_cs]), np.array([r])
     metrics = (_pair_metrics(space, (m,), D, R)[m] if m >= 2
                else (np.array([False]), np.array([np.nan]), np.array([np.nan])))

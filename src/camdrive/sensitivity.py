@@ -92,7 +92,7 @@ def pressure_partials(spec: TransmissionSpec, load: LoadCase,
 
 def _segment(spec, load, materials) -> tuple[SegmentMetrics, ActiveSegment]:
     """Kernel metrics and driving arc; raises as `hertz_segment` does."""
-    seg = hertz_segment(spec, load, *materials)
+    seg = hertz_segment(spec, load, *materials)[1]
     return seg, active_segment(spec, seg.delta)
 
 

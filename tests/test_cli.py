@@ -9,6 +9,7 @@ from camdrive import geometry, optimize, sensitivity
 from camdrive.cli import _csv_lines, main
 from camdrive.config import MAX_GRID_CANDIDATES, RunConfig, parse_config
 from camdrive.errors import ConfigError
+from camdrive.mechanics import find_material
 
 
 def run(tmp_path, *args, config=None):
@@ -92,7 +93,7 @@ class TestMetricsCommand:
         assert meta["allowable_pressure_ok"] is True
 
     def test_closure_solved_once(self, tmp_path, monkeypatch):
-        from camdrive import geometry, mechanics
+        # the geometry verdict `driving_arc` solves it, for the gate and the kernel
         solve = geometry.closure_angles
         calls = []
 
@@ -101,7 +102,6 @@ class TestMetricsCommand:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(geometry, "closure_angles", counted)
-        monkeypatch.setattr(mechanics, "closure_angles", counted)
         assert run(tmp_path, "metrics", "--out", str(tmp_path / "m")) == 0
         assert len(calls) == 1
 
@@ -488,6 +488,26 @@ class TestConfigHandling:
         # the commands that never read the design space reject the same files
         self.test_config_boundary_exits_1_with_one_line(tmp_path, capsys, command, config)
 
+    @pytest.mark.parametrize("command", ["profile", "metrics", "sensitivity", "pareto",
+                                         "contour"])
+    def test_catalog_file_read_once(self, tmp_path, monkeypatch, command):
+        # the run computes with the catalog its config check read
+        from camdrive import config
+        path = tmp_path / "catalog.json"
+        path.write_text(json.dumps([find_material("improved steel").to_dict()]))
+        load = config.load_materials
+        reads = []
+
+        def counted(p):
+            reads.append(p)
+            return load(p)
+
+        monkeypatch.setattr(config, "load_materials", counted)
+        code = run(tmp_path, command, "--out", str(tmp_path / "o"),
+                   config={"materials": {"catalog_file": str(path)}})
+        assert code == 0
+        assert reads == [str(path)]
+
     @pytest.mark.parametrize("command", ["profile", "metrics", "sensitivity",
                                          "pareto", "contour"])
     @pytest.mark.parametrize("catalog", [
@@ -537,23 +557,31 @@ class TestConfigHandling:
         assert code == 1
         assert err.startswith("config error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("command", ["profile", "metrics"])
     @pytest.mark.parametrize("mechanism, words", [
         ({"roller_radius_mm": 9.0}, "must exceed roller radius"),  # r = e
         ({"eta": 1.0 / (2.0 * math.pi)}, "singular"),
-        # a lone cam just above the singular eta: its radius turns negative
+        # a lone cam just above the singular eta: its radius turns negative,
+        # which the gate finds before sensitivity's kernel rejects the cam count
         ({"eta": 0.15915495309189534, "roller_radius_mm": 0.4, "cam_count": 1},
          "negative"),
+        ({"eta": 0.1}, "singular"),  # below 1/(2*pi)
     ])
     def test_infeasible_mechanism_exits_2_with_one_line(self, tmp_path, capsys,
-                                                        command, mechanism, words):
-        out = tmp_path / "o"
-        code = run(tmp_path, command, "--out", str(out), config={"mechanism": mechanism})
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("infeasible mechanism:") and err.count("\n") == 1
-        assert words in err
-        assert not out.exists()
+                                                        mechanism, words):
+        # one geometry gate: each design command gives the same reason
+        reasons = []
+        for command, prefix in (("profile", "infeasible mechanism: "),
+                                ("metrics", "infeasible mechanism: "),
+                                ("sensitivity", "infeasible nominal design: ")):
+            out = tmp_path / command
+            code = run(tmp_path, command, "--out", str(out),
+                       config={"mechanism": mechanism})
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith(prefix) and err.count("\n") == 1
+            assert not out.exists()
+            reasons.append(err[len(prefix):])
+        assert reasons[0] == reasons[1] == reasons[2] and words in reasons[0]
 
     @pytest.mark.parametrize("eta", [1e4, 1e5])
     def test_near_90_degree_design_fails_alike(self, tmp_path, capsys, eta):

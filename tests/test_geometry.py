@@ -8,11 +8,23 @@ from hypothesis import strategies as st
 import camdrive as cd
 from camdrive.errors import (
     EtaSingular,
+    InfeasibleProfile,
     InvalidSpec,
     NoRootFound,
     RollerBlocksCam,
 )
-from camdrive.geometry import ETA_MAX, TAU, closure_angles, curvature_turnover, last_root
+from camdrive.geometry import (
+    BLOCKING_REL_TOL,
+    ETA_MAX,
+    GEOMETRY_NOTES,
+    TAU,
+    closure_angles,
+    curvature_turnover,
+    driving_arc,
+    last_root,
+    require_feasible,
+)
+from camdrive.mechanics import segment_metrics
 
 import oracles
 
@@ -51,6 +63,31 @@ class TestSpecInvariants:
     def test_largest_eta_accepted(self):
         from camdrive.geometry import ETA_MAX
         assert cd.TransmissionSpec(p=50.0, eta=ETA_MAX, r=4.0).e == 50.0 * ETA_MAX
+
+
+# every model value that must be positive and finite, set to v
+POSITIVE_FINITE = {
+    "spec-p": lambda v: cd.TransmissionSpec(p=v, eta=0.18, r=4.0),
+    "spec-r": lambda v: cd.TransmissionSpec(p=50.0, eta=0.18, r=v),
+    "spec-L": lambda v: cd.TransmissionSpec(p=50.0, eta=0.18, r=4.0, L=v),
+    "mechanism_size-L": lambda v: cd.mechanism_size(2, v),
+    "LoadCase-torque": lambda v: cd.LoadCase(v),
+    "Material-E": lambda v: cd.Material("x", v, 0.3, (100.0, 100.0), (40.0, 40.0)),
+    "evaluate_candidate-L": lambda v: cd.evaluate_candidate((2.0, 4.0, v, 2),
+                                                            cd.DesignSpace()),
+    "DesignSpace-pitch": lambda v: cd.DesignSpace(pitch=v),
+    "DesignSpace-mu_cap": lambda v: cd.DesignSpace(mu_cap=v),
+    "DesignSpace-P_cap": lambda v: cd.DesignSpace(P_cap=v),
+    "DesignSpace-S_cap": lambda v: cd.DesignSpace(S_cap=v),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", POSITIVE_FINITE)
+def test_non_finite_values_rejected(field, value):
+    # NaN fails `not 0 < x < inf`, where it passed an `x <= 0` test
+    with pytest.raises(InvalidSpec, match="must be positive and finite"):
+        POSITIVE_FINITE[field](value)
 
 
 class TestFollowerDisplacement:
@@ -398,6 +435,48 @@ class TestFeasibility:
             numeric = bool(kc.min() >= 0.0)
             assert rep.fully_convex == numeric
             assert numeric == (s.eta > 1.0 / math.pi)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_report_is_the_batched_verdict(self, m):
+        # half the eta within 0.1 of 1/(2*pi) on either side, half up to 2,
+        # and r up to within 1e-12*e of e: causes 0, 1 and 2 (no closure,
+        # from eta ~ 0.85 on); the m = 1 arc crosses mid-stroke, where the
+        # radius turns negative (cause 4), and the kernel rejects m = 1
+        rng = np.random.default_rng(1600 + m)
+        n, p = 300, 50.0
+        near = 1.0 / TAU + rng.choice([-1.0, 1.0], n, p=[0.3, 0.7]) \
+            * 10.0 ** rng.uniform(-10.0, -1.0, n)
+        eta = np.where(rng.random(n) < 0.5, near, rng.uniform(0.2, 2.0, n))
+        r = eta * p * (1.0 - 10.0 ** rng.uniform(-12.0, -0.01, n))
+        cause = driving_arc(p, eta, r, m)[3]
+        assert {0, 1, 2 if m > 1 else 4} <= set(cause.tolist())
+        ok = segment_metrics(p, eta, r, m, 1200.0, 1e-5).ok if m > 1 else None
+        for i in range(n):
+            rep = cd.feasibility_check(cd.TransmissionSpec(p=p, eta=eta[i], r=r[i], m=m))
+            assert rep.cause == cause[i]
+            assert rep.notes == ((GEOMETRY_NOTES[cause[i]],) if cause[i] else ())
+            if ok is not None:
+                assert rep.ok == ok[i]
+
+    def test_vanishing_radius_blocks(self):
+        # bisect r to where the lone cam's smallest radius crosses zero
+        p, eta = 50.0, 1.0 / TAU + 1e-4
+        lo, hi = r_pos, r_neg = 0.01 * eta * p, 0.1 * eta * p
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            rho = driving_arc(p, [eta], [mid], 1)[2][0]
+            lo, hi = (mid, hi) if rho > 0.0 else (lo, mid)
+        spec = cd.TransmissionSpec(p=p, eta=eta, r=lo, m=1)
+        rep = cd.feasibility_check(spec)
+        assert 0.0 < rep.rho_c_min <= BLOCKING_REL_TOL * spec.r
+        assert rep.blocking and not rep.ok and rep.cause == 3
+        with pytest.raises(RollerBlocksCam, match="roller blocks the cam"):
+            require_feasible(spec)
+        with pytest.raises(InfeasibleProfile, match="negative"):
+            require_feasible(cd.TransmissionSpec(p=p, eta=eta, r=r_neg, m=1))
+        assert require_feasible(cd.TransmissionSpec(p=p, eta=eta, r=r_pos, m=1)).ok
+        with pytest.raises(NoRootFound, match="singular"):
+            require_feasible(cd.TransmissionSpec(p=p, eta=0.1, r=r_pos, m=1))
 
 
 class TestSampleProfile:

@@ -152,9 +152,9 @@ class TestVerdict:
         assert _violations(cd.DesignSpace(), geom, mu, P, S).tolist() == [
             [False, True, False, False], [False, False, True, False],
             [False, False, False, False]]
-        nan_caps = cd.DesignSpace(mu_cap=math.nan, P_cap=math.nan)
-        self.assert_matches_oracle(nan_caps, geom, mu, P, S)
-        assert _violations(nan_caps, geom, mu, P, S)[:, 1:3].all()
+        # a NaN cap no longer reaches the verdict: the space rejects it
+        with pytest.raises(InvalidSpec, match="cap must be positive and finite"):
+            cd.DesignSpace(mu_cap=math.nan, P_cap=math.nan)
 
     @pytest.mark.parametrize("m", [1, 0, -2])
     @pytest.mark.parametrize("L", [30.0, 95.0])
@@ -605,15 +605,16 @@ class TestHypervolume:
 
 
 def test_sweep_solves_each_closure_once(monkeypatch):
-    from camdrive import mechanics
-    solve = mechanics.closure_angles
+    # the kernel's geometry verdict `driving_arc` solves it
+    from camdrive import geometry
+    solve = geometry.closure_angles
     solved = []
 
     def counted(p, eta, r):
         solved.append(len(eta))
         return solve(p, eta, r)
 
-    monkeypatch.setattr(mechanics, "closure_angles", counted)
+    monkeypatch.setattr(geometry, "closure_angles", counted)
     cd.sweep(small_space(m_values=(2, 3)))
     assert sum(solved) == 16 * 16
 

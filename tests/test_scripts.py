@@ -2,6 +2,7 @@
 
 `root_evidence.py` is left out: it takes about 20 s.
 """
+import json
 import os
 import subprocess
 import sys
@@ -50,3 +51,30 @@ def test_crossover_scan_prints_the_envelope_table(tmp_path):
     assert lines[-1].startswith(("three-cam envelope never loses",
                                  "two-cam envelope takes over"))
     assert list(tmp_path.iterdir()) == []
+
+
+def test_output_digests_repeat(tmp_path):
+    small = {"profile": {"resolution": 64}, "sensitivity": {"samples": 64},
+             "design_space": {"resolution": 16}, "contour": {"resolution": 16}}
+    configs = {"small": small, "singular": {**small, "mechanism": {"eta": 0.1}}}
+    for name, config in configs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
+    runs = [run_script("output_digests.py", "small.json", "singular.json", cwd=tmp_path)
+            for _ in range(2)]
+    assert all(proc.returncode == 0 and proc.stderr == "" for proc in runs)
+    assert runs[0].stdout == runs[1].stdout
+    lines = runs[0].stdout.splitlines()
+    commands = ("profile", "metrics", "sensitivity", "pareto", "contour")
+    assert lines[:5] == [f"default {c}: exit 0" for c in commands]
+    assert lines[5:10] == [f"1-small {c}: exit 0" for c in commands]
+    reason = "eta is at or below the singular value 1/(2*pi) ~= 0.15915"
+    assert lines[10:15] == [f"2-singular profile: exit 2 infeasible mechanism: {reason}",
+                            f"2-singular metrics: exit 2 infeasible mechanism: {reason}",
+                            f"2-singular sensitivity: exit 2 infeasible nominal design: "
+                            f"{reason}",
+                            "2-singular pareto: exit 0", "2-singular contour: exit 0"]
+    digests = [line.split("  ") for line in lines[15:]]
+    # 21 files per feasible config; the singular mechanism writes only the two sweeps'
+    assert len(digests) == 21 + 21 + 12
+    assert all(len(h) == 64 and (tmp_path / "out" / "digests" / rel).is_file()
+               for h, rel in digests)
