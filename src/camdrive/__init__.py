@@ -12,7 +12,6 @@ from .geometry import (
     extended_angle,
     feasibility_check,
     follower_displacement,
-    min_profile_radius,
     pitch_curvature,
     pitch_curve_point,
     profile_coefficients,

@@ -111,8 +111,8 @@ def _meta(cfg: RunConfig) -> dict:
 
 def cmd_profile(cfg: RunConfig) -> int:
     spec = cfg.spec()
-    report = geometry.require_feasible(spec)
     prof = geometry.sample_profile(spec, cfg.profile.resolution)
+    report = prof.report
     out = _outdir(cfg)
     if _wants(cfg, "csv"):
         _write_csv(out / "profile.csv",

@@ -105,22 +105,19 @@ class FeasibilityReport:
 
     Infeasibility is data, not an error: every spec gets a report. cause is
     the `driving_arc` cause code, 0 when the spec passes, and the flags and
-    the note follow from it.
+    the note are read from it.
     """
 
     cause: int
-    eta_valid: bool
-    profile_feasible: bool
     fully_convex: bool
-    blocking: bool
     delta: float | None = None
     psi_min: float | None = None
     rho_c_min: float | None = None
-    notes: tuple[str, ...] = ()
 
-    @property
-    def ok(self) -> bool:
-        return self.cause == 0
+    ok = profile_feasible = property(lambda self: self.cause == 0)
+    eta_valid = property(lambda self: self.cause != 1)
+    blocking = property(lambda self: self.cause == 3)
+    notes = property(lambda self: (GEOMETRY_NOTES[self.cause],) if self.cause else ())
 
 
 @dataclass(frozen=True)
@@ -128,11 +125,12 @@ class CamProfile:
     """Sampled cam profile and pitch curve over one closed lobe.
 
     psi spans [delta, 2*pi - delta] inclusive; the profile ordinate v_c
-    vanishes at both ends, which is what closes the curve.
+    vanishes at both ends, which is what closes the curve. report is the
+    spec's passing `require_feasible` report; delta is read from it.
     """
 
     spec: TransmissionSpec
-    delta: float
+    report: FeasibilityReport
     psi: np.ndarray = field(repr=False)
     u_c: np.ndarray = field(repr=False)
     v_c: np.ndarray = field(repr=False)
@@ -140,6 +138,10 @@ class CamProfile:
     v_p: np.ndarray = field(repr=False)
     kappa_p: np.ndarray = field(repr=False)
     rho_c: np.ndarray = field(repr=False)
+
+    @property
+    def delta(self) -> float:
+        return self.report.delta
 
     @property
     def resolution(self) -> int:
@@ -230,6 +232,16 @@ def fully_convex(eta):
     return math.pi * np.asarray(eta, dtype=float) > 1.0
 
 
+def eta_valid(eta):
+    """2*pi*eta - 1 >= ETA_SINGULAR_TOL, elementwise: the verdict's eta rule."""
+    return TAU * np.asarray(eta, dtype=float) - 1.0 >= ETA_SINGULAR_TOL
+
+
+def roller_blocks(rho_c, r):
+    """|rho_c| <= BLOCKING_REL_TOL*r, elementwise: the verdict's blocking rule."""
+    return np.abs(rho_c) <= BLOCKING_REL_TOL * r
+
+
 def cam_curvature_radius(kappa_p, r):
     """Signed cam curvature radius (1 - r*kappa_p)/kappa_p, mm.
 
@@ -243,16 +255,15 @@ def cam_curvature_radius(kappa_p, r):
 def cam_curvature(kappa_p, r):
     """Cam-profile curvature from pitch curvature: offset by the roller radius.
 
-    The reciprocal of the cam curvature radius. A scalar kappa_p where
-    1 - r*kappa_p vanishes raises RollerBlocksCam.
+    The reciprocal of the cam curvature radius. A scalar kappa_p whose
+    radius fails `roller_blocks` raises RollerBlocksCam.
     """
-    denom = 1.0 - r * kappa_p
-    if np.ndim(denom) == 0 and abs(denom) < 1e-9:
+    rho_c = cam_curvature_radius(kappa_p, r)
+    if np.ndim(rho_c) == 0 and roller_blocks(rho_c, r):
         raise RollerBlocksCam(
-            f"1 - r*kappa_p = {denom:.3e}: curvature radius of the cam passes "
-            "through zero (roller radius equals the pitch radius of curvature)"
-        )
-    return 1.0 / cam_curvature_radius(kappa_p, r)
+            f"cam curvature radius {rho_c:.3e} mm is within {BLOCKING_REL_TOL:g}*r of "
+            "zero (roller radius equals the pitch radius of curvature)")
+    return 1.0 / rho_c
 
 
 def last_root(g, nodes):
@@ -320,10 +331,11 @@ def closure_angles(p, eta, r) -> np.ndarray:
 def extended_angle(spec: TransmissionSpec) -> float:
     """Negative root of v_c(psi) = 0 nearest zero: the profile closure angle.
 
-    The batch-of-one call of `closure_angles`; raises NoRootFound when the
-    profile does not close.
+    The batch-of-one call of `closure_angles`; raises NoRootFound with the
+    verdict's note when eta fails `eta_valid` or the profile does not close.
     """
-    _check_eta(spec.eta)
+    if not eta_valid(spec.eta):
+        raise NoRootFound(GEOMETRY_NOTES[1])
     delta = float(closure_angles(spec.p, spec.eta, spec.r)[0])
     if math.isnan(delta):
         raise NoRootFound(GEOMETRY_NOTES[2])
@@ -372,36 +384,24 @@ def min_cam_radius(delta, p, eta, r, m):
     return np.choose(np.argmin(rho, axis=0), psi), rho.min(axis=0)
 
 
-def min_profile_radius(spec: TransmissionSpec) -> tuple[float, float]:
-    """Angle and value of the smallest cam curvature radius on the driving arc.
-
-    `min_cam_radius` of one spec. For two conjugate cams the minimum
-    usually sits at the arc start.
-    """
-    psi_min, rho_min = min_cam_radius(extended_angle(spec), spec.p, spec.eta,
-                                      spec.r, spec.m)
-    return float(psi_min), float(rho_min)
-
-
 def driving_arc(p, eta, r, m, delta=None):
     """The geometry verdict of each (eta, r) pair on one of m cams' driving arc.
 
     Returns the closure angle (`closure_angles`, NaN where eta fails), the
     angle and value of the smallest cam curvature radius rho on the arc
     (`min_cam_radius`) and a cause code, which indexes `GEOMETRY_NOTES`: 0
-    passes, else the first that applies of 1, eta at or below 1/(2*pi)
-    (ETA_SINGULAR_TOL); 2, no closure root; 3, |rho| <= BLOCKING_REL_TOL*r,
-    the roller blocks the cam; 4, rho not finite and positive. eta and r
-    share a shape; `delta` takes the closure angles of an earlier call."""
+    passes, else the first that applies of 1, eta fails `eta_valid`; 2, no
+    closure root; 3, `roller_blocks`; 4, rho not finite and positive. eta
+    and r share a shape; `delta` takes the closure angles of an earlier call."""
     eta = np.asarray(eta, dtype=float)
     r = np.asarray(r, dtype=float)
-    eta_ok = TAU * eta - 1.0 >= ETA_SINGULAR_TOL
+    eta_ok = eta_valid(eta)
     if delta is None:
         delta = closure_angles(p, np.where(eta_ok, eta, np.nan), r)
     delta = np.asarray(delta, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):  # failed pairs give NaN
         psi_min, rho_min = min_cam_radius(delta, p, eta, r, m)
-    cause = np.select([~eta_ok, np.isnan(delta), np.abs(rho_min) <= BLOCKING_REL_TOL * r,
+    cause = np.select([~eta_ok, np.isnan(delta), roller_blocks(rho_min, r),
                        ~((0.0 < rho_min) & (rho_min < math.inf))], [1, 2, 3, 4])
     return delta, psi_min, rho_min, cause
 
@@ -414,10 +414,8 @@ def feasibility_check(spec: TransmissionSpec) -> FeasibilityReport:
     delta, psi_min, rho_min, cause = (v[0].item() for v in driving_arc(
         spec.p, [spec.eta], [spec.r], spec.m))
     delta, psi_min, rho_min = (None if math.isnan(v) else v for v in (delta, psi_min, rho_min))
-    return FeasibilityReport(
-        cause=cause, eta_valid=cause != 1, profile_feasible=cause == 0,
-        fully_convex=bool(fully_convex(spec.eta)), blocking=cause == 3, delta=delta,
-        psi_min=psi_min, rho_c_min=rho_min, notes=(GEOMETRY_NOTES[cause],) if cause else ())
+    return FeasibilityReport(cause=cause, fully_convex=bool(fully_convex(spec.eta)),
+                             delta=delta, psi_min=psi_min, rho_c_min=rho_min)
 
 
 def require_feasible(spec: TransmissionSpec) -> FeasibilityReport:
@@ -434,19 +432,20 @@ def sample_profile(spec: TransmissionSpec,
                    resolution: int = DEFAULT_PROFILE_RESOLUTION) -> CamProfile:
     """Sample profile, pitch curve and curvatures on a uniform psi grid.
 
-    The grid spans [delta, 2*pi - delta] inclusive, so the first and last
-    samples sit on the closure (v_c = 0 there up to root tolerance).
+    Gated: raises as `require_feasible` does, and keeps its report. The grid
+    spans [delta, 2*pi - delta] inclusive, so the first and last samples sit
+    on the closure (v_c = 0 there up to root tolerance).
     """
     if resolution < MIN_PROFILE_RESOLUTION:
         raise InvalidSpec(
             f"resolution must be at least {MIN_PROFILE_RESOLUTION}, got {resolution}")
-    delta = extended_angle(spec)
-    psi = np.linspace(delta, TAU - delta, resolution)
+    report = require_feasible(spec)
+    psi = np.linspace(report.delta, TAU - report.delta, resolution)
     u_c, v_c = cam_profile_point(psi, spec)
     u_p, v_p = pitch_curve_point(psi, spec)
     kappa_p = pitch_curvature(psi, spec.p, spec.eta)
     rho_c = cam_curvature_radius(kappa_p, spec.r)
     for arr in (psi, u_c, v_c, u_p, v_p, kappa_p, rho_c):
         arr.setflags(write=False)
-    return CamProfile(spec=spec, delta=delta, psi=psi, u_c=u_c, v_c=v_c,
+    return CamProfile(spec=spec, report=report, psi=psi, u_c=u_c, v_c=v_c,
                       u_p=u_p, v_p=v_p, kappa_p=kappa_p, rho_c=rho_c)

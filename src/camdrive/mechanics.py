@@ -52,6 +52,13 @@ FATIGUE_FRACTION = 0.4
 HIGH_SPEED_RPM = 50.0
 
 
+def require_cam_count(m) -> None:
+    """Raise InfeasibleCamCount for m < 2: one cam cannot drive a whole turn."""
+    if m < 2:
+        raise InfeasibleCamCount(
+            f"a single cam cannot drive the follower positively (m={m})")
+
+
 @dataclass(frozen=True)
 class Material:
     """Elastic constants and allowable Hertz pressures of a contact body.
@@ -219,9 +226,7 @@ def active_segment(spec: TransmissionSpec, delta: float) -> ActiveSegment:
     Both the pressure angle and the Hertz pressure peak at its left end; for
     m = 2 that end is pi - delta.
     """
-    if spec.m < 2:
-        raise InfeasibleCamCount(
-            f"a single cam cannot drive the follower positively (m={spec.m})")
+    require_cam_count(spec.m)
     a, b = driving_window(delta, spec.m)
     return ActiveSegment(a, b)
 
@@ -425,9 +430,7 @@ def segment_metrics(p, eta, r, m, torque, K_sum, delta=None) -> SegmentMetrics:
     Each step is elementwise per pair, so a pair's results do not depend on
     how the pairs are batched.
     """
-    if m < 2:
-        raise InfeasibleCamCount(
-            f"a single cam cannot drive the follower positively (m={m})")
+    require_cam_count(m)
     eta = np.asarray(eta, dtype=float)
     r = np.asarray(r, dtype=float)
     delta, psi_rho, rho_c_min, cause = driving_arc(p, eta, r, m, delta)
@@ -494,8 +497,6 @@ def max_hertz_pressure(spec: TransmissionSpec, load: LoadCase,
 
 def mechanism_size(m: int, L: float) -> float:
     """Axial size of the mechanism: m cams of width L, mm."""
-    if m < 2:
-        raise InfeasibleCamCount(
-            f"a single cam cannot drive the follower positively (m={m})")
+    require_cam_count(m)
     require_positive("contact width", L)
     return m * L

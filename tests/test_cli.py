@@ -92,8 +92,10 @@ class TestMetricsCommand:
         assert meta["fully_convex"] is False
         assert meta["allowable_pressure_ok"] is True
 
-    def test_closure_solved_once(self, tmp_path, monkeypatch):
-        # the geometry verdict `driving_arc` solves it, for the gate and the kernel
+    @pytest.mark.parametrize("command", ["profile", "metrics", "sensitivity"])
+    def test_closure_solved_once(self, tmp_path, monkeypatch, command):
+        # the geometry verdict `driving_arc` solves it, for the gate and for
+        # the kernel or the profile samples
         solve = geometry.closure_angles
         calls = []
 
@@ -102,7 +104,7 @@ class TestMetricsCommand:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(geometry, "closure_angles", counted)
-        assert run(tmp_path, "metrics", "--out", str(tmp_path / "m")) == 0
+        assert run(tmp_path, command, "--out", str(tmp_path / "m")) == 0
         assert len(calls) == 1
 
     def test_fully_convex_design_reported(self, tmp_path):

@@ -10,6 +10,7 @@ from camdrive.errors import (
     EtaSingular,
     InfeasibleProfile,
     InvalidSpec,
+    ModelError,
     NoRootFound,
     RollerBlocksCam,
 )
@@ -18,6 +19,7 @@ from camdrive.geometry import (
     ETA_MAX,
     GEOMETRY_NOTES,
     TAU,
+    cam_curvature_radius,
     closure_angles,
     curvature_turnover,
     driving_arc,
@@ -220,6 +222,11 @@ class TestCamCurvature:
     def test_blocking_raises(self):
         with pytest.raises(RollerBlocksCam):
             cd.cam_curvature(0.25, 4.0)
+        # the verdict's threshold: 0 < rho_c = 4e-7 mm <= BLOCKING_REL_TOL*r
+        kappa_p = 0.25 * (1.0 - 1e-7)
+        assert 0.0 < cam_curvature_radius(kappa_p, 4.0) <= BLOCKING_REL_TOL * 4.0
+        with pytest.raises(RollerBlocksCam):
+            cd.cam_curvature(kappa_p, 4.0)
 
 
 class TestExtendedAngle:
@@ -243,6 +250,15 @@ class TestExtendedAngle:
         s = cd.TransmissionSpec(p=20.0, eta=1.0, r=19.6)
         with pytest.raises(NoRootFound):
             cd.extended_angle(s)
+
+    @pytest.mark.parametrize("eta", [0.1, 1.0 / TAU], ids=["below", "singular"])
+    def test_eta_at_or_below_singular_raises_the_verdict_note(self, eta):
+        s = cd.TransmissionSpec(p=50.0, eta=eta, r=4.0)
+        assert cd.feasibility_check(s).cause == 1
+        for entry in (cd.extended_angle, cd.sample_profile):
+            with pytest.raises(NoRootFound) as info:
+                entry(s)
+            assert str(info.value) == GEOMETRY_NOTES[1]
 
 
 def closure_oracle(p, eta, r):
@@ -377,17 +393,20 @@ def test_curvature_turnover_stays_within_one_and_a_half(eta):
 
 
 class TestMinProfileRadius:
+    """The smallest cam radius on the arc, as the report gives it."""
+
     def test_two_cam_minimum_at_window_start(self):
         s = spec50()
         delta = cd.extended_angle(s)
-        psi_min, rho_min = cd.min_profile_radius(s)
+        rep = cd.feasibility_check(s)
+        psi_min, rho_min = rep.psi_min, rep.rho_c_min
         assert psi_min == pytest.approx(math.pi - delta, abs=1e-3)
         assert rho_min > 0.0
 
     def test_is_global_minimum_of_samples(self):
         s = spec50()
         delta = cd.extended_angle(s)
-        _, rho_min = cd.min_profile_radius(s)
+        rho_min = cd.feasibility_check(s).rho_c_min
         a = math.pi - delta
         b = TAU - delta
         psis = np.linspace(a, b, 20000)
@@ -397,7 +416,7 @@ class TestMinProfileRadius:
 
     def test_convex_eta_gives_positive_radius(self):
         s = cd.TransmissionSpec(p=50.0, eta=0.35, r=4.0)
-        _, rho_min = cd.min_profile_radius(s)
+        rho_min = cd.feasibility_check(s).rho_c_min
         assert rho_min > 0.0
 
 
@@ -459,14 +478,9 @@ class TestFeasibility:
                 assert rep.ok == ok[i]
 
     def test_vanishing_radius_blocks(self):
-        # bisect r to where the lone cam's smallest radius crosses zero
         p, eta = 50.0, 1.0 / TAU + 1e-4
-        lo, hi = r_pos, r_neg = 0.01 * eta * p, 0.1 * eta * p
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            rho = driving_arc(p, [eta], [mid], 1)[2][0]
-            lo, hi = (mid, hi) if rho > 0.0 else (lo, mid)
-        spec = cd.TransmissionSpec(p=p, eta=eta, r=lo, m=1)
+        r_pos, r_neg = 0.01 * eta * p, 0.1 * eta * p
+        spec = cd.TransmissionSpec(p=p, eta=eta, r=blocking_radius(p, eta), m=1)
         rep = cd.feasibility_check(spec)
         assert 0.0 < rep.rho_c_min <= BLOCKING_REL_TOL * spec.r
         assert rep.blocking and not rep.ok and rep.cause == 3
@@ -477,6 +491,56 @@ class TestFeasibility:
         assert require_feasible(cd.TransmissionSpec(p=p, eta=eta, r=r_pos, m=1)).ok
         with pytest.raises(NoRootFound, match="singular"):
             require_feasible(cd.TransmissionSpec(p=p, eta=0.1, r=r_pos, m=1))
+
+
+def blocking_radius(p, eta):
+    """r bisected onto the positive side of where the lone cam's smallest
+    radius crosses zero, between 0.01*e (positive) and 0.1*e (negative)."""
+    lo, hi = 0.01 * eta * p, 0.1 * eta * p
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        rho = driving_arc(p, [eta], [mid], 1)[2][0]
+        lo, hi = (mid, hi) if rho > 0.0 else (lo, mid)
+    return lo
+
+
+def raised(entry, spec):
+    """The type and message of the error entry(spec) raises; None if it returns."""
+    try:
+        entry(spec)
+    except ModelError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_single_design_entry_points_follow_the_gate(m):
+    # eta within 0.1 of 1/(2*pi) on either side or up to 2, r up to within
+    # 1e-12*e of e, and for the lone cam radii bisected onto zero: causes
+    # 0, 1 and 2, and for m = 1 also 3 and 4
+    rng = np.random.default_rng(1700 + m)
+    n, p = 200, 50.0
+    eta = np.where(rng.random(n) < 0.5, 1.0 / TAU + rng.uniform(-0.1, 0.1, n),
+                   rng.uniform(0.2, 2.0, n))
+    r = eta * p * (1.0 - 10.0 ** rng.uniform(-12.0, -0.01, n))
+    specs = [cd.TransmissionSpec(p=p, eta=e, r=x, m=m) for e, x in zip(eta, r)]
+    if m == 1:
+        specs += [cd.TransmissionSpec(p=p, eta=e, r=blocking_radius(p, e), m=1)
+                  for e in 1.0 / TAU + np.array([1e-4, 1e-3, 1e-2])]
+    causes = set()
+    for spec in specs:
+        rep = cd.feasibility_check(spec)
+        causes.add(rep.cause)
+        gate = raised(require_feasible, spec)
+        assert (gate is None) == rep.ok
+        assert raised(lambda s: cd.sample_profile(s, 16), spec) == gate
+        if rep.cause in (1, 2):
+            assert raised(cd.extended_angle, spec) == (NoRootFound, GEOMETRY_NOTES[rep.cause])
+        else:
+            assert cd.extended_angle(spec) == rep.delta
+        if rep.ok:
+            assert cd.sample_profile(spec, 16).report == rep
+    assert causes == ({0, 1, 2, 3, 4} if m == 1 else {0, 1, 2})
 
 
 class TestSampleProfile:
