@@ -11,6 +11,7 @@ to exit codes, each with one line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -21,7 +22,7 @@ import numpy as np
 from . import geometry, mechanics, optimize, sensitivity
 from .config import RunConfig, apply_overrides, load_config
 from .errors import ConfigError, ModelError
-from .svgplot import Canvas, padded_range
+from .svgplot import Canvas, _column_text, padded_range
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -33,6 +34,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="camdrive",
                      description="Cam-roller transmission design studies")
@@ -80,15 +82,32 @@ def _wants(cfg: RunConfig, fmt: str) -> bool:
     return fmt in cfg.output.formats or "all" in cfg.output.formats
 
 
-def _csv_lines(*columns):
-    """The CSV lines of the rows that zip the columns, one line at a time.
+def _csv_fields(values) -> list[str]:
+    """The CSV field of each value: `str`, which is `repr` for a float."""
+    return list(map(str, values))
 
-    For Python floats, ints, bools and strings holding no comma, double
-    quote, carriage return or newline, these are the lines `csv.writer`
-    writes: it writes a float as its repr, which is `str(float)`, quotes only
-    fields holding one of those four characters and ends a line with CRLF.
+
+def _csv_line_ends(values) -> list[str]:
+    """The last CSV field of each value's line, with the CRLF line end."""
+    return list(map("{}\r\n".format, values))
+
+
+def _csv_lines(*columns) -> list[str]:
+    """The CSV lines of the rows that zip the columns.
+
+    A column is a 1-D numpy array of floats, ints or bools, or a sequence of
+    strings. A column becomes the `str` of each element, an array's with one
+    `str` per distinct value (`svgplot._column_text`), and the last column's
+    strings carry the CRLF line end; each line is one `",".join`. For
+    strings holding no comma, double quote, carriage return or newline these
+    are the lines `csv.writer` writes for the same Python values: it writes
+    a float as its repr, which is `str(float)`, quotes only fields holding
+    one of those four characters and ends a line with CRLF.
     """
-    return (",".join(map(str, row)) + "\r\n" for row in zip(*columns))
+    fmts = [_csv_fields] * (len(columns) - 1) + [_csv_line_ends]
+    text = [_column_text(c, fmt) if isinstance(c, np.ndarray) else fmt(c)
+            for c, fmt in zip(columns, fmts)]
+    return list(map(",".join, zip(*text)))
 
 
 def _write_csv(path: Path, header: list[str], lines) -> None:
@@ -118,9 +137,8 @@ def cmd_profile(cfg: RunConfig) -> int:
         _write_csv(out / "profile.csv",
                    ["psi_rad", "u_c_mm", "v_c_mm", "u_p_mm", "v_p_mm",
                     "kappa_p_per_mm", "rho_c_mm"],
-                   _csv_lines(*(a.tolist() for a in (
-                       prof.psi, prof.u_c, prof.v_c, prof.u_p, prof.v_p,
-                       prof.kappa_p, prof.rho_c))))
+                   _csv_lines(prof.psi, prof.u_c, prof.v_c, prof.u_p, prof.v_p,
+                              prof.kappa_p, prof.rho_c))
     if _wants(cfg, "json"):
         _write_json(out / "profile.json", {
             **_meta(cfg),
@@ -202,9 +220,9 @@ def cmd_metrics(cfg: RunConfig) -> int:
                    ["mu_max_deg", "psi_at_mu_max_rad", "p_max_mpa",
                     "psi_at_p_max_rad", "size_mm", "fully_convex",
                     "profile_feasible", "allowable_pressure_ok"],
-                   _csv_lines(*zip([math.degrees(mu_max), psi_mu, P_max, psi_P, S_M,
-                                    report.fully_convex, report.profile_feasible,
-                                    allowable])))
+                   _csv_lines(*map(np.atleast_1d, (
+                       math.degrees(mu_max), psi_mu, P_max, psi_P, S_M,
+                       report.fully_convex, report.profile_feasible, allowable))))
     print(f"mu_max   = {math.degrees(mu_max):.4f} deg at psi = {psi_mu:.4f} rad")
     print(f"P_max    = {P_max:.4f} MPa at psi = {psi_P:.4f} rad")
     print(f"S_M      = {S_M:.4f} mm")
@@ -229,11 +247,12 @@ def cmd_sensitivity(cfg: RunConfig) -> int:
     if _wants(cfg, "csv"):
         _write_csv(out / "sensitivity_profile.csv",
                    ["psi_rad"] + [f"dP_d{n}_norm_mpa" for n in names],
-                   _csv_lines(rep.psi.tolist(), *(rep.pointwise[n].tolist() for n in names)))
+                   _csv_lines(rep.psi, *(rep.pointwise[n] for n in names)))
         _write_csv(out / "sensitivity_tables.csv",
                    ["mode", "r", "eta", "p", "L", "ranking"],
                    _csv_lines(["at_max", "rms"],
-                              *([rep.at_max[n], rep.rms[n]] for n in sensitivity.PARAMS),
+                              *(np.array([rep.at_max[n], rep.rms[n]])
+                                for n in sensitivity.PARAMS),
                               [" ".join(rep.at_max_ranking), " ".join(rep.rms_ranking)]))
     if _wants(cfg, "json"):
         _write_json(out / "sensitivity.json", {
@@ -286,10 +305,8 @@ def _table_lines(space, table) -> list[str]:
     `_FRONT_HEADER` row each."""
     mu, P, S, m, d_cs, r, L = table.T
     convex = geometry.fully_convex(optimize.eta_from_design(d_cs, r, space.pitch))
-    return list(_csv_lines(
-        m.astype(int).tolist(), d_cs.tolist(), r.tolist(), L.tolist(),
-        np.degrees(mu).tolist(), P.tolist(), S.tolist(), [True] * len(table),
-        convex.tolist()))
+    return _csv_lines(m.astype(int), d_cs, r, L, np.degrees(mu), P, S,
+                      np.ones(len(table), dtype=bool), convex)
 
 
 def cmd_pareto(cfg: RunConfig) -> int:
@@ -380,12 +397,11 @@ def cmd_contour(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     if _wants(cfg, "csv"):
         res = len(sl.d_axis)
-        d_cs = [s for s in map(str, sl.d_axis.tolist()) for _ in range(res)]
         _write_csv(out / "contour_grid.csv",
                    ["d_cs_mm", "r_mm", "mu_max_deg", "p_max_mpa", "feasible"],
-                   _csv_lines(d_cs, list(map(str, sl.r_axis.tolist())) * res,
-                              np.degrees(sl.mu_grid).ravel().tolist(),
-                              sl.P_grid.ravel().tolist(), sl.feasible.ravel().tolist()))
+                   _csv_lines(np.repeat(sl.d_axis, res), np.tile(sl.r_axis, res),
+                              np.degrees(sl.mu_grid).ravel(), sl.P_grid.ravel(),
+                              sl.feasible.ravel()))
         _write_csv(out / "contour_locus.csv", _FRONT_HEADER,
                    _table_lines(sl.space, sl.locus_table))
     if _wants(cfg, "json"):

@@ -19,8 +19,16 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError, ModelError
-from .geometry import MIN_PROFILE_RESOLUTION, TransmissionSpec
-from .mechanics import LoadCase, Material, builtin_materials, find_material, load_materials
+from .geometry import MAX_LENGTH, MIN_LENGTH, MIN_PROFILE_RESOLUTION, TransmissionSpec
+from .mechanics import (
+    MAX_TORQUE,
+    MIN_TORQUE,
+    LoadCase,
+    Material,
+    builtin_materials,
+    find_material,
+    load_materials,
+)
 from .optimize import MIN_GRID_RESOLUTION, DesignSpace
 from .sensitivity import MIN_PROFILE_SAMPLES, MIN_RMS_NODES
 
@@ -259,13 +267,13 @@ def load_config(path) -> RunConfig:
 
 # Bounds of each numeric field, as (op, bound) pairs: a value must satisfy
 # every pair. A list field has each entry checked and a null is not. Lengths
-# (mm) and the torque (N*mm) stay many orders of magnitude inside the float
-# range, so that no square or product of them overflows or underflows (a
-# subnormal torque wrote a NaN pressure), and a cam drives at
-# least one degree of the camshaft's turn. The load case, the materials, the
-# mechanism's eta and e > r, and the design space's resolution floor, cam
-# counts, range order and widths are checked by the model objects instead.
-_LENGTH = ((">=", 1e-6), ("<=", 1e6))
+# (mm) and the torque (N*mm) keep the model's ranges (`geometry.MIN_LENGTH`,
+# `mechanics.MIN_TORQUE` and their maxima, which the model objects check
+# too), and a cam drives at least one degree of the camshaft's turn. The
+# load case, the materials, the mechanism's eta and e > r, and the design
+# space's resolution floor, cam counts, range order and widths are checked
+# by the model objects instead.
+_LENGTH = ((">=", MIN_LENGTH), ("<=", MAX_LENGTH))
 _CAM_COUNT = ("<=", MAX_CAM_COUNT)
 _SAMPLES = ("memory", MAX_GRID_CANDIDATES // 5)
 _RANGES = {
@@ -273,12 +281,12 @@ _RANGES = {
                      "mechanism.contact_width_mm", "design_space.r_mm", "design_space.L_mm",
                      "design_space.pitch_mm", "design_space.s_cap_mm"), _LENGTH),
     "mechanism.cam_count": ((">=", 1), _CAM_COUNT),
-    "load.torque_nmm": ((">=", 1e-6), ("<=", 1e12)),
+    "load.torque_nmm": ((">=", MIN_TORQUE), ("<=", MAX_TORQUE)),
     "load.speed_rpm": ((">=", 0.0),),
     "profile.resolution": ((">=", MIN_PROFILE_RESOLUTION), _SAMPLES),
     "sensitivity.samples": ((">=", MIN_PROFILE_SAMPLES), _SAMPLES),
     "sensitivity.rms_nodes": ((">=", MIN_RMS_NODES), _SAMPLES),
-    "design_space.d_cs_mm": ((">=", 0.0), ("<=", 1e6)),
+    "design_space.d_cs_mm": ((">=", 0.0), ("<=", MAX_LENGTH)),
     "design_space.m": (_CAM_COUNT,),
     "design_space.mu_cap_deg": ((">", 0.0),),
     "design_space.p_cap_mpa": ((">", 0.0),),

@@ -34,6 +34,12 @@ ETA_MAX = 1e100
 ROOT_SCAN_NODES = 17
 ROOT_NEWTON_STEPS = 6
 
+# range of every length of the model, mm: many orders of magnitude inside the
+# float range, so that no product of lengths and loads under- or overflows
+# (a subnormal roller radius and width gave an infinite pressure)
+MIN_LENGTH = 1e-6
+MAX_LENGTH = 1e6
+
 DEFAULT_PROFILE_RESOLUTION = 2048
 MIN_PROFILE_RESOLUTION = 16
 
@@ -57,6 +63,14 @@ def require_positive(what: str, value) -> None:
         raise InvalidSpec(f"{what} must be positive and finite, got {value}")
 
 
+def require_length(what: str, value) -> None:
+    """Raise InvalidSpec unless value is a length in [MIN_LENGTH, MAX_LENGTH]."""
+    require_positive(what, value)
+    if not MIN_LENGTH <= value <= MAX_LENGTH:
+        raise InvalidSpec(f"{what} must lie in [{MIN_LENGTH:g}, {MAX_LENGTH:g}] mm, "
+                          f"got {value}")
+
+
 @dataclass(frozen=True)
 class TransmissionSpec:
     """One candidate transmission with single-lobe cams.
@@ -77,7 +91,7 @@ class TransmissionSpec:
     def __post_init__(self):
         for what, value in (("pitch", self.p), ("roller radius", self.r),
                             ("contact width", self.L)):
-            require_positive(what, value)
+            require_length(what, value)
         if not self.eta <= ETA_MAX:
             raise InvalidSpec(f"eta must be at most {ETA_MAX:g}, got {self.eta}")
         if int(self.m) != self.m or self.m < 1:

@@ -43,6 +43,7 @@ from .geometry import (
     last_root,
     pitch_curvature,
     require_feasible,
+    require_length,
     require_positive,
 )
 
@@ -50,6 +51,11 @@ from .geometry import (
 FATIGUE_FRACTION = 0.4
 
 HIGH_SPEED_RPM = 50.0
+
+# torque range, N*mm: outside it the contact force's Hertz pressure can
+# underflow or overflow (a subnormal torque gave a NaN pressure)
+MIN_TORQUE = 1e-6
+MAX_TORQUE = 1e12
 
 
 def require_cam_count(m) -> None:
@@ -198,6 +204,9 @@ class LoadCase:
 
     def __post_init__(self):
         require_positive("torque", self.torque)
+        if not MIN_TORQUE <= self.torque <= MAX_TORQUE:
+            raise InvalidSpec(f"torque must lie in [{MIN_TORQUE:g}, {MAX_TORQUE:g}] N*mm, "
+                              f"got {self.torque}")
 
     @property
     def high_speed(self) -> bool:
@@ -498,5 +507,5 @@ def max_hertz_pressure(spec: TransmissionSpec, load: LoadCase,
 def mechanism_size(m: int, L: float) -> float:
     """Axial size of the mechanism: m cams of width L, mm."""
     require_cam_count(m)
-    require_positive("contact width", L)
+    require_length("contact width", L)
     return m * L

@@ -27,7 +27,7 @@ from itertools import compress
 import numpy as np
 
 from .errors import InfeasibleCamCount, InvalidSpec
-from .geometry import fully_convex, require_positive
+from .geometry import MAX_LENGTH, fully_convex, require_length, require_positive
 from .mechanics import (
     LoadCase,
     Material,
@@ -62,7 +62,8 @@ class DesignSpace:
     even though that first column is geometrically infeasible (e = r); those
     candidates come back flagged, not dropped. A space holds a grid of at
     least MIN_GRID_RESOLUTION, distinct cam counts of two or more, ordered
-    ranges, a width per cam count and a positive finite pitch and caps, or it is not built.
+    ranges of lengths (`geometry.require_length`; d_cs may start at zero), a
+    width per cam count and positive finite caps, or it is not built.
     """
 
     d_cs_range: tuple[float, float] = (0.0, 30.0)
@@ -79,9 +80,13 @@ class DesignSpace:
     S_cap: float = 90.0
 
     def __post_init__(self):
-        for what, value in (("pitch", self.pitch), ("pressure-angle cap", self.mu_cap),
-                            ("Hertz pressure cap", self.P_cap), ("size cap", self.S_cap)):
+        for what, value in (("pressure-angle cap", self.mu_cap),
+                            ("Hertz pressure cap", self.P_cap)):
             require_positive(f"design space {what}", value)
+        for what, value in (("pitch", self.pitch), ("size cap", self.S_cap),
+                            ("smallest roller radius", self.r_range[0]),
+                            ("smallest contact width", self.L_range[0])):
+            require_length(f"design space {what}", value)
         if self.resolution < MIN_GRID_RESOLUTION:
             raise InvalidSpec(f"design space resolution must be at least "
                               f"{MIN_GRID_RESOLUTION}, got {self.resolution}")
@@ -95,9 +100,9 @@ class DesignSpace:
             if not lo <= hi:
                 raise InvalidSpec(f"design space has an empty L range [{lo}, {hi}] for m={m}")
         for name, (lo, hi) in (("d_cs", self.d_cs_range), ("r", self.r_range)):
-            if not lo <= hi:
-                raise InvalidSpec(f"design space {name} range must be [low, high], "
-                                  f"got {[lo, hi]}")
+            if not 0.0 <= lo <= hi <= MAX_LENGTH:
+                raise InvalidSpec(f"design space {name} range must be [low, high] "
+                                  f"inside [0, {MAX_LENGTH:g}] mm, got {[lo, hi]}")
 
     def L_bounds(self, m: int) -> tuple[float, float]:
         lo, hi = self.L_range
@@ -176,10 +181,11 @@ def evaluate_candidate(x, space: DesignSpace) -> DesignCandidate:
 
     The sweep's evaluation on a batch of one pair at one width, so it agrees
     with the sweep arrays bit for bit. A cam count below two fails geometry;
-    a width that is not finite and positive raises InvalidSpec.
+    a width that is not a length (`geometry.require_length`) raises
+    InvalidSpec.
     """
     d_cs, r, L, m = float(x[0]), float(x[1]), float(x[2]), int(x[3])
-    require_positive("contact width", L)
+    require_length("contact width", L)
     D, R = np.array([d_cs]), np.array([r])
     metrics = (_pair_metrics(space, (m,), D, R)[m] if m >= 2
                else (np.array([False]), np.array([np.nan]), np.array([np.nan])))

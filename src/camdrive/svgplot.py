@@ -19,9 +19,33 @@ def _fmt(x: float) -> str:
     return "0.000" if s == "-0.000" else s
 
 
-def _fmt_all(values: list) -> list:
+def _column_text(values, fmt) -> list:
+    """The strings of the elements of a 1-D array, formatting each distinct
+    value once.
+
+    `fmt` takes the list of the distinct values, as Python scalars, and
+    returns their strings in the same order. Floats are told apart by bit
+    pattern, so -0.0 and 0.0 are two values. The CSV lines of `cli` and
+    `_fmt_all` both build their text here.
+    """
+    values = np.asarray(values)
+    floats = values.dtype.kind == "f"
+    if floats:
+        values = values.astype(np.float64, copy=False)
+    distinct, inverse = np.unique(values.view(np.int64) if floats else values,
+                                  return_inverse=True)
+    text = np.array(fmt(distinct.view(values.dtype).tolist()), dtype=object)
+    return text[inverse].tolist()
+
+
+def _fmt_list(values: list) -> list:
     """`_fmt` of each of a list of finite floats."""
     return ["0.000" if s == "-0.000" else s for s in map("{:.3f}".format, values)]
+
+
+def _fmt_all(values) -> list:
+    """`_fmt` of each value of a 1-D array of finite floats."""
+    return _column_text(values, _fmt_list)
 
 
 def _check_finite(*columns) -> None:
@@ -71,7 +95,7 @@ class Canvas:
         arrays; a non-finite page coordinate raises `_fmt`'s error."""
         sx, sy = self._page(xs, ys)
         _check_finite(sx, sy)
-        pts = " ".join(map("{},{}".format, _fmt_all(sx.tolist()), _fmt_all(sy.tolist())))
+        pts = " ".join(map("{},{}".format, _fmt_all(sx), _fmt_all(sy)))
         dash = ' stroke-dasharray="6,4"' if dashed else ""
         self.elements.append(
             f'<polyline fill="none" stroke="{stroke}" stroke-width="{width}"'
@@ -89,10 +113,9 @@ class Canvas:
         _check_finite(sx1, sy1, sx2, sy2)
         tail = f' stroke="{stroke}" stroke-width="{width}"'
         tail += ' stroke-dasharray="6,4"/>' if dashed else "/>"
-        self.elements.extend(
+        self.elements.extend([
             f'<line x1="{a}" y1="{b}" x2="{c}" y2="{d}"{tail}'
-            for a, b, c, d in zip(*(_fmt_all(v.tolist()) for v in (sx1, sy1, sx2, sy2)),
-                                  strict=True))
+            for a, b, c, d in zip(*map(_fmt_all, (sx1, sy1, sx2, sy2)), strict=True)])
 
     def circles(self, xs, ys, radius_px=2.5, stroke="#000000", fill="none"):
         """One circle element per point, mapped and formatted as whole arrays.
@@ -105,12 +128,11 @@ class Canvas:
         if not sx.size:
             return
         _check_finite(sx, sy, radius_px)
-        sx, sy = sx.tolist(), sy.tolist()
-        strokes = [stroke] * len(sx) if isinstance(stroke, str) else stroke
+        strokes = [stroke] * sx.size if isinstance(stroke, str) else stroke
         r = _fmt(radius_px)
-        self.elements.extend(
+        self.elements.extend([
             f'<circle cx="{cx}" cy="{cy}" r="{r}" stroke="{s}" fill="{fill}"/>'
-            for cx, cy, s in zip(_fmt_all(sx), _fmt_all(sy), strokes, strict=True))
+            for cx, cy, s in zip(_fmt_all(sx), _fmt_all(sy), strokes, strict=True)])
 
     def data_circle(self, x, y, radius, stroke="#000000", fill="none"):
         """Circle whose radius lives in data units (x scale)."""

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from camdrive import geometry, optimize, sensitivity
+from camdrive import cli, geometry, optimize, sensitivity
 from camdrive.cli import _csv_lines, main
 from camdrive.config import MAX_GRID_CANDIDATES, RunConfig, parse_config
 from camdrive.errors import ConfigError
@@ -375,6 +375,46 @@ class TestCsvLines:
         assert list(_csv_lines(*zip(header))) == ["mode,r,eta,p,L,ranking\r\n"]
         assert list(_csv_lines()) == []
 
+    def check_arrays(self, tmp_path, columns):
+        """Lines of array columns against `csv.writer` on their Python values."""
+        rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+        got = self.line_bytes(tmp_path / "lines.csv", columns)
+        assert got == self.writer_bytes(tmp_path / "writer.csv", rows)
+        return got
+
+    def test_array_columns_with_repeats(self, tmp_path):
+        rng = np.random.default_rng(9)
+        values = rng.standard_normal(7) * 10.0 ** rng.integers(-8, 8, 7)
+        n = 300
+        columns = [rng.choice(values, n), rng.standard_normal(n), rng.integers(-4, 4, n),
+                   rng.random(n) < 0.5, rng.choice(values[:2], n)]
+        got = self.check_arrays(tmp_path, columns)
+        assert got.count(b"\r\n") == n
+
+    def test_array_special_values(self, tmp_path):
+        floats = np.array([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e16,
+                           9999999999999998.0, 1e-5, 0.1 + 0.2, -0.0, 0.0, math.nan, 1e16,
+                           1.7976931348623157e308])
+        got = self.check_arrays(tmp_path, [floats, floats[::-1].copy(),
+                                           np.arange(len(floats)) % 3 == 0,
+                                           np.arange(-8, len(floats) - 8)])
+        assert b"-0.0,0.0,True,-5\r\n0.0,-0.0,False,-4\r\n" in got
+        # zero and minus zero apart as the last column, which carries the line end
+        assert _csv_lines(np.array([0.0, -0.0, 0.0])) == ["0.0\r\n", "-0.0\r\n", "0.0\r\n"]
+
+    def test_strided_columns_of_a_table(self, tmp_path):
+        table = np.random.default_rng(10).standard_normal((50, 3)).round(1)
+        self.check_arrays(tmp_path, list(table.T))
+
+    def test_string_column_between_arrays(self, tmp_path):
+        self.check_arrays(tmp_path, [["at_max", "rms"], np.array([0.5, -0.0]),
+                                     np.array([True, False]), ["r eta p L", "L p eta r"]])
+
+    def test_array_one_row_and_no_rows(self, tmp_path):
+        assert _csv_lines(np.array([2.5]), np.array([3]), np.array([True])) == \
+            ["2.5,3,True\r\n"]
+        assert _csv_lines(np.array([]), np.array([], dtype=bool)) == []
+
 
 # configs that every command rejects as config errors
 BOUNDARY_CONFIGS = [
@@ -442,6 +482,27 @@ class TestConfigHandling:
 
     def test_bad_flag_exits_1(self, tmp_path, capsys):
         assert main(["profile", "--bogus"]) == 1
+
+    def test_main_runs_repeatedly_in_one_process(self, tmp_path, capsys):
+        """`main` builds its parser once, and no flag of one call carries into
+        the next: each call reads only its own arguments."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"output": {"directory": str(tmp_path / "b")},
+                                      "profile": {"resolution": 100}}))
+        assert main(["profile", "--out", str(tmp_path / "a"), "--resolution", "80"]) == 0
+        assert main(["profile", "--config", str(config)]) == 0
+        assert main(["profile", "--config", str(config), "--resolution", "ten"]) == 1
+        assert main(["profile", "--config", str(config), "--format", "csv"]) == 0
+        assert main(["profile", "--bogus"]) == 1
+        assert main(["metrics", "--config", str(config), "--format", "json"]) == 0
+        assert len(read_csv(tmp_path / "a" / "profile.csv")) == 81
+        assert len(read_csv(tmp_path / "b" / "profile.csv")) == 101
+        assert json.loads((tmp_path / "b" / "profile.json").read_text())["resolution"] == 100
+        assert sorted(p.name for p in (tmp_path / "a").iterdir()) == \
+            ["profile.csv", "profile.json", "profile.svg"]
+        assert (tmp_path / "b" / "metrics.json").exists()
+        assert not (tmp_path / "b" / "metrics.csv").exists()
+        assert cli._build_parser() is cli._build_parser()
 
     def test_unknown_material_exits_1(self, tmp_path, capsys):
         code = run(tmp_path, "metrics", "--out", str(tmp_path / "o"),

@@ -92,6 +92,25 @@ def test_non_finite_values_rejected(field, value):
         POSITIVE_FINITE[field](value)
 
 
+LENGTHS = [f for f in POSITIVE_FINITE if f.endswith(("-p", "-r", "-L", "-pitch", "-S_cap"))]
+
+
+@pytest.mark.parametrize("value", [5e-324, 9.9e-7, 1.01e6, 1e308])
+@pytest.mark.parametrize("field", LENGTHS)
+def test_lengths_outside_the_model_range_rejected(field, value):
+    # a subnormal roller radius and width gave an infinite Hertz pressure
+    with pytest.raises(InvalidSpec, match=r"must lie in \[1e-06, 1e\+06\] mm"):
+        POSITIVE_FINITE[field](value)
+
+
+@pytest.mark.parametrize("value", [5e-324, 9.9e-7, 1.01e12, 1e308])
+def test_torque_outside_the_model_range_rejected(value):
+    # a subnormal torque gave a NaN Hertz pressure
+    with pytest.raises(InvalidSpec, match=r"torque must lie in \[1e-06, 1e\+12\] N\*mm"):
+        cd.LoadCase(value)
+    cd.LoadCase(min(max(value, 1e-6), 1e12))
+
+
 class TestFollowerDisplacement:
     def test_home_position(self):
         assert cd.follower_displacement(0.0, 50.0) == pytest.approx(-25.0)

@@ -3,9 +3,30 @@ import math
 import numpy as np
 import pytest
 
-from camdrive.svgplot import Canvas, _fmt
+from camdrive.svgplot import Canvas, _fmt, _fmt_all
 
 import oracles
+
+
+class TestFmtAll:
+    """`_fmt_all` of an array is `_fmt` of each of its values."""
+
+    @pytest.mark.parametrize("values", [
+        [1.5, 2.25, 1.5, 1.5, 300.0, 2.25],
+        [-0.0, 0.0, -0.0, 0.0004, -0.0004, -0.0005, -0.00049, 0.0005, -0.0006],
+        np.random.default_rng(13).uniform(-1.0, 700.0, 400).tolist(),
+        np.random.default_rng(14).choice([56.0, 320.123456, -0.0001, 584.0], 200).tolist(),
+        [],
+    ])
+    def test_matches_per_value_format(self, values):
+        array = np.asarray(values, dtype=float)
+        want = [_fmt(x) for x in values]
+        assert _fmt_all(array) == want
+        assert _fmt_all(np.broadcast_to(array, (2, len(values)))[1]) == want
+        assert "-0.000" not in want
+
+    def test_constant_page_coordinate(self):
+        assert _fmt_all(np.broadcast_to(np.float64(320.0), (4,))) == ["320.000"] * 4
 
 
 def looped(canvas_args, xs, ys, radius_px, stroke, fill="none"):
