@@ -50,7 +50,6 @@ from .sensitivity import (
     pressure_partials,
     rank_at_max,
     rank_rms,
-    sensitivity_profile,
     sensitivity_report,
 )
 

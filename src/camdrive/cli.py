@@ -51,8 +51,9 @@ def _build_parser() -> _Parser:
                        help="JSON run configuration")
         p.add_argument("--out", type=Path, default=None,
                        help="output directory (overrides config)")
-        p.add_argument("--resolution", type=int, default=None,
-                       help="sampling / grid resolution (overrides config)")
+        if name != "metrics":  # metrics samples nothing
+            p.add_argument("--resolution", type=int, default=None,
+                           help="sampling / grid resolution (overrides config)")
         p.add_argument("--format", choices=["csv", "json", "svg", "all"],
                        default=None, help="restrict output formats")
         p.add_argument("--material", default=None,
@@ -65,8 +66,8 @@ def _build_parser() -> _Parser:
 def _resolve(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     return apply_overrides(cfg, args.command, out=args.out,
-                           resolution=args.resolution, fmt=args.format,
-                           mat=args.material, seed=args.seed)
+                           resolution=getattr(args, "resolution", None),
+                           fmt=args.format, mat=args.material, seed=args.seed)
 
 
 def _outdir(cfg: RunConfig) -> Path:

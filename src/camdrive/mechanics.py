@@ -69,8 +69,9 @@ def require_cam_count(m) -> None:
 class Material:
     """Elastic constants and allowable Hertz pressures of a contact body.
 
-    Catalog rows published as ranges keep both bounds; constraint checks use
-    the upper bound. E in MPa, pressures in MPa.
+    Catalog rows published as ranges keep both bounds, each positive and
+    finite with low <= high; constraint checks use the upper bound. E in
+    MPa, pressures in MPa.
     """
 
     name: str
@@ -83,6 +84,12 @@ class Material:
         require_positive("Young modulus", self.E)
         if not 0.0 <= self.nu < 0.5:
             raise InvalidSpec(f"Poisson ratio must lie in [0, 0.5), got {self.nu}")
+        for what, (lo, hi) in (("static pressure", self.p_stat),
+                               ("allowable pressure", self.p_allow)):
+            require_positive(what, lo)
+            require_positive(what, hi)
+            if lo > hi:
+                raise InvalidSpec(f"{what} range must have low <= high, got [{lo}, {hi}]")
 
     @property
     def P_stat(self) -> float:
@@ -94,23 +101,12 @@ class Material:
         """Allowable fatigue pressure, upper bound of the published range."""
         return self.p_allow[1]
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "young_modulus_mpa": self.E,
-            "poisson_ratio": self.nu,
-            "static_pressure_mpa": list(self.p_stat),
-            "allowable_pressure_mpa": list(self.p_allow),
-        }
-
 
 def _as_range(value) -> tuple[float, float]:
     if isinstance(value, (tuple, list)):
         lo, hi = float(value[0]), float(value[1])
     else:
         lo = hi = float(value)
-    if lo > hi:
-        lo, hi = hi, lo
     return lo, hi
 
 
@@ -154,7 +150,7 @@ _MATERIAL_KEYS = {"name", "young_modulus_mpa", "poisson_ratio",
 
 
 def load_materials(path) -> tuple[Material, ...]:
-    """Load a material catalog from a JSON file (same schema as the builtin).
+    """Load a material catalog from a JSON file.
 
     The file holds a list of objects with keys name, young_modulus_mpa,
     poisson_ratio, static_pressure_mpa and optionally allowable_pressure_mpa

@@ -4,7 +4,8 @@ Closed-form partial derivatives of P with respect to (r, eta, p, L) from
 `mechanics.pressure_sensitivities`, normalised profiles over the active
 segment, rms aggregation and parameter ranking. Normalised means multiplied
 by the parameter's nominal value so the four series are comparable on one
-axis. The segment and the pressure peak come from the segment kernel.
+axis. `sensitivity_report` is the one study; the segment and the pressure
+peak come from the segment kernel.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from .mechanics import (
     ActiveSegment,
     LoadCase,
     Material,
-    SegmentMetrics,
     active_segment,
     compliance_sum,
     hertz_segment,
@@ -66,16 +66,6 @@ def _sensitivities(spec, load, materials, psi):
     return P, partials
 
 
-def pressure_at(spec: TransmissionSpec, load: LoadCase,
-                materials: tuple[Material, Material], psi):
-    """Hertz pressure at cam angle psi, MPa; psi may be an array of angles.
-
-    Raises InfeasibleProfile where the cam curvature radius is not positive.
-    """
-    P = _sensitivities(spec, load, materials, psi)[0]
-    return P if np.ndim(P) else float(P)
-
-
 def pressure_partials(spec: TransmissionSpec, load: LoadCase,
                       materials: tuple[Material, Material], psi: float,
                       include_torque: bool = False) -> np.ndarray:
@@ -90,54 +80,8 @@ def pressure_partials(spec: TransmissionSpec, load: LoadCase,
     return raw if include_torque else raw[:len(PARAMS)]
 
 
-def _segment(spec, load, materials) -> tuple[SegmentMetrics, ActiveSegment]:
-    """Kernel metrics and driving arc; raises as `hertz_segment` does."""
-    seg = hertz_segment(spec, load, *materials)[1]
-    return seg, active_segment(spec, seg.delta)
-
-
-def _profile(spec, load, materials, arc, samples, include_torque):
-    if samples < MIN_PROFILE_SAMPLES:
-        raise InvalidSpec(f"need at least {MIN_PROFILE_SAMPLES} samples, got {samples}")
-    psis = arc.grid(samples)
-    partials = _sensitivities(spec, load, materials, psis)[1]
-    names = PARAMS + ("torque",) if include_torque else PARAMS
-    return psis, dict(zip(names, partials))
-
-
-def sensitivity_profile(spec: TransmissionSpec, load: LoadCase,
-                        materials: tuple[Material, Material],
-                        samples: int = 256,
-                        include_torque: bool = False):
-    """Normalised partials over the active segment, for plotting.
-
-    Returns (psis, {param: series}); each series is dP/dq * q0 at the sample
-    angles. Needs at least 64 samples to resolve the segment.
-    """
-    arc = _segment(spec, load, materials)[1]
-    return _profile(spec, load, materials, arc, samples, include_torque)
-
-
 def _ranking(values: dict) -> tuple[str, ...]:
     return tuple(sorted(PARAMS, key=lambda k: -abs(values[k])))
-
-
-def _at_max(spec, load, materials, psi_P):
-    partials = _sensitivities(spec, load, materials, psi_P)[1]
-    values = {name: abs(float(partials[i])) for i, name in enumerate(PARAMS)}
-    return values, _ranking(values)
-
-
-def rank_at_max(spec: TransmissionSpec, load: LoadCase,
-                materials: tuple[Material, Material]):
-    """Normalised partial magnitudes at the pressure peak, with ranking.
-
-    The peak is the kernel's psi_P: the left end of the active segment
-    (pi - delta for a two-cam mechanism) unless the arc starts before the
-    pitch-curvature turnover, where it can lie inside the arc. Values are
-    |dP/dq * q0| there.
-    """
-    return _at_max(spec, load, materials, _segment(spec, load, materials)[0].psi_P)
 
 
 def _simpson(y: np.ndarray, h: float) -> float:
@@ -147,16 +91,17 @@ def _simpson(y: np.ndarray, h: float) -> float:
     return float(h / 3.0 * np.dot(w, y))
 
 
-def _rms(spec, load, materials, arc, nodes):
-    if nodes < MIN_RMS_NODES:
-        raise InvalidSpec(f"need at least {MIN_RMS_NODES} nodes, got {nodes}")
-    if nodes % 2 == 0:
-        nodes += 1  # Simpson needs an even interval count
-    h = arc.length / (nodes - 1)
-    partials = _sensitivities(spec, load, materials, arc.grid(nodes))[1]
-    values = {name: math.sqrt(_simpson(partials[i] ** 2, h) / arc.length)
-              for i, name in enumerate(PARAMS)}
-    return values, _ranking(values)
+def rank_at_max(spec: TransmissionSpec, load: LoadCase,
+                materials: tuple[Material, Material]):
+    """Normalised partial magnitudes at the pressure peak, with ranking.
+
+    The peak is the kernel's psi_P: the left end of the active segment
+    (pi - delta for a two-cam mechanism) unless the arc starts before the
+    pitch-curvature turnover, where it can lie inside the arc. Values are
+    |dP/dq * q0| there. A view of the default `sensitivity_report`.
+    """
+    rep = sensitivity_report(spec, load, materials)
+    return rep.at_max, rep.at_max_ranking
 
 
 def rank_rms(spec: TransmissionSpec, load: LoadCase,
@@ -164,9 +109,11 @@ def rank_rms(spec: TransmissionSpec, load: LoadCase,
     """Root-mean-square of the normalised partials over the active segment.
 
     Composite Simpson integration on an odd node count >= 1025; the mean uses
-    the segment length, which is pi for a two-cam mechanism.
+    the segment length, which is pi for a two-cam mechanism. A view of the
+    `sensitivity_report` with `rms_nodes=nodes`.
     """
-    return _rms(spec, load, materials, _segment(spec, load, materials)[1], nodes)
+    rep = sensitivity_report(spec, load, materials, rms_nodes=nodes)
+    return rep.rms, rep.rms_ranking
 
 
 def sensitivity_report(spec: TransmissionSpec, load: LoadCase,
@@ -176,15 +123,33 @@ def sensitivity_report(spec: TransmissionSpec, load: LoadCase,
                        include_torque: bool = False) -> SensitivityReport:
     """Full sensitivity study: pointwise series, peak values, rms, rankings.
 
-    The kernel runs once and its segment and peak serve all three parts.
+    The kernel runs once and its arc and peak serve all three parts. One
+    evaluation of the partials on the `samples` grid followed by the rms
+    node grid gives the series and the rms; the peak values come from a
+    scalar evaluation at psi_P, because numpy's array power can round one
+    ulp away from the scalar one. Needs at least 64 samples and 1025 nodes;
+    an even node count takes one node more.
     """
-    seg, arc = _segment(spec, load, materials)
-    psis, series = _profile(spec, load, materials, arc, samples, include_torque)
-    at_max, rank1 = _at_max(spec, load, materials, seg.psi_P)
-    rms, rank2 = _rms(spec, load, materials, arc, rms_nodes)
+    seg = hertz_segment(spec, load, *materials)[1]
+    arc = active_segment(spec, seg.delta)
+    if samples < MIN_PROFILE_SAMPLES:
+        raise InvalidSpec(f"need at least {MIN_PROFILE_SAMPLES} samples, got {samples}")
+    if rms_nodes < MIN_RMS_NODES:
+        raise InvalidSpec(f"need at least {MIN_RMS_NODES} nodes, got {rms_nodes}")
+    nodes = rms_nodes | 1  # Simpson needs an even interval count
+    psis = arc.grid(samples)
+    partials = _sensitivities(spec, load, materials,
+                              np.concatenate([psis, arc.grid(nodes)]))[1]
+    peak = _sensitivities(spec, load, materials, seg.psi_P)[1]
+    h = arc.length / (nodes - 1)
+    at_max = {name: abs(float(peak[i])) for i, name in enumerate(PARAMS)}
+    rms = {name: math.sqrt(_simpson(partials[i, samples:] ** 2, h) / arc.length)
+           for i, name in enumerate(PARAMS)}
+    names = PARAMS + ("torque",) if include_torque else PARAMS
     nominal = {"r": spec.r, "eta": spec.eta, "p": spec.p, "L": spec.L,
                "torque": load.torque}
     return SensitivityReport(
-        nominal=nominal, segment=arc, delta=seg.delta, psi=psis, pointwise=series,
-        at_max=at_max, at_max_ranking=rank1, rms=rms, rms_ranking=rank2,
+        nominal=nominal, segment=arc, delta=seg.delta, psi=psis,
+        pointwise=dict(zip(names, partials[:, :samples])), at_max=at_max,
+        at_max_ranking=_ranking(at_max), rms=rms, rms_ranking=_ranking(rms),
     )

@@ -9,7 +9,6 @@ from camdrive import cli, geometry, optimize, sensitivity
 from camdrive.cli import _csv_lines, main
 from camdrive.config import MAX_GRID_CANDIDATES, RunConfig, parse_config
 from camdrive.errors import ConfigError
-from camdrive.mechanics import find_material
 
 
 def run(tmp_path, *args, config=None):
@@ -504,6 +503,16 @@ class TestConfigHandling:
         assert not (tmp_path / "b" / "metrics.csv").exists()
         assert cli._build_parser() is cli._build_parser()
 
+    @pytest.mark.parametrize("value", ["-7", "64"])
+    def test_metrics_has_no_resolution_flag(self, tmp_path, capsys, value):
+        # metrics samples nothing, so a resolution flag is misuse, not ignored
+        out = tmp_path / "o"
+        code = run(tmp_path, "metrics", "--out", str(out), "--resolution", value)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "--resolution" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_unknown_material_exits_1(self, tmp_path, capsys):
         code = run(tmp_path, "metrics", "--out", str(tmp_path / "o"),
                    "--material", "cheese")
@@ -557,7 +566,10 @@ class TestConfigHandling:
         # the run computes with the catalog its config check read
         from camdrive import config
         path = tmp_path / "catalog.json"
-        path.write_text(json.dumps([find_material("improved steel").to_dict()]))
+        path.write_text(json.dumps([{
+            "name": "improved steel", "young_modulus_mpa": 210000.0, "poisson_ratio": 0.3,
+            "static_pressure_mpa": [1600.0, 2000.0],
+            "allowable_pressure_mpa": [640.0, 800.0]}]))
         load = config.load_materials
         reads = []
 
@@ -580,6 +592,8 @@ class TestConfigHandling:
                      "static_pressure_mpa": 100.0}]),
         json.dumps([{"name": "x", "young_modulus_mpa": "210000", "poisson_ratio": 0.3,
                      "static_pressure_mpa": 100.0}]),
+        json.dumps([{"name": "x", "young_modulus_mpa": 210000.0, "poisson_ratio": 0.3,
+                     "static_pressure_mpa": -100, "allowable_pressure_mpa": [0, -5]}]),
     ])
     def test_catalog_faults_exit_1_with_one_line(self, tmp_path, capsys, command,
                                                  catalog):

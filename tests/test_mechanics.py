@@ -57,7 +57,11 @@ class TestMaterials:
 
     def test_catalog_roundtrip(self, tmp_path):
         path = tmp_path / "mats.json"
-        path.write_text(json.dumps([m.to_dict() for m in cd.builtin_materials()]))
+        path.write_text(json.dumps([
+            {"name": m.name, "young_modulus_mpa": m.E, "poisson_ratio": m.nu,
+             "static_pressure_mpa": list(m.p_stat),
+             "allowable_pressure_mpa": list(m.p_allow)}
+            for m in cd.builtin_materials()]))
         loaded = cd.load_materials(path)
         assert loaded == cd.builtin_materials()
 
@@ -85,15 +89,17 @@ class TestMaterials:
         {"static_pressure_mpa": "100"}, {"static_pressure_mpa": [100.0]},
         {"allowable_pressure_mpa": [1.0, False]}, {"young_modulus_mpa": float("nan")},
         {"name": 7},
-        # rows that `Material` itself rejects
+        # rows that `Material` itself rejects; a reversed pair is not swapped
         {"young_modulus_mpa": -1.0}, {"poisson_ratio": 0.5},
+        {"static_pressure_mpa": -100, "allowable_pressure_mpa": [0, -5]},
+        {"allowable_pressure_mpa": [0, -5]}, {"static_pressure_mpa": [200.0, 100.0]},
     ])
     def test_catalog_rejects_bad_values(self, tmp_path, fault):
         row = {"name": "x", "young_modulus_mpa": 1000.0, "poisson_ratio": 0.3,
                "static_pressure_mpa": 100.0}
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps([{**row, **fault}]))
-        with pytest.raises(ConfigError):
+        path.write_text(json.dumps([row, {**row, **fault}]))
+        with pytest.raises(ConfigError, match="^material row 1"):
             cd.load_materials(path)
 
     def test_fatigue_rule_default(self, tmp_path):
@@ -118,6 +124,16 @@ class TestMaterials:
                 cd.Material("bad", E, 0.3, (1.0, 1.0), (1.0, 1.0))
         with pytest.raises(InvalidSpec):
             cd.Material("bad", 1000.0, 0.5, (1.0, 1.0), (1.0, 1.0))
+
+    @pytest.mark.parametrize("p_stat, p_allow", [
+        ((-100.0, -100.0), (40.0, 40.0)), ((0.0, 100.0), (40.0, 40.0)),
+        ((100.0, 100.0), (0.0, -5.0)), ((100.0, math.inf), (40.0, 40.0)),
+        ((100.0, 100.0), (40.0, math.nan)),
+        ((200.0, 100.0), (40.0, 40.0)), ((100.0, 100.0), (50.0, 40.0)),
+    ])
+    def test_pressure_bounds_positive_and_ordered(self, p_stat, p_allow):
+        with pytest.raises(InvalidSpec):
+            cd.Material("bad", 1000.0, 0.3, p_stat, p_allow)
 
 
 class TestMaterialCoefficient:

@@ -54,7 +54,8 @@ def test_crossover_scan_prints_the_envelope_table(tmp_path):
 
 
 def test_output_digests_repeat(tmp_path):
-    small = {"profile": {"resolution": 64}, "sensitivity": {"samples": 64},
+    small = {"profile": {"resolution": 64},
+             "sensitivity": {"samples": 64, "include_torque": True, "rms_nodes": 1026},
              "design_space": {"resolution": 16}, "contour": {"resolution": 16}}
     configs = {"small": small, "singular": {**small, "mechanism": {"eta": 0.1}}}
     for name, config in configs.items():

@@ -6,10 +6,11 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import camdrive as cd
+from camdrive import mechanics, sensitivity
 from camdrive.errors import InvalidSpec, ModelError, NoRootFound
 from camdrive.geometry import TAU
-from camdrive.mechanics import material_coefficient, pressure_sensitivities
-from camdrive.sensitivity import PARAMS, _simpson, pressure_at
+from camdrive.mechanics import compliance_sum, material_coefficient, pressure_sensitivities
+from camdrive.sensitivity import PARAMS, _simpson
 
 from oracles import hertz_pressure_series, pressure_partials_fd
 
@@ -106,7 +107,8 @@ class TestPressurePartials:
     def test_torque_partial(self, nominal, load, steel_pair):
         psi = float(segment_points(nominal)[0])
         c = cd.pressure_partials(nominal, load, steel_pair, psi, include_torque=True)
-        P = pressure_at(nominal, load, steel_pair, psi)
+        P = pressure_sensitivities(psi, nominal.p, nominal.eta, nominal.r, load.torque,
+                                   compliance_sum(*steel_pair), nominal.L)[0]
         assert len(c) == 5
         # P scales as sqrt(torque): normalised torque sensitivity is P/2
         assert c[4] * load.torque == pytest.approx(P / 2.0, rel=1e-5)
@@ -121,37 +123,35 @@ class TestPressurePartials:
         spec = cd.TransmissionSpec(p=p, eta=eta, r=2.0 + r_frac * (r_hi - 2.0), m=m, L=L)
         load = cd.LoadCase(torque)
         try:
-            psis, series = cd.sensitivity_profile(spec, load, steel_pair,
-                                                  include_torque=True)
+            rep = cd.sensitivity_report(spec, load, steel_pair, include_torque=True)
         except ModelError:
             assume(False)
-        fd = pressure_partials_fd(psis, spec, load, *steel_pair)
+        fd = pressure_partials_fd(rep.psi, spec, load, *steel_pair)
         for i, name in enumerate(PARAMS + ("torque",)):
             want = fd[i] * (load.torque if name == "torque" else getattr(spec, name))
             scale = np.abs(want).max()
-            assert np.abs(series[name] - want).max() <= 1e-6 * scale
+            assert np.abs(rep.pointwise[name] - want).max() <= 1e-6 * scale
 
 
 class TestSensitivityProfile:
     def test_series_span_segment(self, nominal, load, steel_pair):
         delta = cd.extended_angle(nominal)
-        psis, series = cd.sensitivity_profile(nominal, load, steel_pair, 128)
-        assert psis[0] == pytest.approx(math.pi - delta)
-        assert psis[-1] == pytest.approx(TAU - delta)
-        assert set(series) == set(PARAMS)
+        rep = cd.sensitivity_report(nominal, load, steel_pair, 128)
+        assert rep.psi[0] == pytest.approx(math.pi - delta)
+        assert rep.psi[-1] == pytest.approx(TAU - delta)
+        assert set(rep.pointwise) == set(PARAMS)
 
     def test_width_series_all_negative(self, nominal, load, steel_pair):
-        _, series = cd.sensitivity_profile(nominal, load, steel_pair, 128)
-        assert np.all(series["L"] < 0.0)
+        rep = cd.sensitivity_report(nominal, load, steel_pair, 128)
+        assert np.all(rep.pointwise["L"] < 0.0)
 
     def test_minimum_sample_count(self, nominal, load, steel_pair):
         with pytest.raises(InvalidSpec):
-            cd.sensitivity_profile(nominal, load, steel_pair, 32)
+            cd.sensitivity_report(nominal, load, steel_pair, 32)
 
     def test_optional_torque_series(self, nominal, load, steel_pair):
-        _, series = cd.sensitivity_profile(nominal, load, steel_pair, 64,
-                                           include_torque=True)
-        assert "torque" in series and np.all(series["torque"] > 0.0)
+        rep = cd.sensitivity_report(nominal, load, steel_pair, 64, include_torque=True)
+        assert "torque" in rep.pointwise and np.all(rep.pointwise["torque"] > 0.0)
 
 
 class TestRankings:
@@ -203,8 +203,7 @@ class TestReport:
     def test_eta_below_singular_value_fails_the_gate(self, load, steel_pair):
         # eta = (r + 1e-7)/p ~ 0.08 lies below 1/(2*pi): no closure angle
         spec = cd.TransmissionSpec(p=50.0, eta=(4.0 + 1e-7) / 50.0, r=4.0, L=10.0)
-        for study in (cd.sensitivity_report, cd.sensitivity_profile, cd.rank_at_max,
-                      cd.rank_rms):
+        for study in (cd.sensitivity_report, cd.rank_at_max, cd.rank_rms):
             with pytest.raises(NoRootFound):
                 study(spec, load, steel_pair)
 
@@ -223,3 +222,40 @@ class TestReport:
         for i, name in enumerate(PARAMS):
             assert values[name] == abs(partials[i])
             assert values[name] == pytest.approx(abs(fd[i]) * getattr(spec, name), rel=1e-6)
+
+    def test_one_kernel_call_and_one_grid_evaluation(self, nominal, load, steel_pair,
+                                                     monkeypatch):
+        # the series and the rms come from one evaluation on the sample grid
+        # followed by the odd node grid, the peak values from one scalar
+        # evaluation at psi_P; each equals a separate evaluation bit for bit
+        kernel, partials_of = mechanics.segment_metrics, sensitivity.pressure_sensitivities
+        kernel_calls, psis = [], []
+
+        def counted_kernel(*args, **kwargs):
+            kernel_calls.append(args)
+            return kernel(*args, **kwargs)
+
+        def counted_partials(psi, *args):
+            psis.append(psi)
+            return partials_of(psi, *args)
+
+        monkeypatch.setattr(mechanics, "segment_metrics", counted_kernel)
+        monkeypatch.setattr(sensitivity, "pressure_sensitivities", counted_partials)
+        rep = cd.sensitivity_report(nominal, load, steel_pair, samples=100,
+                                    rms_nodes=1026, include_torque=True)
+        assert len(kernel_calls) == 1
+        assert [np.shape(psi) for psi in psis] == [(100 + 1027,), ()]
+        _, psi_P = cd.max_hertz_pressure(nominal, load, *steel_pair)
+        assert psis[1] == psi_P
+        args = (nominal.p, nominal.eta, nominal.r, load.torque,
+                compliance_sum(*steel_pair), nominal.L)
+        series = partials_of(rep.segment.grid(100), *args)[1]
+        peak = partials_of(psi_P, *args)[1]
+        nodes = partials_of(rep.segment.grid(1027), *args)[1]
+        assert list(rep.pointwise) == list(PARAMS) + ["torque"]
+        h = rep.segment.length / 1026
+        for i, name in enumerate(PARAMS + ("torque",)):
+            assert np.array_equal(rep.pointwise[name], series[i])
+        for i, name in enumerate(PARAMS):
+            assert rep.at_max[name] == abs(float(peak[i]))
+            assert rep.rms[name] == math.sqrt(_simpson(nodes[i] ** 2, h) / rep.segment.length)
