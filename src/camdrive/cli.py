@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry, mechanics, optimize, sensitivity
-from .config import RunConfig, apply_overrides, load_config
+from .config import RESOLUTION_FIELDS, RunConfig, apply_overrides, load_config
 from .errors import ConfigError, ModelError
 from .svgplot import Canvas, _column_text, padded_range
 
@@ -51,9 +51,10 @@ def _build_parser() -> _Parser:
                        help="JSON run configuration")
         p.add_argument("--out", type=Path, default=None,
                        help="output directory (overrides config)")
-        if name != "metrics":  # metrics samples nothing
+        if name in RESOLUTION_FIELDS:  # metrics samples nothing
             p.add_argument("--resolution", type=int, default=None,
-                           help="sampling / grid resolution (overrides config)")
+                           help="sampling / grid resolution (overrides "
+                                f"{'.'.join(RESOLUTION_FIELDS[name])})")
         p.add_argument("--format", choices=["csv", "json", "svg", "all"],
                        default=None, help="restrict output formats")
         p.add_argument("--material", default=None,
@@ -326,7 +327,6 @@ def cmd_pareto(cfg: RunConfig) -> int:
     if _wants(cfg, "json"):
         _write_json(out / "pareto.json", {
             **_meta(cfg),
-            "design_space": space.to_dict(),
             "evaluated": result.evaluated,
             "front_size": len(result.front_index),
             "per_m_front_size": {str(m): n for m, n in sizes.items()},

@@ -20,15 +20,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError, ModelError
 from .geometry import MAX_LENGTH, MIN_LENGTH, MIN_PROFILE_RESOLUTION, TransmissionSpec
-from .mechanics import (
-    MAX_TORQUE,
-    MIN_TORQUE,
-    LoadCase,
-    Material,
-    builtin_materials,
-    find_material,
-    load_materials,
-)
+from .mechanics import LoadCase, Material, builtin_materials, find_material, load_materials
 from .optimize import MIN_GRID_RESOLUTION, DesignSpace
 from .sensitivity import MIN_PROFILE_SAMPLES, MIN_RMS_NODES
 
@@ -265,31 +257,26 @@ def load_config(path) -> RunConfig:
     return _parse(data)
 
 
-# Bounds of each numeric field, as (op, bound) pairs: a value must satisfy
-# every pair. A list field has each entry checked and a null is not. Lengths
-# (mm) and the torque (N*mm) keep the model's ranges (`geometry.MIN_LENGTH`,
-# `mechanics.MIN_TORQUE` and their maxima, which the model objects check
-# too), and a cam drives at least one degree of the camshaft's turn. The
-# load case, the materials, the mechanism's eta and e > r, and the design
-# space's resolution floor, cam counts, range order and widths are checked
-# by the model objects instead.
+# Bounds of the numeric fields that no model object built by `_validate`
+# checks, as (op, bound) pairs: a value must satisfy every pair. A list field
+# has each entry checked and a null is not. `LoadCase` owns the torque and
+# speed bounds, `Material` the catalog's, and `DesignSpace` the design space's
+# lengths, ranges, resolution floor, cam counts and caps; the pressure-angle
+# cap stays here, since the space holds it in radians. Only the commands that
+# use the mechanism build it, so its lengths and cam count are checked here
+# too. A cam drives at least one degree of the camshaft's turn.
 _LENGTH = ((">=", MIN_LENGTH), ("<=", MAX_LENGTH))
 _CAM_COUNT = ("<=", MAX_CAM_COUNT)
 _SAMPLES = ("memory", MAX_GRID_CANDIDATES // 5)
 _RANGES = {
     **dict.fromkeys(("mechanism.pitch_mm", "mechanism.roller_radius_mm",
-                     "mechanism.contact_width_mm", "design_space.r_mm", "design_space.L_mm",
-                     "design_space.pitch_mm", "design_space.s_cap_mm"), _LENGTH),
+                     "mechanism.contact_width_mm"), _LENGTH),
     "mechanism.cam_count": ((">=", 1), _CAM_COUNT),
-    "load.torque_nmm": ((">=", MIN_TORQUE), ("<=", MAX_TORQUE)),
-    "load.speed_rpm": ((">=", 0.0),),
     "profile.resolution": ((">=", MIN_PROFILE_RESOLUTION), _SAMPLES),
     "sensitivity.samples": ((">=", MIN_PROFILE_SAMPLES), _SAMPLES),
     "sensitivity.rms_nodes": ((">=", MIN_RMS_NODES), _SAMPLES),
-    "design_space.d_cs_mm": ((">=", 0.0), ("<=", MAX_LENGTH)),
     "design_space.m": (_CAM_COUNT,),
     "design_space.mu_cap_deg": ((">", 0.0),),
-    "design_space.p_cap_mpa": ((">", 0.0),),
     # one process runs a sweep; kept as perfbench's configs set it and unknown keys fail
     "design_space.workers": ((">=", 1), ("<=", 1)),
     "contour.m": ((">=", 2), _CAM_COUNT),
@@ -297,6 +284,12 @@ _RANGES = {
     "contour.resolution": ((">=", MIN_GRID_RESOLUTION),
                            ("memory", math.isqrt(MAX_GRID_CANDIDATES // 5))),
 }
+
+# the (section, field) that each command's --resolution flag sets
+RESOLUTION_FIELDS = {"profile": ("profile", "resolution"),
+                     "sensitivity": ("sensitivity", "samples"),
+                     "pareto": ("design_space", "resolution"),
+                     "contour": ("contour", "resolution")}
 
 _OPS = {">": (operator.gt, "above"), ">=": (operator.ge, "at least"),
         "<=": (operator.le, "at most"), "memory": (operator.le, "at most the memory limit of")}
@@ -331,7 +324,9 @@ def _validate(cfg: RunConfig) -> DesignSpace:
 def apply_overrides(cfg: RunConfig, command: str | None, *, out=None, resolution=None,
                     fmt=None, mat=None, seed=None) -> RunConfig:
     """Apply CLI flag overrides on top of the file configuration, then check
-    every range once, and the contour's size when the command is `contour`."""
+    every range once, and the contour's size when the command is `contour`.
+    A resolution sets the field `RESOLUTION_FIELDS` names for the command;
+    a command outside that table takes none."""
     if out is not None:
         cfg = replace(cfg, output=replace(cfg.output, directory=str(out)))
     if fmt is not None:
@@ -342,15 +337,10 @@ def apply_overrides(cfg: RunConfig, command: str | None, *, out=None, resolution
     if seed is not None:
         cfg = replace(cfg, seed=seed)
     if resolution is not None:
-        if command == "profile":
-            cfg = replace(cfg, profile=replace(cfg.profile, resolution=resolution))
-        elif command == "sensitivity":
-            cfg = replace(cfg, sensitivity=replace(cfg.sensitivity, samples=resolution))
-        elif command == "pareto":
-            cfg = replace(cfg, design_space=replace(cfg.design_space,
-                                                    resolution=resolution))
-        elif command == "contour":
-            cfg = replace(cfg, contour=replace(cfg.contour, resolution=resolution))
+        if command not in RESOLUTION_FIELDS:
+            raise ConfigError(f"command {command} takes no resolution")
+        section, key = RESOLUTION_FIELDS[command]
+        cfg = replace(cfg, **{section: replace(getattr(cfg, section), **{key: resolution})})
     cc = cfg.contour
     lo, hi = _validate(cfg).L_bounds(cc.m)
     if command == "contour" and not lo <= cc.s_m_mm / cc.m <= hi:

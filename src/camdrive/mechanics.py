@@ -103,11 +103,10 @@ class Material:
 
 
 def _as_range(value) -> tuple[float, float]:
-    if isinstance(value, (tuple, list)):
-        lo, hi = float(value[0]), float(value[1])
-    else:
-        lo = hi = float(value)
-    return lo, hi
+    pair = value if isinstance(value, (tuple, list)) else (value, value)
+    if len(pair) != 2:
+        raise InvalidSpec(f"a pressure must be a number or [low, high], got {list(pair)}")
+    return float(pair[0]), float(pair[1])
 
 
 def material(name, E, nu, p_stat, p_allow=None) -> Material:
@@ -193,7 +192,7 @@ def load_materials(path) -> tuple[Material, ...]:
 
 @dataclass(frozen=True)
 class LoadCase:
-    """Input torque on the camshaft, N*mm; optional cam speed for advisories."""
+    """Input torque on the camshaft, N*mm; optional cam speed for advisories, rpm."""
 
     torque: float
     speed_rpm: float | None = None
@@ -203,6 +202,8 @@ class LoadCase:
         if not MIN_TORQUE <= self.torque <= MAX_TORQUE:
             raise InvalidSpec(f"torque must lie in [{MIN_TORQUE:g}, {MAX_TORQUE:g}] N*mm, "
                               f"got {self.torque}")
+        if self.speed_rpm is not None and not 0.0 <= self.speed_rpm < math.inf:
+            raise InvalidSpec(f"cam speed must be finite and at least 0 rpm, got {self.speed_rpm}")
 
     @property
     def high_speed(self) -> bool:

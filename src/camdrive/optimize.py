@@ -61,9 +61,9 @@ class DesignSpace:
     is also always enforced. The d_cs lower bound of zero is kept in the grid
     even though that first column is geometrically infeasible (e = r); those
     candidates come back flagged, not dropped. A space holds a grid of at
-    least MIN_GRID_RESOLUTION, distinct cam counts of two or more, ordered
-    ranges of lengths (`geometry.require_length`; d_cs may start at zero), a
-    width per cam count and positive finite caps, or it is not built.
+    least MIN_GRID_RESOLUTION, distinct whole cam counts of two or more,
+    ordered ranges of lengths (`geometry.require_length`; d_cs may start at
+    zero), a width per cam count and positive finite caps, or is not built.
     """
 
     d_cs_range: tuple[float, float] = (0.0, 30.0)
@@ -87,6 +87,8 @@ class DesignSpace:
                             ("smallest roller radius", self.r_range[0]),
                             ("smallest contact width", self.L_range[0])):
             require_length(f"design space {what}", value)
+        if self.L_range[1] is not None:
+            require_length("design space largest contact width", self.L_range[1])
         if self.resolution < MIN_GRID_RESOLUTION:
             raise InvalidSpec(f"design space resolution must be at least "
                               f"{MIN_GRID_RESOLUTION}, got {self.resolution}")
@@ -94,6 +96,7 @@ class DesignSpace:
             raise InvalidSpec("design space needs one or more distinct cam counts, "
                               f"got {list(self.m_values)}")
         for m in self.m_values:
+            _require_whole(m, "the design space")
             if m < 2:
                 raise InfeasibleCamCount(f"cam count {m} in the design space")
             lo, hi = self.L_bounds(m)
@@ -113,21 +116,19 @@ class DesignSpace:
         lo, hi = self.L_bounds(m)
         return np.linspace(lo, hi, self.resolution)
 
-    def to_dict(self) -> dict:
-        return {
-            "d_cs_mm": list(self.d_cs_range),
-            "r_mm": list(self.r_range),
-            "L_mm": [self.L_range[0], self.L_range[1]],
-            "m": list(self.m_values),
-            "resolution": self.resolution,
-            "pitch_mm": self.pitch,
-            "torque_nmm": self.load.torque,
-            "cam_material": self.cam_material.name,
-            "roller_material": self.roller_material.name,
-            "mu_cap_deg": math.degrees(self.mu_cap),
-            "p_cap_mpa": self.P_cap,
-            "s_cap_mm": self.S_cap,
-        }
+
+def _require_whole(m, where: str) -> None:
+    """Raise InvalidSpec unless the cam count m is a whole number."""
+    if not float(m).is_integer():
+        raise InvalidSpec(f"cam count {m} in {where} is not a whole number")
+
+
+def _widths(space: DesignSpace, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-cam width axis and its sizes m*L clamped to the size cap, which
+    only removes rounding: m*(S_cap/m), the most a width allows, can round
+    an ulp above the cap."""
+    L = space.L_axis(m)
+    return L, np.minimum(m * L, space.S_cap)
 
 
 @dataclass(frozen=True)
@@ -180,10 +181,11 @@ def evaluate_candidate(x, space: DesignSpace) -> DesignCandidate:
     """Evaluate one design vector; infeasibility comes back as flags.
 
     The sweep's evaluation on a batch of one pair at one width, so it agrees
-    with the sweep arrays bit for bit. A cam count below two fails geometry;
-    a width that is not a length (`geometry.require_length`) raises
-    InvalidSpec.
+    with the sweep arrays bit for bit but in size, m*L here and clamped to
+    the cap in the sweep (`_widths`). A cam count below two fails geometry;
+    a fractional count or a width that is not a length raises InvalidSpec.
     """
+    _require_whole(x[3], "a design vector")
     d_cs, r, L, m = float(x[0]), float(x[1]), float(x[2]), int(x[3])
     require_length("contact width", L)
     D, R = np.array([d_cs]), np.array([r])
@@ -379,8 +381,7 @@ class SweepResult:
     @cached_property
     def grids(self) -> dict:
         D, R, metrics = self.pairs
-        L_axis = self.space.L_axis
-        return {m: _evaluate_grid(self.space, m, D, R, *metrics[m], L_axis(m), m * L_axis(m))
+        return {m: _evaluate_grid(self.space, m, D, R, *metrics[m], *_widths(self.space, m))
                 for m in self.space.m_values}
 
 
@@ -409,8 +410,8 @@ def _per_m_front(space: DesignSpace, m: int, D, R, geom, mu, P_unit) -> np.ndarr
     """
     cand = np.flatnonzero(geom & (mu <= space.mu_cap))
     pair = cand[nondominated_mask(np.column_stack([mu[cand], P_unit[cand]]))]
-    L = space.L_axis(m)
-    g = _evaluate_grid(space, m, D[pair], R[pair], geom[pair], mu[pair], P_unit[pair], L, m * L)
+    g = _evaluate_grid(space, m, D[pair], R[pair], geom[pair], mu[pair], P_unit[pair],
+                       *_widths(space, m))
     table = g.table()[g.feasible]
     return table[_lex_order(table)]
 
@@ -536,6 +537,7 @@ def contour_slice(space: DesignSpace, m: int, S_M: float,
     pairs are laid out at the one width S_M/m, and their size column is S_M
     itself: m*(S_M/m) can differ from S_M in the last bit.
     """
+    _require_whole(m, "a contour slice")
     if m < 2:
         raise InfeasibleCamCount(f"cam count {m} in a contour slice")
     L = S_M / m

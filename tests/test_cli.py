@@ -1,13 +1,20 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from camdrive import cli, geometry, optimize, sensitivity
 from camdrive.cli import _csv_lines, main
-from camdrive.config import MAX_GRID_CANDIDATES, RunConfig, parse_config
+from camdrive.config import (
+    MAX_GRID_CANDIDATES,
+    RESOLUTION_FIELDS,
+    RunConfig,
+    apply_overrides,
+    parse_config,
+)
 from camdrive.errors import ConfigError
 
 
@@ -210,7 +217,7 @@ class TestParetoCommand:
             assert float(row[i_p]) <= 800.0 + 1e-9
             assert float(row[i_s]) <= 90.0 + 1e-9
         meta = json.loads((out / "pareto.json").read_text())
-        assert "design_space" in meta and "config_hash" in meta
+        assert "design_space" in meta["config"] and "config_hash" in meta
         assert set(meta["per_m_front_size"]) == {"2", "3"}
         for name in ("pareto_mu_sm.svg", "pareto_p_mu.svg", "pareto_p_sm.svg",
                      "pareto_3d.svg"):
@@ -231,6 +238,27 @@ class TestParetoCommand:
         assert meta["per_m_front_size"] == {
             m: len(read_csv(out / f"pareto_front_m{m}.csv")) - 1 for m in ("2", "3")}
         assert meta["front_size"] > 0
+
+    def test_json_echoes_the_space_once(self, tmp_path):
+        out = tmp_path / "p"
+        assert run(tmp_path, "pareto", "--out", str(out), "--resolution", "16") == 0
+        meta = json.loads((out / "pareto.json").read_text())
+        assert set(meta) == {"config", "config_hash", "evaluated", "front_size",
+                             "per_m_front_size"}
+        assert meta["config"]["design_space"]["mu_cap_deg"] == 30.0
+
+    def test_widest_width_at_the_size_cap_is_kept(self, tmp_path):
+        # 3*(60.1/3) rounds to 60.10000000000001; the width axis ends at 60.1/3
+        # and its size is the cap, so its rows stay on the three-cam front
+        out = tmp_path / "p"
+        assert run(tmp_path, "pareto", "--out", str(out),
+                   config={"design_space": {"s_cap_mm": 60.1, "m": [3]}}) == 0
+        rows = read_csv(out / "pareto_front_m3.csv")
+        header, rows = rows[0], rows[1:]
+        widths = [float(row[header.index("L_mm")]) for row in rows]
+        sizes = [float(row[header.index("s_m_mm")]) for row in rows]
+        assert 60.1 / 3 == 20.033333333333335 and 3 * (60.1 / 3) > 60.1
+        assert 20.033333333333335 in widths and max(sizes) == 60.1
 
     def test_rerun_writes_every_file_byte_identical(self, tmp_path):
         out = tmp_path / "p"
@@ -460,6 +488,15 @@ BOUNDARY_CONFIGS = [
     {"load": {"torque_nmm": 5e-324}},
     {"design_space": {"d_cs_mm": [5.0, 2.0]}},
     {"design_space": {"r_mm": [10.0, 4.0]}},
+    # the bounds the design space and the load case check themselves
+    {"design_space": {"d_cs_mm": [0.0, 1e7]}},
+    {"design_space": {"r_mm": [4.0, 1e7]}},
+    {"design_space": {"L_mm": [1.0, 1e7]}},
+    {"design_space": {"pitch_mm": 1e7}},
+    {"design_space": {"s_cap_mm": 1e7}},
+    {"design_space": {"p_cap_mpa": 0}},
+    {"load": {"torque_nmm": 1e13}},
+    {"load": {"speed_rpm": -1}},
 ]
 
 
@@ -512,6 +549,15 @@ class TestConfigHandling:
         assert code == 1
         assert "--resolution" in err and err.count("\n") == 1
         assert not out.exists()
+
+    def test_resolution_override_sets_the_commands_field(self):
+        for command, (section, key) in RESOLUTION_FIELDS.items():
+            cfg = apply_overrides(RunConfig(), command, resolution=77)
+            assert getattr(getattr(cfg, section), key) == 77
+            assert replace(cfg, **{section: getattr(RunConfig(), section)}) == RunConfig()
+        for command in ("metrics", None):
+            with pytest.raises(ConfigError, match="takes no resolution"):
+                apply_overrides(RunConfig(), command, resolution=7)
 
     def test_unknown_material_exits_1(self, tmp_path, capsys):
         code = run(tmp_path, "metrics", "--out", str(tmp_path / "o"),

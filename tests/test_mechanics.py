@@ -20,6 +20,7 @@ from camdrive.mechanics import (
     _hertz_log_slope,
     compliance_sum,
     contact_state,
+    material,
     segment_metrics,
 )
 
@@ -134,6 +135,15 @@ class TestMaterials:
     def test_pressure_bounds_positive_and_ordered(self, p_stat, p_allow):
         with pytest.raises(InvalidSpec):
             cd.Material("bad", 1000.0, 0.3, p_stat, p_allow)
+
+    @pytest.mark.parametrize("pressure", [[100.0, 200.0, 5.0], [100.0], [], (1.0, 2.0, 3.0)])
+    def test_pressure_list_holds_two_values(self, pressure):
+        # a list is a [low, high] range: no entry is dropped or repeated
+        with pytest.raises(InvalidSpec, match=r"number or \[low, high\]"):
+            material("x", 1000.0, 0.3, pressure)
+        with pytest.raises(InvalidSpec, match=r"number or \[low, high\]"):
+            material("x", 1000.0, 0.3, 100.0, pressure)
+        assert material("x", 1000.0, 0.3, [100.0, 200.0]).p_stat == (100.0, 200.0)
 
 
 class TestMaterialCoefficient:
@@ -441,7 +451,13 @@ class TestLoadCase:
             with pytest.raises(InvalidSpec):
                 cd.LoadCase(torque)
 
+    @pytest.mark.parametrize("speed", [-5.0, -1e-300, float("nan"), float("inf")])
+    def test_speed_finite_and_not_negative(self, speed):
+        with pytest.raises(InvalidSpec, match="cam speed"):
+            cd.LoadCase(1200.0, speed_rpm=speed)
+
     def test_high_speed_flag(self):
+        assert not cd.LoadCase(1200.0, speed_rpm=0.0).high_speed
         assert not cd.LoadCase(1200.0).high_speed
         assert not cd.LoadCase(1200.0, speed_rpm=50.0).high_speed
         assert cd.LoadCase(1200.0, speed_rpm=51.0).high_speed

@@ -90,20 +90,25 @@ class TestEvaluateCandidate:
 
     def test_matches_grid_rows(self):
         # every kind of row: d_cs = 0 geometry failures, each cap and, for m = 3,
-        # the last width, whose size rounds above the cap
+        # the last width, whose size m*L rounds above the cap; the sweep gives
+        # that width the cap as its size, a single design m*L and the size flag
         space = cd.DesignSpace(**FRONT_SPACES["L-ends-at-size-cap"])
         seen = set()
         for m, g in cd.sweep(space).grids.items():
             first = np.unique(g.violations, axis=0, return_index=True)[1]
-            for i in sorted({*range(0, len(g), 97), *first.tolist()}):
+            last = np.flatnonzero(g.S_M != m * g.L)
+            assert len(last) == (len(g) // space.resolution if m == 3 else 0)
+            for i in sorted({*range(0, len(g), 97), *first.tolist(), *last[::50].tolist()}):
                 c = cd.evaluate_candidate((g.d_cs[i], g.r[i], g.L[i], m), space)
-                assert c.violations == _verdict_names(g.violations[i])
-                assert c.feasible == g.feasible[i]
+                size = ("size",) if i in last else ()
+                assert c.violations == _verdict_names(g.violations[i]) + size
+                assert c.feasible == (g.feasible[i] and not size)
                 assert c.convex_profile == (math.pi * eta_from_design(
                     c.d_cs, c.r, space.pitch) > 1.0)
-                assert np.array_equal(c.objectives, (g.mu_max[i], g.P_max[i], g.S_M[i]),
+                assert np.array_equal(c.objectives, (g.mu_max[i], g.P_max[i], m * g.L[i]),
                                       equal_nan=True)
                 seen.update(c.violations or ("feasible",))
+            assert not g.violations[:, -1].any()
         assert seen == {"geometry", "pressure-angle", "hertz-pressure", "size", "feasible"}
 
 
@@ -357,6 +362,27 @@ class TestSweep:
         with pytest.raises(InvalidSpec, match=r"range must be \[low, high\]"):
             cd.DesignSpace(**over)
 
+    @pytest.mark.parametrize("hi", [1e7, 0.0, math.nan, math.inf])
+    def test_width_upper_bound_is_a_length(self, hi):
+        with pytest.raises(InvalidSpec, match="largest contact width"):
+            cd.DesignSpace(L_range=(1.0, hi))
+
+    @pytest.mark.parametrize("m", [2.5, 3.0000001, math.nan, math.inf])
+    def test_non_integral_cam_counts_rejected(self, m):
+        # no mechanism has a fractional cam count: the space, a slice and a
+        # design vector reject it instead of sweeping it or truncating it
+        with pytest.raises(InvalidSpec, match="not a whole number"):
+            cd.DesignSpace(m_values=(m, 3), resolution=16)
+        with pytest.raises(InvalidSpec, match="not a whole number"):
+            cd.contour_slice(cd.DesignSpace(), m, 60.0, resolution=16)
+        with pytest.raises(InvalidSpec, match="not a whole number"):
+            cd.evaluate_candidate((2.6, 4.24, 30.0, m), cd.DesignSpace())
+
+    def test_integral_float_cam_count_is_the_count(self):
+        space = cd.DesignSpace()
+        assert cd.evaluate_candidate((2.6, 4.24, 30.0, 3.0), space) == \
+            cd.evaluate_candidate((2.6, 4.24, 30.0, 3), space)
+
     def test_three_cam_front_dominates_at_low_angles(self):
         # on matched mu bins below 24 degrees the m=3 envelope is never worse
         result = cd.sweep(cd.DesignSpace(resolution=32))
@@ -423,12 +449,20 @@ class TestPairLevelFronts:
         assert result.front
         assert all(c.feasible and c.violations == () for c in result.front)
 
-    def test_size_cap_space_rounds_its_last_width_out(self):
+    def test_size_cap_space_keeps_its_last_width(self):
+        # 3*(S_cap/3) rounds above the cap, but the width axis ends at S_cap/3,
+        # so its last width has the cap as its size and keeps every candidate
+        # that passes the other caps
         space = cd.DesignSpace(**FRONT_SPACES["L-ends-at-size-cap"])
         assert space.L_axis(3)[-1] == space.S_cap / 3
         assert 3 * space.L_axis(3)[-1] > space.S_cap
-        g = cd.sweep(space).grids[3]
-        assert not g.feasible[g.L == g.L.max()].any()
+        result = cd.sweep(space)
+        g = result.grids[3]
+        last = g.L == g.L.max()
+        assert (g.S_M[last] == space.S_cap).all()
+        assert np.array_equal(g.feasible[last], ~g.violations[last, :3].any(axis=1))
+        assert g.feasible[last].any()
+        assert (result.tables[3][:, 6] == space.S_cap / 3).any()
 
     def test_grid_built_only_when_read(self):
         result = cd.sweep(small_space())

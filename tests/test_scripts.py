@@ -2,6 +2,7 @@
 
 `root_evidence.py` is left out: it takes about 20 s.
 """
+import hashlib
 import json
 import os
 import subprocess
@@ -74,7 +75,10 @@ def test_output_digests_repeat(tmp_path):
                             f"2-singular sensitivity: exit 2 infeasible nominal design: "
                             f"{reason}",
                             "2-singular pareto: exit 0", "2-singular contour: exit 0"]
-    digests = [line.split("  ") for line in lines[15:]]
+    # the last line is the SHA-256 of the listing above it
+    listing = "".join(f"{line}\n" for line in lines[:-1]).encode()
+    assert lines[-1] == f"listing sha256 {hashlib.sha256(listing).hexdigest()}"
+    digests = [line.split("  ") for line in lines[15:-1]]
     # 21 files per feasible config; the singular mechanism writes only the two sweeps'
     assert len(digests) == 21 + 21 + 12
     assert all(len(h) == 64 and (tmp_path / "out" / "digests" / rel).is_file()
