@@ -19,7 +19,13 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigError, ModelError
-from .geometry import MAX_LENGTH, MIN_LENGTH, MIN_PROFILE_RESOLUTION, TransmissionSpec
+from .geometry import (
+    MAX_CAM_COUNT,
+    MAX_LENGTH,
+    MIN_LENGTH,
+    MIN_PROFILE_RESOLUTION,
+    TransmissionSpec,
+)
 from .mechanics import LoadCase, Material, builtin_materials, find_material, load_materials
 from .optimize import MIN_GRID_RESOLUTION, DesignSpace
 from .sensitivity import MIN_PROFILE_SAMPLES, MIN_RMS_NODES
@@ -35,9 +41,6 @@ FORMATS = ("csv", "json", "svg")
 # the CLI, numpy 2.4 on Python 3.11), so their memory limit, a fifth as many
 # cells, samples or nodes, takes at most about 4.5 GB.
 MAX_GRID_CANDIDATES = 2 ** 26
-
-# Most cams on one camshaft: each drives at least one degree of its turn
-MAX_CAM_COUNT = 360
 
 
 @dataclass(frozen=True)

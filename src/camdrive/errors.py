@@ -1,8 +1,14 @@
 """Exception types raised by the model layers.
 
-Infeasibility discovered while *evaluating a design* is reported as data
-(flags on reports and candidates); these exceptions mark calls whose
-preconditions are violated or whose result would be meaningless.
+The model formulas never raise: a singular input gives NaN or inf, and
+infeasibility discovered while *evaluating a design* is reported as data
+(cause codes, flags on reports and candidates). These exceptions come from
+the gates and the constructors. `geometry.require_feasible`, the gate of a
+single design, raises NoRootFound, RollerBlocksCam or InfeasibleProfile by
+the verdict's cause code, and the Hertz gate `mechanics.hertz_segment` adds
+ForceSingular. Fewer than two cams raise InfeasibleCamCount, outside input
+that breaks an invariant of a model object InvalidSpec, and a bad run
+configuration ConfigError.
 """
 
 
@@ -14,10 +20,6 @@ class InvalidSpec(ModelError, ValueError):
     """Transmission parameters violate a hard invariant (signs, e > r)."""
 
 
-class EtaSingular(ModelError, ValueError):
-    """Eccentricity ratio too close to 1/(2*pi); profile equations degenerate."""
-
-
 class NoRootFound(ModelError, ArithmeticError):
     """Profile closure angle could not be bracketed; geometry is infeasible."""
 
@@ -26,16 +28,8 @@ class RollerBlocksCam(ModelError, ArithmeticError):
     """Cam curvature radius passes through zero: the roller blocks the cam."""
 
 
-class PressureAngleSingular(ModelError, ValueError):
-    """Pressure angle evaluated at mid-stroke where it reaches +/-90 degrees."""
-
-
 class ForceSingular(ModelError, ArithmeticError):
     """Contact force diverges as the pressure angle approaches 90 degrees."""
-
-
-class DegenerateContact(ModelError, ValueError):
-    """Cam curvature radius at or below the negative roller radius."""
 
 
 class InfeasibleCamCount(ModelError, ValueError):

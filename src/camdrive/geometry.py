@@ -8,9 +8,13 @@ Each quantity has one formula here, written for numpy arrays: the profile
 ordinate v_c, the closure root, the pitch curvature and its turnover, the
 cam curvature radius, its minimum over the driving arc, the driving window
 and the geometry verdict `driving_arc`. The batched segment kernel in
-`mechanics` and the scalar functions below call the same formulas. Checks
-that raise apply to scalar arguments; array arguments carry NaN or inf
-through, and the verdict's cause codes mark the failed pairs.
+`mechanics` and the scalar functions below call the same formulas. Each
+formula is elementwise: a scalar gives what a batch of one gives (but for
+the last bit of `pitch_curvature`, whose array power can round one ulp away
+from the scalar power), and a singular input gives NaN or inf, not an
+error. The verdict's cause codes mark the failed pairs. Only the gates
+raise: `require_feasible`, which `sample_profile` applies, and
+`extended_angle`, with the constructors of the model objects.
 """
 from __future__ import annotations
 
@@ -19,11 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EtaSingular, InfeasibleProfile, InvalidSpec, NoRootFound, RollerBlocksCam
+from .errors import InfeasibleProfile, InvalidSpec, NoRootFound, RollerBlocksCam
 
 TAU = 2.0 * math.pi
 
-# eta within this distance of 1/(2*pi) makes the coefficient equations blow up
+# eta must exceed 1/(2*pi), where the coefficient equations blow up, by this
+# much in 2*pi*eta - 1 (`eta_valid`)
 ETA_SINGULAR_TOL = 1e-9
 
 # largest eta of a spec; the pitch curvature overflows from eta ~ 5.6e101 on
@@ -39,6 +44,9 @@ ROOT_NEWTON_STEPS = 6
 # (a subnormal roller radius and width gave an infinite pressure)
 MIN_LENGTH = 1e-6
 MAX_LENGTH = 1e6
+
+# most cams on one camshaft: each drives at least one degree of its turn
+MAX_CAM_COUNT = 360
 
 DEFAULT_PROFILE_RESOLUTION = 2048
 MIN_PROFILE_RESOLUTION = 16
@@ -94,8 +102,9 @@ class TransmissionSpec:
             require_length(what, value)
         if not self.eta <= ETA_MAX:
             raise InvalidSpec(f"eta must be at most {ETA_MAX:g}, got {self.eta}")
-        if int(self.m) != self.m or self.m < 1:
-            raise InvalidSpec(f"cam count must be a positive integer, got {self.m}")
+        if not 1 <= self.m <= MAX_CAM_COUNT or int(self.m) != self.m:
+            raise InvalidSpec(f"cam count must be a whole number in [1, {MAX_CAM_COUNT}], "
+                              f"got {self.m}")
         if self.e <= self.r:
             raise InvalidSpec(
                 f"eccentricity e={self.e:.6g} must exceed roller radius r={self.r:.6g} "
@@ -167,29 +176,18 @@ def follower_displacement(psi, p):
     return p * psi / TAU - p / 2.0
 
 
-def _check_eta(eta):
-    if np.ndim(eta) == 0 and abs(TAU * eta - 1.0) < ETA_SINGULAR_TOL:
-        raise EtaSingular(
-            f"eta={eta!r} is within {ETA_SINGULAR_TOL} of 1/(2*pi); "
-            "profile coefficients are singular there"
-        )
-
-
 def profile_coefficients(psi, p, eta):
     """Polar-form coefficients (b1, b2, delta_angle) of the contact point.
 
     b2 is non-negative and delta_angle uses the principal arctangent branch,
-    so the sign of (2*pi*eta - 1) is carried by the angle's argument.
+    so the sign of (2*pi*eta - 1) is carried by the angle's argument. At
+    eta = 1/(2*pi) the angle is +/-90 degrees, or NaN at psi = pi.
     """
-    _check_eta(eta)
     q = TAU * eta - 1.0
     w = np.asarray(psi, dtype=float) - math.pi
     b1 = p / TAU
-    b2 = b1 * np.sqrt(q * q + w * w)
-    delta_angle = np.arctan(w / q)
-    if np.ndim(psi) == 0:
-        return b1, float(b2), float(delta_angle)
-    return b1, b2, delta_angle
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return b1, b1 * np.sqrt(q * q + w * w), np.arctan(w / q)
 
 
 def _ordinate_slope(psi, p, eta, r):
@@ -230,14 +228,15 @@ def pitch_curvature(psi, p, eta):
 
     Sign convention: positive where the profile is locally convex on the
     driving side; at mid-stroke (psi = pi) the value is negative whenever
-    eta < 1/pi, which is the non-convex nose of the cam.
+    eta < 1/pi, which is the non-convex nose of the cam. Infinite or NaN
+    at psi = pi when eta = 1/(2*pi).
     """
-    _check_eta(eta)
     q = TAU * eta - 1.0
     w = psi - math.pi
     num = w * w + 2.0 * q * (math.pi * eta - 1.0)
     den = (w * w + q * q) ** 1.5
-    return (TAU / p) * num / den
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.divide((TAU / p) * num, den)
 
 
 def fully_convex(eta):
@@ -269,15 +268,13 @@ def cam_curvature_radius(kappa_p, r):
 def cam_curvature(kappa_p, r):
     """Cam-profile curvature from pitch curvature: offset by the roller radius.
 
-    The reciprocal of the cam curvature radius. A scalar kappa_p whose
-    radius fails `roller_blocks` raises RollerBlocksCam.
+    The reciprocal of the cam curvature radius: +/-inf where the radius
+    vanishes and the roller blocks the cam. The gate `require_feasible`
+    raises RollerBlocksCam for a design whose radius fails `roller_blocks`
+    on its driving arc.
     """
-    rho_c = cam_curvature_radius(kappa_p, r)
-    if np.ndim(rho_c) == 0 and roller_blocks(rho_c, r):
-        raise RollerBlocksCam(
-            f"cam curvature radius {rho_c:.3e} mm is within {BLOCKING_REL_TOL:g}*r of "
-            "zero (roller radius equals the pitch radius of curvature)")
-    return 1.0 / rho_c
+    with np.errstate(divide="ignore"):
+        return np.divide(1.0, cam_curvature_radius(kappa_p, r))
 
 
 def last_root(g, nodes):

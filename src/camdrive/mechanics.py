@@ -10,8 +10,9 @@ peak pressure angle, the peak unit-width Hertz pressure and the smallest cam
 curvature radius. The angle and the radius peak where closed forms put
 them; the pressure is searched for only on the pairs whose peak can lie
 inside the arc. The scalar metrics call it on a batch of one. As in
-`geometry`, each formula accepts arrays; checks that raise apply to scalar
-arguments.
+`geometry`, each formula is elementwise: a scalar gives what a batch of one
+gives, NaN and inf included, up to the last bit of the pitch curvature. Only the gates `design_segment` and
+`hertz_segment` and the constructors of the model objects raise.
 """
 from __future__ import annotations
 
@@ -24,14 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    DegenerateContact,
-    ForceSingular,
-    InfeasibleCamCount,
-    InvalidSpec,
-    PressureAngleSingular,
-)
+from .errors import ConfigError, ForceSingular, InfeasibleCamCount, InvalidSpec
 from .geometry import (
     ROOT_SCAN_NODES,
     TAU,
@@ -56,6 +50,10 @@ HIGH_SPEED_RPM = 50.0
 # underflow or overflow (a subnormal torque gave a NaN pressure)
 MIN_TORQUE = 1e-6
 MAX_TORQUE = 1e12
+
+# cos(mu) at the pressure peak below this: the contact force diverges, and
+# `hertz_segment` rejects the design
+FORCE_COS_MIN = 1e-9
 
 
 def require_cam_count(m) -> None:
@@ -241,16 +239,13 @@ def pressure_angle(psi, eta):
     """Signed pressure angle, radians.
 
     The angle between the contact normal and the follower velocity; its sign
-    tells which way the cam pushes, magnitude is what design limits cap. A
-    scalar psi at mid-stroke, where the angle reaches +/-90 degrees, raises
-    PressureAngleSingular.
+    tells which way the cam pushes, magnitude is what design limits cap. At
+    mid-stroke (psi = pi) it is +/-90 degrees, or NaN where also
+    eta = 1/(2*pi); the gate `hertz_segment` raises ForceSingular for a
+    design whose pressure peak comes that close to 90 degrees.
     """
-    w = psi - math.pi
-    if np.ndim(w) == 0 and abs(w) < 1e-12:
-        raise PressureAngleSingular(
-            f"pressure angle is +/-90 degrees at psi = pi (psi={psi!r})")
-    with np.errstate(divide="ignore"):  # an array psi at pi gives +/-90 degrees
-        return np.arctan((1.0 - TAU * eta) / w)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.arctan(np.divide(1.0 - TAU * eta, psi - math.pi))
 
 
 def _normal_force(mu, torque, p):
@@ -259,10 +254,8 @@ def _normal_force(mu, torque, p):
     The follower-axis component F*cos(mu) carries the axial load
     2*pi*torque/p implied by the transmission ratio p/(2*pi).
     """
-    c = np.cos(mu)
-    if np.ndim(c) == 0 and c < 1e-9:
-        raise ForceSingular("contact force diverges as |mu| approaches 90 degrees")
-    return TAU * torque / (p * c)
+    with np.errstate(divide="ignore"):
+        return np.divide(TAU * torque, p * np.cos(mu))
 
 
 def contact_force(psi, load: LoadCase, spec: TransmissionSpec):
@@ -281,29 +274,26 @@ def compliance_sum(cam_mat: Material, roller_mat: Material) -> float:
 
 
 def equivalent_radius(r, rho_c):
-    """Harmonic combination r*rho_c/(r + rho_c) of the two contact radii, mm."""
-    if np.ndim(rho_c) == 0 and rho_c <= -r:
-        raise DegenerateContact(
-            f"cam curvature radius {rho_c!r} at or below -r ({-r!r})")
-    return r * rho_c / (r + rho_c)
+    """Harmonic combination r*rho_c/(r + rho_c) of the two contact radii, mm.
+
+    +/-inf at rho_c = -r. `contact_state` passes only positive radii.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.divide(r * rho_c, r + rho_c)
 
 
 def hertz_band_width(F, K1, K2, R_equ, L):
-    """Half-plane contact band width B, mm, for a line contact under load F."""
-    if np.ndim(F) == 0 and F < 0.0:
-        raise InvalidSpec(f"load must be non-negative, got {F}")
-    if L <= 0.0 or (np.ndim(R_equ) == 0 and R_equ <= 0.0):
-        raise InvalidSpec(f"need L > 0 and R_equ > 0, got L={L}, R_equ={R_equ}")
-    return np.sqrt((16.0 * (K1 + K2) / L) * F * R_equ)
+    """Half-plane contact band width B, mm, for a line contact under load F
+    on a width L > 0; NaN where F*R_equ is negative."""
+    with np.errstate(invalid="ignore"):
+        return np.sqrt((16.0 * (K1 + K2) / L) * F * R_equ)
 
 
 def hertz_pressure(F, L, B):
-    """Peak line-contact pressure 4F/(L*pi*B), MPa; a scalar zero load gives zero."""
-    if np.ndim(F) == 0 and F == 0.0:
-        return 0.0
-    if L <= 0.0 or (np.ndim(B) == 0 and B <= 0.0):
-        raise InvalidSpec(f"need L > 0 and B > 0, got L={L}, B={B}")
-    return (4.0 / (L * math.pi)) * F / B
+    """Peak line-contact pressure 4F/(L*pi*B), MPa, on a width L > 0; NaN
+    at zero load, where the band width B vanishes too."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.divide((4.0 / (L * math.pi)) * F, B)
 
 
 def contact_state(psi, p, eta, r, torque, K_sum, L):
@@ -335,18 +325,19 @@ def pressure_sensitivities(psi, p, eta, r, torque, K_sum, L):
     """
     P = contact_state(psi, p, eta, r, torque, K_sum, L)[2]
     q = TAU * eta - 1.0
-    w = psi - math.pi
+    w = np.asarray(psi, dtype=float) - math.pi
     s = w * w + q * q
     rk = r * pitch_curvature(psi, p, eta)
     g = 1.0 - rk
     N = w * w + 2.0 * q * (math.pi * eta - 1.0)
-    dln_kappa = TAU * (4.0 * math.pi * eta - 3.0) / N - 6.0 * math.pi * q / s
     half = 0.5 * P
-    return P, np.array([-half * (1.0 - 2.0 * rk) / g,
-                        half * eta * (TAU * q / s + rk * dln_kappa / g),
-                        -half / g,
-                        -half,
-                        half])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dln_kappa = TAU * (4.0 * math.pi * eta - 3.0) / N - 6.0 * math.pi * q / s
+        return P, np.array([-half * (1.0 - 2.0 * rk) / g,
+                            half * eta * (TAU * q / s + rk * dln_kappa / g),
+                            -half / g,
+                            -half,
+                            half])
 
 
 class SegmentMetrics(NamedTuple):
@@ -470,11 +461,12 @@ def design_segment(spec: TransmissionSpec, torque: float,
 def hertz_segment(spec: TransmissionSpec, load: LoadCase, cam_mat: Material,
                   roller_mat: Material) -> tuple[FeasibilityReport, SegmentMetrics]:
     """`design_segment` of a spec whose Hertz model holds on the driving arc:
-    the scalar `contact_state` at the kernel's psi_P also raises ForceSingular
-    where the contact force diverges as |mu| nears 90 degrees."""
-    K_sum = compliance_sum(cam_mat, roller_mat)
-    report, seg = design_segment(spec, load.torque, K_sum)
-    contact_state(seg.psi_P, spec.p, spec.eta, spec.r, load.torque, K_sum, spec.L)
+    the Hertz gate. Raises as `design_segment` does, and ForceSingular where
+    the contact force diverges as |mu| nears 90 degrees: where the cosine of
+    the pressure angle at the kernel's psi_P is below FORCE_COS_MIN."""
+    report, seg = design_segment(spec, load.torque, compliance_sum(cam_mat, roller_mat))
+    if np.cos(pressure_angle(seg.psi_P, spec.eta)) < FORCE_COS_MIN:
+        raise ForceSingular("contact force diverges as |mu| approaches 90 degrees")
     return report, seg
 
 

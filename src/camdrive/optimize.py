@@ -27,7 +27,7 @@ from itertools import compress
 import numpy as np
 
 from .errors import InfeasibleCamCount, InvalidSpec
-from .geometry import MAX_LENGTH, fully_convex, require_length, require_positive
+from .geometry import MAX_CAM_COUNT, MAX_LENGTH, fully_convex, require_length, require_positive
 from .mechanics import (
     LoadCase,
     Material,
@@ -118,17 +118,27 @@ class DesignSpace:
 
 
 def _require_whole(m, where: str) -> None:
-    """Raise InvalidSpec unless the cam count m is a whole number."""
-    if not float(m).is_integer():
-        raise InvalidSpec(f"cam count {m} in {where} is not a whole number")
+    """Raise InvalidSpec unless the cam count m is a whole number of at most
+    MAX_CAM_COUNT in magnitude. The bound comes first: float() overflows on
+    a huge integer."""
+    if not (abs(m) <= MAX_CAM_COUNT and float(m).is_integer()):
+        raise InvalidSpec(f"cam count {m} in {where} is not a whole number of at most "
+                          f"{MAX_CAM_COUNT} in magnitude")
+
+
+def _sizes(space: DesignSpace, m: int, L: np.ndarray) -> np.ndarray:
+    """Sizes m*L of m-cam widths L: the one size rule of a sweep and a single
+    design. A width of at most S_cap/m, as every width on the axis is, has its
+    size clamped to the cap, which only removes rounding: m*(S_cap/m) can
+    round an ulp above the cap. A wider width keeps m*L and fails the cap."""
+    S = m * L
+    return np.where(L <= space.S_cap / m, np.minimum(S, space.S_cap), S) if m > 0 else S
 
 
 def _widths(space: DesignSpace, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The m-cam width axis and its sizes m*L clamped to the size cap, which
-    only removes rounding: m*(S_cap/m), the most a width allows, can round
-    an ulp above the cap."""
+    """The m-cam width axis and its `_sizes`."""
     L = space.L_axis(m)
-    return L, np.minimum(m * L, space.S_cap)
+    return L, _sizes(space, m, L)
 
 
 @dataclass(frozen=True)
@@ -180,10 +190,10 @@ def _candidates(space: DesignSpace, table: np.ndarray, violations=None) -> list:
 def evaluate_candidate(x, space: DesignSpace) -> DesignCandidate:
     """Evaluate one design vector; infeasibility comes back as flags.
 
-    The sweep's evaluation on a batch of one pair at one width, so it agrees
-    with the sweep arrays bit for bit but in size, m*L here and clamped to
-    the cap in the sweep (`_widths`). A cam count below two fails geometry;
-    a fractional count or a width that is not a length raises InvalidSpec.
+    The sweep's evaluation on a batch of one pair at one width, size
+    included (`_sizes`), so it agrees with the sweep arrays bit for bit. A
+    cam count below two fails geometry; a fractional count, one above
+    MAX_CAM_COUNT or a width that is not a length raises InvalidSpec.
     """
     _require_whole(x[3], "a design vector")
     d_cs, r, L, m = float(x[0]), float(x[1]), float(x[2]), int(x[3])
@@ -191,7 +201,7 @@ def evaluate_candidate(x, space: DesignSpace) -> DesignCandidate:
     D, R = np.array([d_cs]), np.array([r])
     metrics = (_pair_metrics(space, (m,), D, R)[m] if m >= 2
                else (np.array([False]), np.array([np.nan]), np.array([np.nan])))
-    g = _evaluate_grid(space, m, D, R, *metrics, np.array([L]), np.array([m * L]))
+    g = _evaluate_grid(space, m, D, R, *metrics, np.array([L]), _sizes(space, m, np.array([L])))
     return _candidates(space, g.table(), g.violations)[0]
 
 

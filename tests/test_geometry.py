@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import camdrive as cd
 from camdrive.errors import (
-    EtaSingular,
     InfeasibleProfile,
     InvalidSpec,
     ModelError,
@@ -139,8 +138,13 @@ class TestProfileCoefficients:
         assert d == pytest.approx(DELTA_ANGLE_AT_ROOT, rel=1e-12)
 
     def test_singular_eta_rejected(self):
-        with pytest.raises(EtaSingular):
-            cd.profile_coefficients(1.0, 50.0, 1.0 / TAU)
+        # at eta = 1/(2*pi) the formulas give what an array gives, here a
+        # 90-degree angle and a NaN curvature; the gate rejects the design
+        eta = 1.0 / TAU
+        assert cd.profile_coefficients(1.0, 50.0, eta)[2] == -math.pi / 2.0
+        assert math.isnan(cd.pitch_curvature(math.pi, 50.0, eta))
+        with pytest.raises(NoRootFound, match="singular"):
+            require_feasible(cd.TransmissionSpec(p=50.0, eta=eta, r=4.0))
 
     def test_accepts_arrays(self):
         psi = np.array([0.0, math.pi, 4.0])
@@ -239,13 +243,17 @@ class TestCamCurvature:
         assert 1.0 / 0.1 - 1.0 / kc == pytest.approx(4.0)
 
     def test_blocking_raises(self):
-        with pytest.raises(RollerBlocksCam):
-            cd.cam_curvature(0.25, 4.0)
-        # the verdict's threshold: 0 < rho_c = 4e-7 mm <= BLOCKING_REL_TOL*r
+        # a vanishing radius gives an infinite curvature, as in an array; the
+        # gate raises for a design whose radius passes the verdict's threshold,
+        # 0 < rho_c <= BLOCKING_REL_TOL*r, here 4e-7 mm
+        assert cd.cam_curvature(0.25, 4.0) == math.inf
         kappa_p = 0.25 * (1.0 - 1e-7)
-        assert 0.0 < cam_curvature_radius(kappa_p, 4.0) <= BLOCKING_REL_TOL * 4.0
+        rho_c = cam_curvature_radius(kappa_p, 4.0)
+        assert 0.0 < rho_c <= BLOCKING_REL_TOL * 4.0
+        assert cd.cam_curvature(kappa_p, 4.0) == 1.0 / rho_c
+        p, eta = 50.0, 1.0 / TAU + 1e-4
         with pytest.raises(RollerBlocksCam):
-            cd.cam_curvature(kappa_p, 4.0)
+            require_feasible(cd.TransmissionSpec(p=p, eta=eta, r=blocking_radius(p, eta), m=1))
 
 
 class TestExtendedAngle:

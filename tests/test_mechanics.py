@@ -10,17 +10,19 @@ from hypothesis import strategies as st
 import camdrive as cd
 from camdrive.errors import (
     ConfigError,
-    DegenerateContact,
+    ForceSingular,
     InfeasibleCamCount,
+    InfeasibleProfile,
     InvalidSpec,
-    PressureAngleSingular,
 )
 from camdrive.geometry import TAU, curvature_turnover, driving_window, min_cam_radius
 from camdrive.mechanics import (
     _hertz_log_slope,
+    _normal_force,
     compliance_sum,
     contact_state,
     material,
+    pressure_sensitivities,
     segment_metrics,
 )
 
@@ -173,9 +175,16 @@ class TestEquivalentRadius:
     def test_reference_value(self):
         assert cd.equivalent_radius(4.0, 12.0) == pytest.approx(3.0)
 
-    def test_degenerate(self):
-        with pytest.raises(DegenerateContact):
-            cd.equivalent_radius(4.0, -5.0)
+    def test_degenerate(self, steel):
+        # rho_c = -r gives an infinite radius, as in an array; the Hertz model
+        # reads only positive radii, and the gate rejects a design whose cam
+        # radius is negative on its driving arc
+        assert cd.equivalent_radius(4.0, -4.0) == -math.inf
+        assert cd.equivalent_radius(4.0, -5.0) == 20.0
+        eta = 1.0 / TAU + 1e-4
+        spec = cd.TransmissionSpec(p=50.0, eta=eta, r=5.0 * eta, m=1)
+        with pytest.raises(InfeasibleProfile, match="negative"):
+            cd.max_hertz_pressure(spec, cd.LoadCase(1200.0), steel, steel)
 
 
 class TestHertz:
@@ -194,7 +203,11 @@ class TestHertz:
         assert cd.hertz_pressure(377.0, 10.0, B) == pytest.approx(P_REFERENCE, rel=1e-9)
 
     def test_zero_load_pressure_convention(self):
-        assert cd.hertz_pressure(0.0, 10.0, 0.0) == 0.0
+        # zero load has a zero band, and 0/0 is NaN, as in an array; a load
+        # case needs a positive torque
+        assert math.isnan(cd.hertz_pressure(0.0, 10.0, 0.0))
+        with pytest.raises(InvalidSpec, match="torque"):
+            cd.LoadCase(0.0)
 
     def test_pressure_scaling_with_recomputed_band(self):
         K = 1.4e-6
@@ -213,9 +226,12 @@ class TestPressureAngle:
     def test_vanishes_far_from_mid_stroke(self):
         assert abs(cd.pressure_angle(1e9, 0.18)) < 1e-8
 
-    def test_mid_stroke_singular(self):
-        with pytest.raises(PressureAngleSingular):
-            cd.pressure_angle(math.pi, 0.18)
+    def test_mid_stroke_singular(self, steel):
+        # at mid-stroke the angle is -90 degrees, as in an array; the Hertz
+        # gate rejects a design whose pressure peak comes that close to it
+        assert cd.pressure_angle(math.pi, 0.18) == -math.pi / 2.0
+        with pytest.raises(ForceSingular, match="90 degrees"):
+            cd.max_hertz_pressure(spec50(eta=1e4), cd.LoadCase(1200.0), steel, steel)
 
     def test_decreases_with_lower_eta(self):
         psi = math.pi + 1.2943
@@ -535,3 +551,38 @@ def test_property_pressure_angle_series_matches_scalar(eta, p):
     series = cd.pressure_angle(psis, eta)
     for psi, mu in zip(psis, series):
         assert mu == pytest.approx(cd.pressure_angle(float(psi), eta), rel=1e-14)
+
+
+# Singular inputs of each formula: a singular eta, a blocking roller, a
+# mid-stroke pressure angle, a diverging force, a degenerate radius, a
+# negative load or radius, a zero load or band, and the pressure partials
+# where the curvature's numerator and w^2 + q^2 both vanish. The formulas are
+# elementwise, so a scalar call gives the bits of a batch of one, NaN and inf
+# included, and neither raises nor warns; only the gates raise.
+SINGULAR_CALLS = {
+    "profile_coefficients": (cd.profile_coefficients, (1.0, 50.0, 1.0 / TAU)),
+    "pitch_curvature": (cd.pitch_curvature, (math.pi, 50.0, 1.0 / TAU)),
+    "cam_curvature": (cd.cam_curvature, (0.25, 4.0)),
+    "pressure_angle": (cd.pressure_angle, (math.pi, 0.18)),
+    "normal_force": (_normal_force, (math.pi / 2.0, 1200.0, 50.0)),
+    "equivalent_radius": (cd.equivalent_radius, (4.0, -4.0)),
+    "band_width_negative_load": (cd.hertz_band_width, (-1.0, K_STEEL, K_STEEL, 3.0, 10.0)),
+    "band_width_negative_radius": (cd.hertz_band_width, (1.0, K_STEEL, K_STEEL, -3.0, 10.0)),
+    "pressure_zero_load": (cd.hertz_pressure, (0.0, 10.0, 0.0)),
+    "pressure_zero_band": (cd.hertz_pressure, (377.0, 10.0, 0.0)),
+    "pressure_sensitivities": (pressure_sensitivities,
+                               (math.pi, 50.0, 1.0 / TAU, 4.0, 1200.0, 2.0 * K_STEEL, 10.0)),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(SINGULAR_CALLS))
+def test_singular_scalar_equals_batch_of_one(name):
+    fn, args = SINGULAR_CALLS[name]
+
+    def flat(result):
+        parts = result if isinstance(result, tuple) else (result,)
+        return np.concatenate([np.ravel(np.asarray(v, dtype=float)) for v in parts])
+
+    scalar = flat(fn(*args))
+    assert np.array_equal(scalar, flat(fn(*(np.array([a]) for a in args))), equal_nan=True)

@@ -90,8 +90,8 @@ class TestEvaluateCandidate:
 
     def test_matches_grid_rows(self):
         # every kind of row: d_cs = 0 geometry failures, each cap and, for m = 3,
-        # the last width, whose size m*L rounds above the cap; the sweep gives
-        # that width the cap as its size, a single design m*L and the size flag
+        # the last width, whose size m*L rounds above the cap; a single design
+        # and the sweep both give that width the cap as its size
         space = cd.DesignSpace(**FRONT_SPACES["L-ends-at-size-cap"])
         seen = set()
         for m, g in cd.sweep(space).grids.items():
@@ -100,15 +100,19 @@ class TestEvaluateCandidate:
             assert len(last) == (len(g) // space.resolution if m == 3 else 0)
             for i in sorted({*range(0, len(g), 97), *first.tolist(), *last[::50].tolist()}):
                 c = cd.evaluate_candidate((g.d_cs[i], g.r[i], g.L[i], m), space)
-                size = ("size",) if i in last else ()
-                assert c.violations == _verdict_names(g.violations[i]) + size
-                assert c.feasible == (g.feasible[i] and not size)
+                assert c.violations == _verdict_names(g.violations[i])
+                assert c.feasible == g.feasible[i]
                 assert c.convex_profile == (math.pi * eta_from_design(
                     c.d_cs, c.r, space.pitch) > 1.0)
-                assert np.array_equal(c.objectives, (g.mu_max[i], g.P_max[i], m * g.L[i]),
+                assert np.array_equal(c.objectives, (g.mu_max[i], g.P_max[i], g.S_M[i]),
                                       equal_nan=True)
                 seen.update(c.violations or ("feasible",))
             assert not g.violations[:, -1].any()
+        # a width one ulp past the axis keeps its size m*L and fails the cap
+        L = float(np.nextafter(space.L_bounds(3)[1], math.inf))
+        c = cd.evaluate_candidate((10.0, 5.0, L, 3), space)
+        assert c.S_M == 3 * L > space.S_cap and "size" in c.violations
+        seen.update(c.violations)
         assert seen == {"geometry", "pressure-angle", "hertz-pressure", "size", "feasible"}
 
 
@@ -377,6 +381,18 @@ class TestSweep:
             cd.contour_slice(cd.DesignSpace(), m, 60.0, resolution=16)
         with pytest.raises(InvalidSpec, match="not a whole number"):
             cd.evaluate_candidate((2.6, 4.24, 30.0, m), cd.DesignSpace())
+
+    @pytest.mark.parametrize("m", [361, 10 ** 20, 10 ** 400, -10 ** 400])
+    def test_cam_count_beyond_the_bound_rejected(self, m):
+        # the model's bound, checked before the count meets float()
+        with pytest.raises(InvalidSpec, match="at most 360"):
+            cd.DesignSpace(m_values=(m, 3), resolution=16)
+        with pytest.raises(InvalidSpec, match="at most 360"):
+            cd.contour_slice(cd.DesignSpace(), m, 60.0, resolution=16)
+        with pytest.raises(InvalidSpec, match="at most 360"):
+            cd.evaluate_candidate((2.6, 4.24, 30.0, m), cd.DesignSpace())
+        with pytest.raises(InvalidSpec, match="360"):
+            cd.TransmissionSpec(p=50.0, eta=0.18, r=4.0, m=m)
 
     def test_integral_float_cam_count_is_the_count(self):
         space = cd.DesignSpace()
