@@ -352,19 +352,25 @@ def _pareto_svgs(out: Path, result) -> None:
     if not len(allc):
         return
     MU, P, S = range(3)
+    ranges = [padded_range(float(col.min()), float(col.max())) for col in allc.T]
     axes = {
         "pareto_mu_sm.svg": (MU, S, "mu_max [deg]", "S_M [mm]"),
         "pareto_p_mu.svg": (MU, P, "mu_max [deg]", "P_max [MPa]"),
         "pareto_p_sm.svg": (S, P, "S_M [mm]", "P_max [MPa]"),
     }
+    # page text by (axis, column, m): a column has one range in every figure,
+    # so mu on x and P on y, each in two figures, are formatted once
+    text = {}
     for name, (ix, iy, xl, yl) in axes.items():
-        canvas = Canvas(padded_range(float(allc[:, ix].min()), float(allc[:, ix].max())),
-                        padded_range(float(allc[:, iy].min()), float(allc[:, iy].max())))
+        canvas = Canvas(ranges[ix], ranges[iy])
         canvas.axes(xl, yl)
         y = 18
         for m, front in fronts.items():
+            for key, to_text in ((("x", ix, m), canvas.x_text), (("y", iy, m), canvas.y_text)):
+                if key not in text:
+                    text[key] = to_text(front[:, key[1]])
             color = _M_COLORS.get(m, "#000000")
-            canvas.circles(front[:, ix], front[:, iy], 2.2, stroke=color)
+            canvas.circles_at(text["x", ix, m], text["y", iy, m], 2.2, stroke=color)
             canvas.page_text(canvas.width - 150, y, f"{m} conjugate cams",
                              color=color)
             y += 16

@@ -208,11 +208,18 @@ def _ordinate_slope(psi, p, eta, r):
             + (b2 - r) * np.cos(a) * ((TAU * eta - 1.0) * k / b2 - 1.0))
 
 
+def _ordinate(psi, p, eta, r):
+    """Profile ordinate v_c, mm: `_ordinate_slope`'s value by the same
+    expression, so bit for bit equal, without the slope's work."""
+    b1, b2, d = profile_coefficients(psi, p, eta)
+    return -b1 * np.sin(psi) + (b2 - r) * np.sin(d - psi)
+
+
 def cam_profile_point(psi, spec: TransmissionSpec):
     """Contact point C in the cam-fixed frame: (u_c, v_c), mm."""
     b1, b2, d = profile_coefficients(psi, spec.p, spec.eta)
     u_c = b1 * np.cos(psi) + (b2 - spec.r) * np.cos(d - psi)
-    return u_c, _ordinate_slope(psi, spec.p, spec.eta, spec.r)[0]
+    return u_c, _ordinate(psi, spec.p, spec.eta, spec.r)
 
 
 def pitch_curve_point(psi, spec: TransmissionSpec):
@@ -283,6 +290,8 @@ def last_root(g, nodes):
     nodes is one row shared by every pair or one row per pair. g(x) returns
     the value and the slope of g elementwise, for x with one row per pair
     (or one shared row) against per-pair parameters held as (n, 1) columns.
+    The scan reads only the values; `closure_angles` scans with a
+    value-only function and refines with g (`_refine_last_root`).
     The false-position point of the bracket starts ROOT_NEWTON_STEPS Newton
     steps, safeguarded as in "rtsafe" (Numerical Recipes): each step first
     moves the bracket end on the iterate's side of the root to the iterate,
@@ -293,7 +302,11 @@ def last_root(g, nodes):
     a sign change; a row without one gets its first node (NaN stays NaN).
     """
     nodes = np.atleast_2d(nodes)
-    v = g(nodes)[0]
+    return _refine_last_root(g, nodes, g(nodes)[0])
+
+
+def _refine_last_root(g, nodes, v):
+    """`last_root` of g from its scan values v at the (2-D) nodes."""
     nodes = np.broadcast_to(nodes, v.shape)
     change = v[:, :-1] * v[:, 1:] <= 0.0
     found = change.any(axis=1)
@@ -316,9 +329,10 @@ def last_root(g, nodes):
 def closure_angles(p, eta, r) -> np.ndarray:
     """Closure angle of each (eta, r) pair: the root of v_c on [-pi, 0] nearest zero.
 
-    `last_root` of v_c and its slope (`_ordinate_slope`) over
-    ROOT_SCAN_NODES nodes on [-pi, 0]. NaN where v_c has no sign change (the
-    profile does not close) and where eta or r is NaN.
+    `last_root` of v_c over ROOT_SCAN_NODES nodes on [-pi, 0]: the scan
+    evaluates v_c alone (`_ordinate`), the Newton steps v_c and its slope
+    (`_ordinate_slope`). NaN where v_c has no sign change (the profile does
+    not close) and where eta or r is NaN.
 
     That the coarse scan brackets the right root is sampling evidence, not
     a proof; `scripts/root_evidence.py` reprints it. Over 200,000
@@ -334,8 +348,10 @@ def closure_angles(p, eta, r) -> np.ndarray:
     """
     eta, r = np.broadcast_arrays(np.atleast_1d(np.asarray(eta, dtype=float)),
                                  np.atleast_1d(np.asarray(r, dtype=float)))
-    psi, found = last_root(lambda x: _ordinate_slope(x, p, eta[:, None], r[:, None]),
-                           np.linspace(-math.pi, 0.0, ROOT_SCAN_NODES))
+    eta, r = eta[:, None], r[:, None]
+    nodes = np.linspace(-math.pi, 0.0, ROOT_SCAN_NODES)[None, :]
+    psi, found = _refine_last_root(lambda x: _ordinate_slope(x, p, eta, r), nodes,
+                                   _ordinate(nodes, p, eta, r))
     return np.where(found, psi, np.nan)
 
 

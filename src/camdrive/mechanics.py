@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, ForceSingular, InfeasibleCamCount, InvalidSpec
 from .geometry import (
+    MAX_CAM_COUNT,
     ROOT_SCAN_NODES,
     TAU,
     FeasibilityReport,
@@ -57,10 +58,14 @@ FORCE_COS_MIN = 1e-9
 
 
 def require_cam_count(m) -> None:
-    """Raise InfeasibleCamCount for m < 2: one cam cannot drive a whole turn."""
+    """Raise InfeasibleCamCount for m < 2: one cam cannot drive a whole turn;
+    and InvalidSpec above MAX_CAM_COUNT (or NaN), before any arithmetic on m
+    can overflow."""
     if m < 2:
         raise InfeasibleCamCount(
             f"a single cam cannot drive the follower positively (m={m})")
+    if not m <= MAX_CAM_COUNT:
+        raise InvalidSpec(f"cam count must be at most {MAX_CAM_COUNT}, got {m}")
 
 
 @dataclass(frozen=True)

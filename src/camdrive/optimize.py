@@ -3,18 +3,21 @@
 Design vector x = [d_cs, r, L, m]; objectives (mu_max, P_max, S_M) are all
 minimised subject to caps on each. The search is an exhaustive grid: the
 evaluations are cheap, deterministic and oracle-checkable, and the space has
-only three continuous axes plus the cam count. Every (d_cs, r) pair goes
+only three continuous axes plus the cam count. A (d_cs, r) pair goes
 through the batched segment kernel `mechanics.segment_metrics` once per cam
 count, which costs closed forms and a short peak search for the few pairs
 whose pressure peaks inside the arc; the closure root does not depend on
 the cam count and is solved once per pair. The unit-width pressure serves
 the whole L axis, because the Hertz pressure scales as 1/sqrt(L). So a
 sweep filters the pairs in two objectives and lays the L axis out only
-for the pairs on that front (see `sweep`); the full (d_cs, r, L) grid is
-built only when `SweepResult.grids` is read. A single candidate is the
-same evaluation on a batch of one. Iso-lines of the contour slices come
-from a table-driven marching squares, and a front's hypervolume from a
-dimension sweep.
+for the pairs on that front (see `sweep`). It solves only the pairs that
+can pass the pressure-angle cap, which an exact bound on eta picks out
+before any root, and sends to the kernel only those whose arc start
+passes it. The contour slices and a single candidate (a batch of one)
+evaluate every pair, as does `SweepResult.grids`, the full (d_cs, r, L)
+grid and the sweep's oracle, built only when read. Iso-lines of the
+contour slices come from a table-driven marching squares, and a front's
+hypervolume from a dimension sweep.
 """
 from __future__ import annotations
 
@@ -27,19 +30,34 @@ from itertools import compress
 import numpy as np
 
 from .errors import InfeasibleCamCount, InvalidSpec
-from .geometry import MAX_CAM_COUNT, MAX_LENGTH, fully_convex, require_length, require_positive
+from .geometry import (
+    MAX_CAM_COUNT,
+    MAX_LENGTH,
+    TAU,
+    closure_angles,
+    driving_window,
+    eta_valid,
+    fully_convex,
+    require_length,
+    require_positive,
+)
 from .mechanics import (
     LoadCase,
     Material,
     SegmentMetrics,
     compliance_sum,
     find_material,
+    pressure_angle,
     segment_metrics,
 )
 
 _DEFAULT_STEEL = find_material("improved steel")
 
 _PAIR_CHUNK = 4096
+
+# relative slack of the sweep's angle screen on the cap, so that rounding
+# never screens a pair that passes it
+_SCREEN_MARGIN = 1e-9
 
 # smallest grid resolution of a sweep or a contour slice
 MIN_GRID_RESOLUTION = 16
@@ -317,11 +335,18 @@ def _pair_metrics(space: DesignSpace, m_values, d_cs: np.ndarray, r: np.ndarray)
     return out
 
 
-def _pair_grid(space: DesignSpace, m_values, res: int):
-    """The res x res (d_cs, r) grid, d_cs-major, and its pair metrics by m."""
+def _pair_axes(space: DesignSpace, res: int):
+    """The d_cs and r axes of the res x res (d_cs, r) grid and its pairs,
+    d_cs-major."""
     d_axis = np.linspace(space.d_cs_range[0], space.d_cs_range[1], res)
     r_axis = np.linspace(space.r_range[0], space.r_range[1], res)
     D, R = (a.ravel() for a in np.meshgrid(d_axis, r_axis, indexing="ij"))
+    return d_axis, r_axis, D, R
+
+
+def _pair_grid(space: DesignSpace, m_values, res: int):
+    """`_pair_axes` and the metrics of every pair by m (`_pair_metrics`)."""
+    d_axis, r_axis, D, R = _pair_axes(space, res)
     return d_axis, r_axis, D, R, _pair_metrics(space, m_values, D, R)
 
 
@@ -360,15 +385,14 @@ class SweepResult:
     table in `_lex_order`, and `front_index` the merged front as row indices
     into those tables concatenated in m order. `front` and `per_m_fronts`,
     the same fronts as `DesignCandidate` lists, are built when first read.
-    `pairs` holds the (d_cs, r) pairs and their metrics by cam count, as
-    (d_cs, r, {m: (geometry_ok, mu_max, P_unit)}); `grids`, the evaluation
-    of every (d_cs, r, L) candidate, is built from them when first read.
+    `grids`, the evaluation of every (d_cs, r, L) candidate, is the oracle
+    of the screened sweep: its first read runs the kernel again on every
+    pair, unscreened, as a contour slice does.
     """
 
     space: DesignSpace
     tables: dict = field(repr=False)
     front_index: np.ndarray = field(repr=False)
-    pairs: tuple = field(repr=False)
 
     @property
     def evaluated(self) -> int:
@@ -390,9 +414,10 @@ class SweepResult:
 
     @cached_property
     def grids(self) -> dict:
-        D, R, metrics = self.pairs
-        return {m: _evaluate_grid(self.space, m, D, R, *metrics[m], *_widths(self.space, m))
-                for m in self.space.m_values}
+        space = self.space
+        _, _, D, R, metrics = _pair_grid(space, space.m_values, space.resolution)
+        return {m: _evaluate_grid(space, m, D, R, *metrics[m], *_widths(space, m))
+                for m in space.m_values}
 
 
 def _evaluate_grid(space: DesignSpace, m: int, D, R, geom_pair, mu_pair, P_pair,
@@ -426,6 +451,44 @@ def _per_m_front(space: DesignSpace, m: int, D, R, geom, mu, P_unit) -> np.ndarr
     return table[_lex_order(table)]
 
 
+def _angle_screen(space: DesignSpace, eta: np.ndarray) -> np.ndarray:
+    """Whether each eta can pass the angle cap for some m of the space: the
+    arc-start |mu| at the largest arc start any closure angle gives (`sweep`)
+    is at most the cap, with a relative _SCREEN_MARGIN."""
+    bound = space.mu_cap * (1.0 + _SCREEN_MARGIN)
+    reach = np.zeros(len(eta), dtype=bool)
+    for m in space.m_values:
+        reach |= np.abs(pressure_angle(math.pi + TAU * (1.0 - 1.0 / m), eta)) <= bound
+    return reach
+
+
+def _front_pairs(space: DesignSpace, D: np.ndarray, R: np.ndarray) -> dict:
+    """The pairs that can reach each cam count's front, with their metrics:
+    {m: (pair index, geometry_ok, mu_max, P_unit)}.
+
+    A pair is solved when d_cs > 0, eta passes `eta_valid` and eta passes
+    `_angle_screen`; the others fail geometry or the angle cap at every m.
+    The solved pairs go in chunks of _PAIR_CHUNK, as in `_pair_metrics`.
+    Each chunk solves its closure angles once, and for each m only the pairs
+    whose arc-start |mu| passes the cap go to the kernel, with those angles.
+    """
+    eta = eta_from_design(D, R, space.pitch)
+    K_sum = compliance_sum(space.cam_material, space.roller_material)
+    solved = np.flatnonzero((D > 0.0) & eta_valid(eta) & _angle_screen(space, eta))
+    parts = {m: [] for m in space.m_values}
+    for s in range(0, len(solved) or 1, _PAIR_CHUNK):  # one empty chunk if none
+        idx = solved[s:s + _PAIR_CHUNK]
+        e, r = eta[idx], R[idx]
+        delta = closure_angles(space.pitch, e, r)
+        for m in space.m_values:
+            go = np.abs(pressure_angle(driving_window(delta, m)[0], e)) <= space.mu_cap
+            seg = segment_metrics(space.pitch, e[go], r[go], m, space.load.torque, K_sum,
+                                  delta=delta[go])
+            parts[m].append((idx[go], seg.ok, seg.mu_max, seg.P_max))
+    return {m: tuple(np.concatenate(col) for col in zip(*cols))
+            for m, cols in parts.items()}
+
+
 def sweep(space: DesignSpace) -> SweepResult:
     """Pareto fronts of the (d_cs, r, L) grid, for each cam count and merged.
 
@@ -443,12 +506,27 @@ def sweep(space: DesignSpace) -> SweepResult:
     equals the front over all evaluated feasible candidates. Fronts are
     in `_lex_order` of their (mu, P, S, m, d_cs, r, L) rows, and the result
     keeps them as those tables; no candidate is built until one is read.
+
+    So only the pairs that pass geometry and the angle cap matter, and the
+    sweep solves only those that can (`_front_pairs`). mu_max is |mu| at the
+    arc start psi = 2*pi - delta - 2*pi/m, where with w = psi - pi and
+    q = 2*pi*eta - 1, |mu| = arctan(|q|/w). The closure angle delta lies in
+    [-pi, 0] (`closure_angles` brackets its root there), so
+    0 <= w <= 2*pi*(1 - 1/m), and arctan(|q|/w) falls as w grows: no delta
+    gives a smaller |mu| than psi = pi + 2*pi*(1 - 1/m). A pair whose |mu|
+    there exceeds the cap for every m fails the cap whatever its closure
+    angle, and skips the closure root (`_angle_screen`). The test compares
+    angles, not q against w*tan(mu_cap), because a cap of 90 degrees or
+    more passes every pair while its tangent is negative. Of the solved
+    pairs, only those whose arc start passes the cap get the Hertz peak
+    search. `evaluated` still counts every candidate of the grid.
     """
-    _, _, D, R, pairs = _pair_grid(space, space.m_values, space.resolution)
-    tables = {m: _per_m_front(space, m, D, R, *pairs[m]) for m in space.m_values}
+    _, _, D, R = _pair_axes(space, space.resolution)
+    tables = {}
+    for m, (idx, geom, mu, P_unit) in _front_pairs(space, D, R).items():
+        tables[m] = _per_m_front(space, m, D[idx], R[idx], geom, mu, P_unit)
     return SweepResult(space=space, tables=tables,
-                       front_index=_front(np.concatenate(list(tables.values()))),
-                       pairs=(D, R, pairs))
+                       front_index=_front(np.concatenate(list(tables.values()))))
 
 
 # --- fixed-size contour slices --------------------------------------------

@@ -58,6 +58,15 @@ def _check_finite(*columns) -> None:
             _fmt(float(v))
 
 
+def _page_text(to_page, values) -> list:
+    """`_fmt_all` of the page coordinates `to_page` gives a 1-D array of data
+    values; a non-finite one raises `_fmt`'s error."""
+    values = np.asarray(values, dtype=float)
+    page = np.broadcast_to(to_page(values), values.shape)
+    _check_finite(page)
+    return _fmt_all(page)
+
+
 @dataclass
 class Canvas:
     """Data-space to page-space mapping plus an element buffer."""
@@ -128,11 +137,25 @@ class Canvas:
         if not sx.size:
             return
         _check_finite(sx, sy, radius_px)
-        strokes = [stroke] * sx.size if isinstance(stroke, str) else stroke
+        self.circles_at(_fmt_all(sx), _fmt_all(sy), radius_px, stroke, fill)
+
+    def circles_at(self, cx, cy, radius_px=2.5, stroke="#000000", fill="none"):
+        """`circles` at page coordinates given as text (`x_text`, `y_text`),
+        so that a figure can reuse the text of a column that another figure
+        with the same range has formatted."""
+        strokes = [stroke] * len(cx) if isinstance(stroke, str) else stroke
         r = _fmt(radius_px)
         self.elements.extend([
-            f'<circle cx="{cx}" cy="{cy}" r="{r}" stroke="{s}" fill="{fill}"/>'
-            for cx, cy, s in zip(_fmt_all(sx), _fmt_all(sy), strokes, strict=True)])
+            f'<circle cx="{x}" cy="{y}" r="{r}" stroke="{s}" fill="{fill}"/>'
+            for x, y, s in zip(cx, cy, strokes, strict=True)])
+
+    def x_text(self, xs) -> list:
+        """`_fmt` of the page x coordinate of each data x."""
+        return _page_text(self._sx, xs)
+
+    def y_text(self, ys) -> list:
+        """`_fmt` of the page y coordinate of each data y."""
+        return _page_text(self._sy, ys)
 
     def data_circle(self, x, y, radius, stroke="#000000", fill="none"):
         """Circle whose radius lives in data units (x scale)."""

@@ -17,7 +17,10 @@ from camdrive.geometry import (
     BLOCKING_REL_TOL,
     ETA_MAX,
     GEOMETRY_NOTES,
+    ROOT_SCAN_NODES,
     TAU,
+    _ordinate,
+    _ordinate_slope,
     cam_curvature_radius,
     closure_angles,
     curvature_turnover,
@@ -357,6 +360,22 @@ class TestClosureAngles:
         single = [closure_angles(self.P, e, q)[0] for e, q in zip(eta[:40], r[:40])]
         assert np.array_equal(whole[:40], single, equal_nan=True)
         assert 0 < np.isnan(whole).sum() < 500
+
+    def test_scan_values_equal_the_value_and_slope_values(self, rng):
+        # the scan's value-only v_c is bit for bit the value of `_ordinate_slope`,
+        # on the scan's (1, nodes) by (n, 1) shapes and elementwise
+        eta = np.concatenate([rng.uniform(0.0, 3.0, 300),
+                              1.0 / TAU + rng.uniform(-1e-9, 1e-9, 20),
+                              [1.0 / TAU, 50.0, math.nan]])
+        r = rng.uniform(0.0, 1.2, len(eta)) * eta * self.P
+        psi = rng.uniform(-math.pi, 2.0 * math.pi, len(eta))
+        nodes = np.linspace(-math.pi, 0.0, ROOT_SCAN_NODES)[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for x, e, q in ((nodes, eta[:, None], r[:, None]), (psi, eta, r),
+                            (np.array([math.pi, 0.0]), 1.0 / TAU, 3.0)):
+                v = _ordinate(x, self.P, e, q)
+                assert np.array_equal(v, _ordinate_slope(x, self.P, e, q)[0], equal_nan=True)
+                assert v.dtype == np.float64
 
 
 def sine(c):

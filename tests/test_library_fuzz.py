@@ -1,6 +1,7 @@
 """Library fuzz of the model's public entry points.
 
 Every call of `TransmissionSpec` (and the metrics of a spec that builds),
+the kernel `segment_metrics` and `mechanism_size` on a raw cam count,
 `DesignSpace`, `evaluate_candidate`, `contour_slice` and `sweep` either
 raises a `ModelError` subclass or returns finite objectives wherever
 geometry passed. Arguments are numbers, as the typed API takes them. Each
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from camdrive import mechanics
 from camdrive.errors import ModelError
-from camdrive.geometry import TransmissionSpec
+from camdrive.geometry import MAX_CAM_COUNT, TransmissionSpec
 from camdrive.mechanics import LoadCase, find_material
 from camdrive.optimize import DesignSpace, contour_slice, evaluate_candidate, sweep
 
@@ -105,6 +106,29 @@ def test_spec_and_its_metrics(data, cam, roller):
                   outcome(lambda: mechanics.max_hertz_pressure(spec, load, *pair)),
                   outcome(lambda: mechanics.mechanism_size(spec.m, spec.L))):
         assert value is None or finite(value), (spec, value)
+
+
+# the raw count and width are the odd arguments; p, eta, r and the torque,
+# which a spec or a space checks before the kernel sees them, stay plausible
+RAW_COUNT_ARGS = {name: (plausible, wild_value if name in ("m", "L") else plausible)
+                  for name, (plausible, wild_value) in SPEC_ARGS.items()}
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data(), cam=materials, roller=materials)
+def test_calls_that_take_a_raw_cam_count(data, cam, roller):
+    a = draw_args(data, RAW_COUNT_ARGS)
+    K_sum = mechanics.compliance_sum(find_material(cam), find_material(roller))
+    seg = outcome(lambda: mechanics.segment_metrics(a["p"], [a["eta"]], [a["r"]], a["m"],
+                                                    a["torque"], K_sum))
+    size = outcome(lambda: mechanics.mechanism_size(a["m"], a["L"]))
+    if not 2 <= a["m"] <= MAX_CAM_COUNT:
+        assert seg is None and size is None, a
+    else:
+        assert seg is not None, a
+    if seg is not None and seg.ok[0]:
+        assert finite(seg.mu_max, seg.P_max, seg.rho_c_min), (a, seg)
+    assert size is None or finite(size), (a, size)
 
 
 def check_sweep(space) -> None:

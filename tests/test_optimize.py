@@ -655,7 +655,8 @@ class TestHypervolume:
 
 
 def test_sweep_solves_each_closure_once(monkeypatch):
-    # the kernel's geometry verdict `driving_arc` solves it
+    # the sweep solves the closure of each pair it does not screen, once for
+    # both cam counts, and the kernel's verdict `driving_arc` reuses it
     from camdrive import geometry
     solve = geometry.closure_angles
     solved = []
@@ -665,8 +666,63 @@ def test_sweep_solves_each_closure_once(monkeypatch):
         return solve(p, eta, r)
 
     monkeypatch.setattr(geometry, "closure_angles", counted)
-    cd.sweep(small_space(m_values=(2, 3)))
-    assert sum(solved) == 16 * 16
+    monkeypatch.setattr(optimize, "closure_angles", counted)
+    space = small_space(m_values=(2, 3))
+    cd.sweep(space)
+    # the screen, written out: d_cs > 0, q = 2*pi*eta - 1 >= 1e-9, and for some
+    # m arctan(|q|/w) at the widest arc start w = 2*pi*(1 - 1/m) within the cap
+    D, R = (a.ravel() for a in np.meshgrid(np.linspace(0.0, 30.0, 16),
+                                           np.linspace(4.0, 10.5, 16), indexing="ij"))
+    q = 2.0 * math.pi * (R + D / 2.0) / space.pitch - 1.0
+    reach = np.logical_or.reduce([np.arctan(np.abs(q) / (2.0 * math.pi * (1.0 - 1.0 / m)))
+                                  <= space.mu_cap * (1.0 + 1e-9) for m in (2, 3)])
+    live = int(((D > 0.0) & (q >= 1e-9) & reach).sum())
+    assert 0 < live < 16 * 16
+    assert sum(solved) == live
+
+
+class TestScreen:
+    """The sweep's angle screen and Hertz gate against the unscreened grids."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(pitch=st.floats(8.0, 60.0), cap_deg=st.floats(0.5, 100.0),
+           m_values=st.lists(st.integers(2, 360), min_size=1, max_size=3, unique=True),
+           r_hi=st.floats(4.0, 14.0), d_hi=st.floats(1.0, 40.0))
+    def test_screened_pairs_fail_geometry_or_the_cap(self, pitch, cap_deg, m_values,
+                                                     r_hi, d_hi):
+        space = cd.DesignSpace(resolution=16, pitch=pitch, mu_cap=math.radians(cap_deg),
+                               m_values=tuple(m_values), d_cs_range=(0.0, d_hi),
+                               r_range=(0.5, r_hi), L_range=(0.01, None), S_cap=120.0)
+        _, _, D, R = optimize._pair_axes(space, 16)
+        kept = optimize._front_pairs(space, D, R)
+        screen = optimize._angle_screen(space, eta_from_design(D, R, space.pitch))
+        grids = cd.sweep(space).grids
+        for m in m_values:
+            g = grids[m]
+            first = slice(None, None, space.resolution)  # each pair's first width
+            geom, mu, P_unit = g.geometry_ok[first], g.mu_max[first], g.P_max[first]
+            passing = np.flatnonzero(geom & (mu <= space.mu_cap))
+            idx, ok, mu_kept, P_kept = kept[m]
+            assert np.isin(passing, idx).all()
+            assert screen[passing].all()
+            # the pairs the kernel saw get the grid's metrics, bit for bit
+            assert np.array_equal(ok, geom[idx])
+            assert np.array_equal(mu_kept[ok], mu[idx][ok])
+            assert np.array_equal(P_kept[ok] / np.sqrt(g.L[0]), P_unit[idx][ok])
+
+    @pytest.mark.parametrize("cap_deg", [90.0, 100.0, 179.0])
+    def test_a_right_angle_cap_screens_nothing(self, cap_deg):
+        eta = np.concatenate([np.linspace(0.0, 2.0, 2001), [1e-12, 1e6, 1e100]])
+        for m in (2, 3, 360):
+            space = cd.DesignSpace(resolution=16, m_values=(m,), mu_cap=math.radians(cap_deg),
+                                   L_range=(0.01, None))
+            assert optimize._angle_screen(space, eta).all()
+
+    def test_the_default_space_screens_most_pairs(self):
+        space = cd.DesignSpace()
+        _, _, D, R = optimize._pair_axes(space, space.resolution)
+        screen = optimize._angle_screen(space, eta_from_design(D, R, space.pitch))
+        assert 0.0 < screen.mean() < 0.5
 
 
 def test_cam_counts_share_the_closure_solve():

@@ -92,6 +92,17 @@ class TestCircles:
         assert elements == looped(args, [x], [0.5], 2.2, "#000000")
         assert 'cx="0.000"' in elements[0]
 
+    def test_text_columns_give_the_same_elements(self):
+        # `circles` is `circles_at` of the `x_text` and `y_text` columns
+        rng = np.random.default_rng(9)
+        xs, ys = rng.uniform(0.0, 3.0, 80), rng.uniform(-5.0, 5.0, 80)
+        args = ((-0.2, 3.1), (-5.5, 5.5))
+        canvas = Canvas(*args)
+        canvas.circles_at(canvas.x_text(xs), canvas.y_text(ys), 2.2, stroke="#2255aa")
+        assert canvas.elements == batched(args, xs, ys, 2.2, "#2255aa")
+        with pytest.raises(ValueError, match="non-finite"):
+            canvas.y_text([0.0, math.nan])
+
     def test_empty_input_adds_nothing(self):
         canvas = Canvas((0.0, 1.0), (0.0, 1.0))
         canvas.circles([], [], 2.2)
