@@ -3,7 +3,10 @@
 
 `geometry.last_root` solves both 1-D searches of the segment kernel: a
 coarse sign scan brackets the root in the last sign change, and a fixed
-number of safeguarded Newton steps converge inside the bracket. That the
+number of safeguarded Newton steps converge inside the bracket. The scan
+walks the nodes from the right end and stops each pair at its first change
+from the right, which is the last change of a scan over every node, so the
+evidence below holds for either order, bit for bit. That the
 coarse scan brackets the right root, and that the step count suffices, is
 sampling evidence, not a proof. This script redraws it, seeded.
 

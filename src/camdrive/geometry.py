@@ -38,6 +38,9 @@ ETA_MAX = 1e100
 # the root, and ROOT_NEWTON_STEPS safeguarded Newton steps converge inside it
 ROOT_SCAN_NODES = 17
 ROOT_NEWTON_STEPS = 6
+# `last_root` scans node by node from the right while the live pairs have
+# more nodes left than this, then evaluates their remaining nodes in one call
+ROOT_SCAN_BATCH = 8192
 
 # range of every length of the model, mm: many orders of magnitude inside the
 # float range, so that no product of lengths and loads under- or overflows
@@ -63,6 +66,16 @@ GEOMETRY_NOTES = (
     "cam curvature radius is negative or not finite on the driving arc",
 )
 _GEOMETRY_ERRORS = (None, NoRootFound, NoRootFound, RollerBlocksCam, InfeasibleProfile)
+
+
+def count_text(m) -> str:
+    """A cam count as a message prints it: its `str`, cut to 32 characters,
+    or the power of ten of an integer past 64 bits, whose `str` would spell
+    out every digit (or raise, past 4300 digits)."""
+    if isinstance(m, int) and m.bit_length() > 64:
+        return f"about {'-' if m < 0 else ''}10**{int(math.log10(abs(m)))}"
+    text = str(m)
+    return text if len(text) <= 32 else text[:29] + "..."
 
 
 def require_positive(what: str, value) -> None:
@@ -104,7 +117,7 @@ class TransmissionSpec:
             raise InvalidSpec(f"eta must be at most {ETA_MAX:g}, got {self.eta}")
         if not 1 <= self.m <= MAX_CAM_COUNT or int(self.m) != self.m:
             raise InvalidSpec(f"cam count must be a whole number in [1, {MAX_CAM_COUNT}], "
-                              f"got {self.m}")
+                              f"got {count_text(self.m)}")
         if self.e <= self.r:
             raise InvalidSpec(
                 f"eccentricity e={self.e:.6g} must exceed roller radius r={self.r:.6g} "
@@ -243,7 +256,7 @@ def pitch_curvature(psi, p, eta):
     num = w * w + 2.0 * q * (math.pi * eta - 1.0)
     den = (w * w + q * q) ** 1.5
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.divide((TAU / p) * num, den)
+        return np.divide(np.divide(TAU, p) * num, den)
 
 
 def fully_convex(eta):
@@ -284,53 +297,83 @@ def cam_curvature(kappa_p, r):
         return np.divide(1.0, cam_curvature_radius(kappa_p, r))
 
 
-def last_root(g, nodes):
+def last_root(value, g, nodes, *params):
     """Root of g in the last sign change along each row of scan nodes.
 
-    nodes is one row shared by every pair or one row per pair. g(x) returns
-    the value and the slope of g elementwise, for x with one row per pair
-    (or one shared row) against per-pair parameters held as (n, 1) columns.
-    The scan reads only the values; `closure_angles` scans with a
-    value-only function and refines with g (`_refine_last_root`).
-    The false-position point of the bracket starts ROOT_NEWTON_STEPS Newton
-    steps, safeguarded as in "rtsafe" (Numerical Recipes): each step first
-    moves the bracket end on the iterate's side of the root to the iterate,
-    and a step that would leave the bracket, or is NaN or inf, bisects
-    instead. The bracket test is inclusive, so a converged iterate stays.
-    Every step is elementwise and the step count fixed, so a pair's root
-    does not depend on its batch. Returns the roots and whether each row has
-    a sign change; a row without one gets its first node (NaN stays NaN).
+    nodes is one row shared by every pair or one row per pair. params are
+    the per-pair parameters, each an (n, 1) column; value(x, *params) returns
+    the value of g and g(x, *params) its value and slope, elementwise, for x
+    with one row per pair, on any subset of the pairs with the same subset
+    of params. The scan walks the nodes from the right end, one node at a
+    time, and evaluates `value` only on the live pairs, those without a
+    sign change yet. Once the live pairs' nodes from node 0 to the scan's
+    number at most ROOT_SCAN_BATCH, one call evaluates them all, so a small
+    batch is scanned in one call. Either way a pair stops at its first
+    change from the right, which is its last change: the bracket, its two
+    values and the found flag are those of a scan over all the nodes, bit
+    for bit. The false-position point of the bracket starts
+    ROOT_NEWTON_STEPS Newton steps, safeguarded as in "rtsafe" (Numerical
+    Recipes): each step first moves the bracket end on the iterate's side
+    of the root to the iterate, and a step that would leave the bracket, or
+    is NaN or inf, bisects instead. The bracket test is inclusive, so a
+    converged iterate stays. Every step is elementwise and the step count
+    fixed, so a pair's root does not depend on its batch. Returns the roots
+    and whether each row has a sign change; a row without one gets its
+    first node (NaN stays NaN), and no Newton step.
     """
     nodes = np.atleast_2d(nodes)
-    return _refine_last_root(g, nodes, g(nodes)[0])
-
-
-def _refine_last_root(g, nodes, v):
-    """`last_root` of g from its scan values v at the (2-D) nodes."""
-    nodes = np.broadcast_to(nodes, v.shape)
-    change = v[:, :-1] * v[:, 1:] <= 0.0
-    found = change.any(axis=1)
-    k = change.shape[1] - 1 - change[:, ::-1].argmax(axis=1)
-    rows = np.arange(len(v))
-    lo, hi, v_lo, v_hi = nodes[rows, k], nodes[rows, k + 1], v[rows, k], v[rows, k + 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    n, j = len(params[0]), nodes.shape[1] - 1
+    shared = len(nodes) < n  # one row of nodes, which broadcasts against the live pairs
+    k = np.zeros(n, dtype=np.intp)
+    v_lo, v_hi = np.empty(n), np.empty(n)
+    live = np.arange(n)  # the pairs without a sign change right of node j
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # NaN or inf values
+        if n * j > ROOT_SCAN_BATCH:  # a node-by-node scan, from the last node's values
+            v_right = value(nodes[:, j:], *params)[:, 0]
+        while live.size and j:
+            if live.size * j <= ROOT_SCAN_BATCH:  # the last sign change among nodes 0..j
+                v = value(nodes[:, :j + 1] if shared else nodes[live, :j + 1],
+                          *(a[live] for a in params))
+                change = v[:, :-1] * v[:, 1:] <= 0.0
+                hit = change.any(axis=1)
+                at = np.flatnonzero(hit)
+                last = j - 1 - change[at, ::-1].argmax(axis=1)
+                k[live[at]], v_lo[live[at]], v_hi[live[at]] = last, v[at, last], v[at, last + 1]
+                live = live[~hit]
+                break
+            j -= 1
+            v = value(nodes[:, j:j + 1] if shared else nodes[live, j:j + 1],
+                      *(a[live] for a in params))[:, 0]
+            change = v * v_right <= 0.0
+            hit = live[change]
+            k[hit], v_lo[hit], v_hi[hit] = j, v[change], v_right[change]
+            live, v_right = live[~change], v[~change]
+        found = np.ones(n, dtype=bool)
+        found[live] = False
+        rows = np.flatnonzero(found)
+        k, v_lo, v_hi = k[rows], v_lo[rows], v_hi[rows]
+        nodes = np.broadcast_to(nodes, (n, len(nodes[0])))
+        lo, hi = nodes[rows, k], nodes[rows, k + 1]
+        params = [a[rows] for a in params]
         x = lo - v_lo * (hi - lo) / (v_hi - v_lo)
         for _ in range(ROOT_NEWTON_STEPS):
             x = np.where((lo <= x) & (x <= hi), x, 0.5 * (lo + hi))
-            v, slope = (a[:, 0] for a in g(x[:, None]))
+            v, slope = (a[:, 0] for a in g(x[:, None], *params))
             right = v * v_lo > 0.0  # the root lies right of x
             lo = np.where(right, x, lo)
             hi = np.where(right, hi, x)
             x = x - v / slope
-    x = np.where((lo <= x) & (x <= hi), x, 0.5 * (lo + hi))
-    return np.where(found, x, nodes[:, 0]), found
+        roots = nodes[:, 0].copy()
+        roots[rows] = np.where((lo <= x) & (x <= hi), x, 0.5 * (lo + hi))
+    return roots, found
 
 
 def closure_angles(p, eta, r) -> np.ndarray:
     """Closure angle of each (eta, r) pair: the root of v_c on [-pi, 0] nearest zero.
 
     `last_root` of v_c over ROOT_SCAN_NODES nodes on [-pi, 0]: the scan
-    evaluates v_c alone (`_ordinate`), the Newton steps v_c and its slope
+    walks the nodes from 0 down and evaluates v_c alone (`_ordinate`) on
+    the pairs not yet bracketed, the Newton steps v_c and its slope
     (`_ordinate_slope`). NaN where v_c has no sign change (the profile does
     not close) and where eta or r is NaN.
 
@@ -349,9 +392,9 @@ def closure_angles(p, eta, r) -> np.ndarray:
     eta, r = np.broadcast_arrays(np.atleast_1d(np.asarray(eta, dtype=float)),
                                  np.atleast_1d(np.asarray(r, dtype=float)))
     eta, r = eta[:, None], r[:, None]
-    nodes = np.linspace(-math.pi, 0.0, ROOT_SCAN_NODES)[None, :]
-    psi, found = _refine_last_root(lambda x: _ordinate_slope(x, p, eta, r), nodes,
-                                   _ordinate(nodes, p, eta, r))
+    psi, found = last_root(lambda x, e, q: _ordinate(x, p, e, q),
+                           lambda x, e, q: _ordinate_slope(x, p, e, q),
+                           np.linspace(-math.pi, 0.0, ROOT_SCAN_NODES), eta, r)
     return np.where(found, psi, np.nan)
 
 

@@ -33,6 +33,7 @@ from .geometry import (
     FeasibilityReport,
     TransmissionSpec,
     cam_curvature_radius,
+    count_text,
     driving_arc,
     driving_window,
     last_root,
@@ -63,9 +64,9 @@ def require_cam_count(m) -> None:
     can overflow."""
     if m < 2:
         raise InfeasibleCamCount(
-            f"a single cam cannot drive the follower positively (m={m})")
+            f"a single cam cannot drive the follower positively (m={count_text(m)})")
     if not m <= MAX_CAM_COUNT:
-        raise InvalidSpec(f"cam count must be at most {MAX_CAM_COUNT}, got {m}")
+        raise InvalidSpec(f"cam count must be at most {MAX_CAM_COUNT}, got {count_text(m)}")
 
 
 @dataclass(frozen=True)
@@ -384,6 +385,14 @@ def _hertz_log_slope(w, q, k):
             - (3.0 * root_s + 3.0 * w2 / root_s - 2.0 * k) / D + d1 * d1)
 
 
+def _hertz_log_value(w, q, k):
+    """g of `_hertz_log_slope` by the same expression, so bit for bit equal,
+    without the slope's work."""
+    s = w * w + q * q
+    root_s = np.sqrt(s)
+    return 4.0 * w / s - 1.0 / w - w * (3.0 * root_s - 2.0 * k) / (s * root_s - k * (s - q))
+
+
 def _hertz_peak_angle(a, b, p, eta, r):
     """Cam angle of the largest Hertz pressure of each pair on [a, b] past pi.
 
@@ -391,8 +400,10 @@ def _hertz_peak_angle(a, b, p, eta, r):
     the squared pressure is proportional to F/R_equ, that is to
     f = s^2 / (w * (s^1.5 - k*(w^2 + q(q - 1)))): 1/cos(mu) = sqrt(s)/w and
     R_equ = r*(1 - r*kappa_p), with kappa_p = (2*pi/p)(w^2 + q(q - 1))/s^1.5.
-    The search is `last_root` of g = dln(f)/dw (`_hertz_log_slope`) over
-    ROOT_SCAN_NODES nodes on [a - pi, b - pi]. Assumes a convex cam on [a, b].
+    The search is `last_root` of g = dln(f)/dw over ROOT_SCAN_NODES nodes on
+    [a - pi, b - pi]: the scan walks the nodes from b down and evaluates g
+    alone (`_hertz_log_value`) on the pairs not yet bracketed, the Newton
+    steps g and g' (`_hertz_log_slope`). Assumes a convex cam on [a, b].
 
     The caller passes b = pi + w*, the curvature turnover: w* <= 1.5 < pi <= w
     at the arc end, so the turnover is never clipped to the end. kappa_p is
@@ -402,10 +413,9 @@ def _hertz_peak_angle(a, b, p, eta, r):
     high as the value at a. Where g has no sign change, the pressure falls
     from a, and the search returns a; the caller weighs the pressure there.
     """
-    q = (TAU * eta - 1.0)[:, None]
-    k = (TAU / p) * r[:, None]
-    w, _ = last_root(lambda x: _hertz_log_slope(x, q, k),
-                     np.linspace(a - math.pi, b - math.pi, ROOT_SCAN_NODES, axis=1))
+    w, _ = last_root(_hertz_log_value, _hertz_log_slope,
+                     np.linspace(a - math.pi, b - math.pi, ROOT_SCAN_NODES, axis=1),
+                     (TAU * eta - 1.0)[:, None], np.divide(TAU, p) * r[:, None])
     return math.pi + w
 
 

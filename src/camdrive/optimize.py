@@ -35,6 +35,7 @@ from .geometry import (
     MAX_LENGTH,
     TAU,
     closure_angles,
+    count_text,
     driving_window,
     eta_valid,
     fully_convex,
@@ -140,8 +141,8 @@ def _require_whole(m, where: str) -> None:
     MAX_CAM_COUNT in magnitude. The bound comes first: float() overflows on
     a huge integer."""
     if not (abs(m) <= MAX_CAM_COUNT and float(m).is_integer()):
-        raise InvalidSpec(f"cam count {m} in {where} is not a whole number of at most "
-                          f"{MAX_CAM_COUNT} in magnitude")
+        raise InvalidSpec(f"cam count {count_text(m)} in {where} is not a whole number "
+                          f"of at most {MAX_CAM_COUNT} in magnitude")
 
 
 def _sizes(space: DesignSpace, m: int, L: np.ndarray) -> np.ndarray:
@@ -586,19 +587,25 @@ def marching_squares(x_axis, y_axis, Z, level) -> np.ndarray:
     """Iso-line segments of Z(x, y) at a level, by linear cell interpolation.
 
     Z is indexed [i, j] for (x_axis[i], y_axis[j]); cells touching NaN are
-    skipped. Returns an (n, 4) array of (x1, y1, x2, y2) segments ordered by
-    cell, i-major, and within a saddle cell by edge. An edge from corner a
-    to corner b is crossed at t = (level - va)/(vb - va) of its length; only
+    skipped. Z is compared with the level, and its NaN mask taken, once over
+    the grid; each cell's case packs its corners' comparisons, and only the
+    crossed cells, whose case is 1 to 14, are looked up in the edge table.
+    Returns an (n, 4) array of (x1, y1, x2, y2) segments ordered by cell,
+    i-major, and within a saddle cell by edge. An edge from corner a to
+    corner b is crossed at t = (level - va)/(vb - va) of its length; only
     the crossed edges, two per segment, are interpolated.
     """
     Z = np.asarray(Z, dtype=float)
     x = np.asarray(x_axis, dtype=float)
     y = np.asarray(y_axis, dtype=float)
-    V = (Z[:-1, :-1], Z[1:, :-1], Z[1:, 1:], Z[:-1, 1:])
-    valid = ~(np.isnan(V[0]) | np.isnan(V[1]) | np.isnan(V[2]) | np.isnan(V[3]))
-    case = sum((V[k] < level).astype(int) << k for k in range(4))
-    slots = _EDGE_TABLE[case[valid]]                       # (cells, 2, 2)
-    cell = np.flatnonzero(valid)
+    nan = np.isnan(Z)
+    below = (Z < level).view(np.uint8)
+    case = (below[:-1, :-1] | below[1:, :-1] << 1 | below[1:, 1:] << 2
+            | below[:-1, 1:] << 3)
+    crossed = (case != 0) & (case != 15) & ~(nan[:-1, :-1] | nan[1:, :-1] | nan[1:, 1:]
+                                             | nan[:-1, 1:])
+    cell = np.flatnonzero(crossed)
+    slots = _EDGE_TABLE[case.ravel()[cell]]                # (cells, 2, 2)
     has = slots[:, :, 0] >= 0
     seg_cell = np.broadcast_to(cell[:, None], has.shape)[has]  # cell-major, slot order
     i, j = np.divmod(seg_cell, case.shape[1])

@@ -130,6 +130,37 @@ def closure_root_scan(p: float, eta: float, r: float,
     return 0.5 * (a + b)
 
 
+def last_root_full_scan(g, nodes, steps: int = 6):
+    """The bracketed root solve with a scan over every node: g(x) gives the
+    value and slope of each row's function at x (one row per pair, or one
+    shared row of nodes). All nodes are evaluated, the last sign change
+    (v[k]*v[k+1] <= 0) of each row is its bracket, and the same `steps`
+    safeguarded Newton steps as the library's solver start from the bracket's
+    false-position point, so its roots are the library's bit for bit. A row
+    without a change gets its first node and found = False.
+    """
+    nodes = np.atleast_2d(nodes)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v = g(nodes)[0]
+    nodes = np.broadcast_to(nodes, v.shape)
+    change = v[:, :-1] * v[:, 1:] <= 0.0
+    found = change.any(axis=1)
+    k = change.shape[1] - 1 - change[:, ::-1].argmax(axis=1)
+    rows = np.arange(len(v))
+    lo, hi, v_lo, v_hi = nodes[rows, k], nodes[rows, k + 1], v[rows, k], v[rows, k + 1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = lo - v_lo * (hi - lo) / (v_hi - v_lo)
+        for _ in range(steps):
+            x = np.where((lo <= x) & (x <= hi), x, 0.5 * (lo + hi))
+            v, slope = (a[:, 0] for a in g(x[:, None]))
+            right = v * v_lo > 0.0
+            lo = np.where(right, x, lo)
+            hi = np.where(right, hi, x)
+            x = x - v / slope
+    x = np.where((lo <= x) & (x <= hi), x, 0.5 * (lo + hi))
+    return np.where(found, x, nodes[:, 0]), found
+
+
 def cam_radius_series(psi, spec) -> np.ndarray:
     """Cam curvature radius rho_c = 1/kappa_p - r at each psi, closed form."""
     q = TAU * spec.eta - 1.0

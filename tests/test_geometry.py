@@ -17,6 +17,8 @@ from camdrive.geometry import (
     BLOCKING_REL_TOL,
     ETA_MAX,
     GEOMETRY_NOTES,
+    ROOT_NEWTON_STEPS,
+    ROOT_SCAN_BATCH,
     ROOT_SCAN_NODES,
     TAU,
     _ordinate,
@@ -31,6 +33,7 @@ from camdrive.geometry import (
 from camdrive.mechanics import segment_metrics
 
 import oracles
+from conftest import scan_batch
 
 # frozen from independent high-precision evaluation of the closed forms
 B1_P50 = 7.957747154594767
@@ -378,17 +381,25 @@ class TestClosureAngles:
                 assert v.dtype == np.float64
 
 
-def sine(c):
-    """g(x) = sin(c*x) and its slope, for per-row frequencies c."""
-    c = np.asarray(c, dtype=float)[:, None]
-    return lambda x: (np.sin(c * x), c * np.cos(c * x))
+def sine_value(x, c):
+    """g(x) = sin(c*x), for per-row frequencies c held as a column."""
+    return np.sin(c * x)
+
+
+def sine(x, c):
+    """g(x) = sin(c*x) and its slope."""
+    return np.sin(c * x), c * np.cos(c * x)
+
+
+def column(c):
+    return np.asarray(c, dtype=float)[:, None]
 
 
 class TestLastRoot:
     def test_several_sign_changes_give_the_last_root(self):
         # roots of sin(c*x) at k*pi/c; several lie on [0.3, 9.7] for each c
         c = np.array([1.0, 1.5, 2.0, 2.9])
-        x, found = last_root(sine(c), np.linspace(0.3, 9.7, 97))
+        x, found = last_root(sine_value, sine, np.linspace(0.3, 9.7, 97), column(c))
         last = np.floor(9.7 * c / math.pi) * math.pi / c
         assert found.all()
         assert np.allclose(x, last, rtol=0.0, atol=1e-14)
@@ -396,7 +407,8 @@ class TestLastRoot:
     def test_row_without_a_change_is_not_found(self):
         nodes = np.linspace(-1.0, 1.0, 17)
         shift = np.array([[0.5], [2.0], [-2.0]])
-        x, found = last_root(lambda x: (x + shift, np.ones_like(x + shift)), nodes)
+        x, found = last_root(lambda x, s: x + s, lambda x, s: (x + s, np.ones_like(x + s)),
+                             nodes, shift)
         assert found.tolist() == [True, False, False]
         assert x[0] == -0.5 and (x[1:] == nodes[0]).all()
 
@@ -404,32 +416,105 @@ class TestLastRoot:
         # NaN values of g have no sign change; a NaN node row gives a NaN root
         c = np.array([1.0, np.nan, 2.0])
         nodes = np.linspace(0.3, 5.0, 33)
-        x, found = last_root(sine(c), nodes)
+        x, found = last_root(sine_value, sine, nodes, column(c))
         assert found.tolist() == [True, False, True]
         rows = np.vstack([nodes, nodes, np.full(33, np.nan)])
-        x, found = last_root(sine([1.0, 1.0, 1.0]), rows)
+        x, found = last_root(sine_value, sine, rows, column([1.0, 1.0, 1.0]))
         assert found.tolist() == [True, True, False]
         assert np.isfinite(x[:2]).all() and np.isnan(x[2])
 
     def test_per_pair_rows_agree_with_shared_nodes(self, rng):
-        c = rng.uniform(0.5, 3.0, 50)
+        c = column(rng.uniform(0.5, 3.0, 50))
         nodes = np.linspace(0.3, 9.7, 17)
-        shared = last_root(sine(c), nodes)
-        per_pair = last_root(sine(c), np.tile(nodes, (50, 1)))
+        shared = last_root(sine_value, sine, nodes, c)
+        per_pair = last_root(sine_value, sine, np.tile(nodes, (50, 1)), c)
         for a, b in zip(shared, per_pair):
             assert np.array_equal(a, b)
 
     def test_batching_is_bitwise_invisible(self, rng):
-        c = rng.uniform(0.5, 3.0, 300)
+        c = column(rng.uniform(0.5, 3.0, 300))
         lo = rng.uniform(0.0, 2.0, 300)
         rows = np.linspace(lo, lo + rng.uniform(1.0, 8.0, 300), 17, axis=1)
-        whole = last_root(sine(c), rows)
-        chunks = [last_root(sine(c[s:s + 37]), rows[s:s + 37]) for s in range(0, 300, 37)]
-        single = [last_root(sine(c[i:i + 1]), rows[i]) for i in range(300)]
+        whole = last_root(sine_value, sine, rows, c)
+        chunks = [last_root(sine_value, sine, rows[s:s + 37], c[s:s + 37])
+                  for s in range(0, 300, 37)]
+        single = [last_root(sine_value, sine, rows[i], c[i:i + 1]) for i in range(300)]
         for parts in (chunks, single):
             for a, b in zip(whole, zip(*parts)):
                 assert np.array_equal(a, np.concatenate(b))
         assert 0 < whole[1].sum() < 300
+
+
+def full_scan_closure(p, eta, r):
+    """`closure_angles` by `oracles.last_root_full_scan`: every node scanned."""
+    x, found = oracles.last_root_full_scan(
+        lambda x: _ordinate_slope(x, p, eta[:, None], r[:, None]),
+        np.linspace(-math.pi, 0.0, ROOT_SCAN_NODES), steps=ROOT_NEWTON_STEPS)
+    return np.where(found, x, np.nan)
+
+
+def closure_zero_at_node_0(p, eta):
+    """The r that makes v_c exactly 0 at the scan's last node, psi = 0:
+    r = b2 there, by `profile_coefficients`' own expression."""
+    q, w = TAU * eta - 1.0, 0.0 - math.pi
+    return p / TAU * np.sqrt(q * q + w * w)
+
+
+# eta over the valid region, near the singular value and below it, or NaN;
+# r as a fraction of e, past e too, or NaN, or the r whose v_c is 0 at psi = 0
+closure_etas = st.one_of(st.floats(1.0 / TAU, 3.0), st.floats(1.0 / TAU, 1.0 / TAU + 1e-6),
+                         st.floats(0.0, 0.2), st.just(math.nan))
+closure_r = st.one_of(st.floats(0.0, 1.2), st.just(math.nan), st.just("zero"))
+
+
+# `last_root` node by node to the end (batch 0), at its default batch, and
+# with every node in one call
+scan_batches = st.sampled_from([0, ROOT_SCAN_BATCH, 10 ** 9])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(15.0, 60.0),
+       st.lists(st.tuples(closure_etas, closure_r), min_size=1, max_size=40), scan_batches)
+def test_closure_angles_equal_the_full_scan_bitwise(p, pairs, batch):
+    eta = np.array([e for e, _ in pairs])
+    r = np.array([closure_zero_at_node_0(p, e) if f == "zero" else f * e * p
+                  for e, f in pairs])
+    with scan_batch(batch):
+        got = closure_angles(p, eta, r)
+    assert got.tobytes() == full_scan_closure(p, eta, r).tobytes()
+
+
+def test_closure_full_scan_cases_occur():
+    # the cases the property test draws: NaN eta, no root, v_c = 0 at a node
+    p = 20.0
+    eta = np.array([0.3, 0.6, 1.5, math.nan, 1.5, 0.9])
+    r = np.array([*closure_zero_at_node_0(p, eta[:3]), 4.0, 0.99 * 1.5 * p, 0.999 * 0.9 * p])
+    assert (_ordinate(0.0, p, eta[:3], r[:3]) == 0.0).all()
+    for batch in (0, ROOT_SCAN_BATCH):
+        with scan_batch(batch):
+            got = closure_angles(p, eta, r)
+        assert np.isnan(got[3:]).all() and np.isfinite(got[:3]).all()
+        assert got.tobytes() == full_scan_closure(p, eta, r).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.2, 4.0), st.floats(-3.0, 3.0), st.integers(0, 16),
+                          st.sampled_from(["shift", "node", "nan"])),
+                min_size=1, max_size=20),
+       st.booleans(), scan_batches)
+def test_last_root_equals_the_full_scan_bitwise(rows, per_pair, batch):
+    # g = sin(c*(x - s)): several roots, a root exactly at node k, or NaN
+    nodes = np.linspace(-2.0, 3.0, ROOT_SCAN_NODES)
+    c = column([c for c, _, _, _ in rows])
+    s = column([nodes[k] if kind == "node" else math.nan if kind == "nan" else shift
+                for _, shift, k, kind in rows])
+    grid = nodes + 0.1 * np.arange(len(rows))[:, None] if per_pair else nodes
+    with scan_batch(batch):
+        got = last_root(lambda x, c, s: sine_value(x - s, c),
+                        lambda x, c, s: sine(x - s, c), grid, c, s)
+    want = oracles.last_root_full_scan(lambda x: sine(x - s, c), grid, steps=ROOT_NEWTON_STEPS)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
 
 
 @given(st.floats(1.0 / TAU, ETA_MAX, exclude_min=True))

@@ -14,6 +14,7 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -70,9 +71,10 @@ SPACE_ARGS = {
 }
 
 
-def draw_args(data, table) -> dict:
-    """One value per argument, plausible except for one or two wild ones."""
-    names = data.draw(st.lists(st.sampled_from(sorted(table)), max_size=2, unique=True),
+def draw_args(data, table, odd=None) -> dict:
+    """One value per argument, plausible except for one or two wild ones,
+    drawn from the names in `odd` (every argument by default)."""
+    names = data.draw(st.lists(st.sampled_from(sorted(odd or table)), max_size=2, unique=True),
                       label="wild arguments")
     return {name: data.draw(table[name][name in names], label=name) for name in table}
 
@@ -108,16 +110,17 @@ def test_spec_and_its_metrics(data, cam, roller):
         assert value is None or finite(value), (spec, value)
 
 
-# the raw count and width are the odd arguments; p, eta, r and the torque,
+# the raw count and width are the odd arguments, and a raw pitch of 0 or
+# inf, which the kernel answers with NaN or inf; eta, r and the torque,
 # which a spec or a space checks before the kernel sees them, stay plausible
-RAW_COUNT_ARGS = {name: (plausible, wild_value if name in ("m", "L") else plausible)
-                  for name, (plausible, wild_value) in SPEC_ARGS.items()}
+RAW_ODD = ("m", "L", "p")
+RAW_COUNT_ARGS = {**SPEC_ARGS, "p": (SPEC_ARGS["p"][0], st.sampled_from([0.0, math.inf]))}
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(data=st.data(), cam=materials, roller=materials)
 def test_calls_that_take_a_raw_cam_count(data, cam, roller):
-    a = draw_args(data, RAW_COUNT_ARGS)
+    a = draw_args(data, RAW_COUNT_ARGS, RAW_ODD)
     K_sum = mechanics.compliance_sum(find_material(cam), find_material(roller))
     seg = outcome(lambda: mechanics.segment_metrics(a["p"], [a["eta"]], [a["r"]], a["m"],
                                                     a["torque"], K_sum))
@@ -129,6 +132,36 @@ def test_calls_that_take_a_raw_cam_count(data, cam, roller):
     if seg is not None and seg.ok[0]:
         assert finite(seg.mu_max, seg.P_max, seg.rho_c_min), (a, seg)
     assert size is None or finite(size), (a, size)
+
+
+@pytest.mark.parametrize("p", [0.0, math.inf])
+def test_raw_pitch_zero_or_inf_gives_no_design(p):
+    # a singular pitch is a failed pair in the kernel, not an error or a warning
+    eta, r = np.array([0.18, 0.5, 1.5]), np.array([4.0, 1.0, 2.0])
+    seg = outcome(lambda: mechanics.segment_metrics(p, eta, r, 2, 1200.0, 2.7e-6))
+    assert seg is not None and not seg.ok.any()
+    assert np.isnan(seg.P_max).all() and np.isnan(seg.psi_P).all()
+
+
+HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mechanics.require_cam_count(HUGE),
+    lambda: mechanics.require_cam_count(-HUGE),
+    lambda: mechanics.segment_metrics(50.0, [0.18], [4.0], HUGE, 1200.0, 2.7e-6),
+    lambda: mechanics.mechanism_size(HUGE, 10.0),
+    lambda: TransmissionSpec(p=50.0, eta=0.18, r=4.0, m=HUGE),
+    lambda: DesignSpace(m_values=(HUGE,)),
+    lambda: evaluate_candidate((2.6, 4.24, 30.0, HUGE), DesignSpace()),
+    lambda: contour_slice(DesignSpace(resolution=RES), HUGE, 60.0),
+])
+def test_huge_cam_count_gives_a_short_message(call):
+    with pytest.raises(ModelError) as err:
+        call()
+    message = str(err.value)
+    assert "\n" not in message and len(message) <= 120, message
+    assert "10**400" in message
 
 
 def check_sweep(space) -> None:

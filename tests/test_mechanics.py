@@ -15,9 +15,20 @@ from camdrive.errors import (
     InfeasibleProfile,
     InvalidSpec,
 )
-from camdrive.geometry import TAU, curvature_turnover, driving_window, min_cam_radius
+from camdrive.geometry import (
+    ROOT_NEWTON_STEPS,
+    ROOT_SCAN_BATCH,
+    ROOT_SCAN_NODES,
+    TAU,
+    curvature_turnover,
+    driving_arc,
+    driving_window,
+    min_cam_radius,
+)
 from camdrive.mechanics import (
     _hertz_log_slope,
+    _hertz_log_value,
+    _hertz_peak_angle,
     _normal_force,
     compliance_sum,
     contact_state,
@@ -27,6 +38,7 @@ from camdrive.mechanics import (
 )
 
 import oracles
+from conftest import scan_batch
 
 K_STEEL = 1.3793428401297596e-06          # (1 - 0.3^2) / (pi * 210000)
 MU_AT_SEGMENT_START = 0.10084913109049841  # arctan(0.13097.../1.2943)
@@ -449,6 +461,64 @@ def test_log_slope_is_negative_at_the_end_of_the_peak_search(eta, rfrac):
     assume(seg.ok[0] and start[0] < b[0])
     assert b[0] == curvature_turnover(eta)
     assert _hertz_log_slope(b[0] - math.pi, TAU * eta - 1.0, TAU * r / p)[0] < 0.0
+
+
+def hertz_arcs(p, eta, r, m):
+    """The peak search's [a, b] of each pair: its arc start and turnover."""
+    delta = driving_arc(p, eta, r, m)[0]
+    return driving_window(delta, m)[0], curvature_turnover(eta)
+
+
+def full_scan_hertz(a, b, p, eta, r):
+    """`_hertz_peak_angle` by `oracles.last_root_full_scan`: every node scanned."""
+    q, k = (TAU * eta - 1.0)[:, None], (TAU / p) * r[:, None]
+    w, found = oracles.last_root_full_scan(
+        lambda x: _hertz_log_slope(x, q, k),
+        np.linspace(a - math.pi, b - math.pi, ROOT_SCAN_NODES, axis=1), steps=ROOT_NEWTON_STEPS)
+    return math.pi + w, found
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(15.0, 60.0), st.sampled_from([2, 3]),
+       st.lists(st.tuples(st.one_of(st.floats(0.16, 1.0), st.just(math.nan)),
+                          st.floats(0.05, 1.2)), min_size=1, max_size=40),
+       st.sampled_from([0, ROOT_SCAN_BATCH, 10 ** 9]))
+def test_hertz_peak_search_equals_the_full_scan_bitwise(p, m, pairs, batch):
+    # every pair, inner or not, with or without a sign change, NaN eta too;
+    # the search scans one row of nodes per pair, node by node or at once
+    eta = np.array([e for e, _ in pairs])
+    r = np.array([f for _, f in pairs]) * eta * p
+    with np.errstate(invalid="ignore"):
+        a, b = hertz_arcs(p, eta, r, m)
+    with scan_batch(batch):
+        got = _hertz_peak_angle(a, b, p, eta, r)
+    assert got.tobytes() == full_scan_hertz(a, b, p, eta, r)[0].tobytes()
+
+
+def test_hertz_full_scan_cases_occur():
+    # inner pairs with and without a sign change of the log-slope, and NaN
+    rng = np.random.default_rng(41)
+    eta = np.concatenate([rng.uniform(0.16, 0.7, 200), [math.nan]])
+    r = eta * 20.0 * np.concatenate([rng.uniform(0.05, 0.99, 200), [0.5]])
+    with np.errstate(invalid="ignore"):
+        a, b = hertz_arcs(20.0, eta, r, 2)
+    inner = np.flatnonzero(~(a >= b))  # NaN arcs stay in
+    want, found = full_scan_hertz(a[inner], b[inner], 20.0, eta[inner], r[inner])
+    for batch in (0, ROOT_SCAN_BATCH):
+        with scan_batch(batch):
+            got = _hertz_peak_angle(a[inner], b[inner], 20.0, eta[inner], r[inner])
+        assert got.tobytes() == want.tobytes()
+    assert 10 <= found.sum() <= len(inner) - 10 and np.isnan(got[-1])
+
+
+def test_hertz_scan_values_equal_the_value_and_slope_values(rng):
+    # the scan's value-only g is bit for bit the value of `_hertz_log_slope`
+    w = np.concatenate([rng.uniform(-0.5, 3.0, (200, 17)), np.full((1, 17), math.nan)])
+    q = np.concatenate([rng.uniform(-1.0, 12.0, 200), [0.5]])[:, None]
+    k = np.concatenate([rng.uniform(0.0, 3.0, 200), [1.0]])[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = _hertz_log_value(w, q, k)
+        assert v.tobytes() == _hertz_log_slope(w, q, k)[0].tobytes()
 
 
 class TestMechanismSize:

@@ -606,6 +606,36 @@ class TestMarchingSquares:
             self.assert_same_segments(sl.d_axis, sl.r_axis, Z, 0.0)
         assert saddles >= 5
 
+    def test_crossed_cell_cases_match_cell_loop(self):
+        nx, ny = 13, 11
+        xs, ys = np.linspace(-1.0, 2.0, nx), np.linspace(0.5, 3.0, ny)
+        I, J = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+        ramp = (I + J).astype(float)
+        checker = np.where((I + J) % 2, 1.0, -1.0)  # every cell a saddle
+        stripes = np.where(I % 2, 1.0, -1.0)       # every cell crossed, no saddle
+        islands = ramp.copy()
+        islands[3:5, 2:4] = islands[8, 7] = islands[12, 0] = np.nan
+        cases = [(ramp, 7.0, "level equal to grid values"),
+                 (ramp, 4.5, "crossed band"),
+                 (ramp, -1.0, "no crossed cell: all above"),
+                 (ramp, 100.0, "no crossed cell: all below"),
+                 (checker, 0.0, "saddles"),
+                 (checker, 1.0, "level equal to the high corners"),
+                 (stripes, 0.0, "every cell crossed"),
+                 (islands, 9.0, "NaN islands"),
+                 (np.where(checker > 0, np.nan, checker), -1.0, "NaN at every other corner")]
+        for Z, level, what in cases:
+            got = self.assert_same_segments(xs, ys, Z, level)
+            cells = (nx - 1) * (ny - 1)
+            if what.startswith("no crossed"):
+                assert got.shape == (0, 4), what
+            elif what == "saddles":
+                assert len(got) == 2 * cells, what
+            elif what == "every cell crossed":
+                assert len(got) == cells, what
+            elif what == "NaN islands":
+                assert 0 < len(got) < len(marching_squares(xs, ys, ramp, level)), what
+
     def test_degenerate_grids(self):
         assert marching_squares([0.0], [0.0, 1.0], np.zeros((1, 2)), 0.5).shape == (0, 4)
         assert marching_squares([0.0, 1.0], [0.0], np.zeros((2, 1)), 0.5).shape == (0, 4)
