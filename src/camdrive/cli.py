@@ -94,23 +94,22 @@ def _csv_line_ends(values) -> list[str]:
     return list(map("{}\r\n".format, values))
 
 
-def _csv_lines(*columns, text: int = 0) -> list[str]:
+def _csv_lines(*columns) -> list[str]:
     """The CSV lines of the rows that zip the columns.
 
     A column is a 1-D numpy array of floats, ints or bools, or a sequence of
-    Python values. A column becomes the `str` of each element, an array's
-    with one `str` per distinct value (`svgplot._column_text`), but the
-    first `text` columns, sequences of strings, are their own text; the last
-    column's strings carry the CRLF line end; each line is one `",".join`. For
+    strings. A column becomes the `str` of each element, an array's with one
+    `str` per distinct value (`svgplot._column_text`), and the last column's
+    strings carry the CRLF line end; each line is one `",".join`. For
     strings holding no comma, double quote, carriage return or newline these
     are the lines `csv.writer` writes for the same Python values: it writes
     a float as its repr, which is `str(float)`, quotes only fields holding
     one of those four characters and ends a line with CRLF.
     """
     fmts = [_csv_fields] * (len(columns) - 1) + [_csv_line_ends]
-    fields = [c if k < text else _column_text(c, fmt) if isinstance(c, np.ndarray) else fmt(c)
-              for k, (c, fmt) in enumerate(zip(columns, fmts))]
-    return list(map(",".join, zip(*fields)))
+    text = [_column_text(c, fmt) if isinstance(c, np.ndarray) else fmt(c)
+            for c, fmt in zip(columns, fmts)]
+    return list(map(",".join, zip(*text)))
 
 
 def _write_csv(path: Path, header: list[str], lines) -> None:
@@ -410,7 +409,7 @@ def cmd_contour(cfg: RunConfig) -> int:
                    ["d_cs_mm", "r_mm", "mu_max_deg", "p_max_mpa", "feasible"],
                    _csv_lines([d for d in d_text for _ in range(res)], r_text * res,
                               np.degrees(sl.mu_grid).ravel(), sl.P_grid.ravel(),
-                              sl.feasible.ravel(), text=2))
+                              sl.feasible.ravel()))
         _write_csv(out / "contour_locus.csv", _FRONT_HEADER,
                    _table_lines(sl.space, sl.locus_table))
     if _wants(cfg, "json"):

@@ -38,9 +38,6 @@ ETA_MAX = 1e100
 # the root, and ROOT_NEWTON_STEPS safeguarded Newton steps converge inside it
 ROOT_SCAN_NODES = 17
 ROOT_NEWTON_STEPS = 6
-# `last_root` scans node by node from the right while the live pairs have
-# more nodes left than this, then evaluates their remaining nodes in one call
-ROOT_SCAN_BATCH = 8192
 
 # range of every length of the model, mm: many orders of magnitude inside the
 # float range, so that no product of lengths and loads under- or overflows
@@ -306,20 +303,18 @@ def last_root(value, g, nodes, *params):
     with one row per pair, on any subset of the pairs with the same subset
     of params. The scan walks the nodes from the right end, one node at a
     time, and evaluates `value` only on the live pairs, those without a
-    sign change yet. Once the live pairs' nodes from node 0 to the scan's
-    number at most ROOT_SCAN_BATCH, one call evaluates them all, so a small
-    batch is scanned in one call. Either way a pair stops at its first
-    change from the right, which is its last change: the bracket, its two
-    values and the found flag are those of a scan over all the nodes, bit
-    for bit. The false-position point of the bracket starts
-    ROOT_NEWTON_STEPS Newton steps, safeguarded as in "rtsafe" (Numerical
-    Recipes): each step first moves the bracket end on the iterate's side
-    of the root to the iterate, and a step that would leave the bracket, or
-    is NaN or inf, bisects instead. The bracket test is inclusive, so a
-    converged iterate stays. Every step is elementwise and the step count
-    fixed, so a pair's root does not depend on its batch. Returns the roots
-    and whether each row has a sign change; a row without one gets its
-    first node (NaN stays NaN), and no Newton step.
+    sign change yet. A pair stops at its first change from the right, which
+    is its last change: the bracket, its two values and the found flag are
+    those of a scan over all the nodes, bit for bit. The false-position
+    point of the bracket starts ROOT_NEWTON_STEPS Newton steps, safeguarded
+    as in "rtsafe" (Numerical Recipes): each step first moves the bracket
+    end on the iterate's side of the root to the iterate, and a step that
+    would leave the bracket, or is NaN or inf, bisects instead. The bracket
+    test is inclusive, so a converged iterate stays. Every step is
+    elementwise and the step count fixed, so a pair's root does not depend
+    on its batch. Returns the roots and whether each row has a sign change;
+    a row without one gets its first node (NaN stays NaN), and no Newton
+    step.
     """
     nodes = np.atleast_2d(nodes)
     n, j = len(params[0]), nodes.shape[1] - 1
@@ -328,19 +323,8 @@ def last_root(value, g, nodes, *params):
     v_lo, v_hi = np.empty(n), np.empty(n)
     live = np.arange(n)  # the pairs without a sign change right of node j
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # NaN or inf values
-        if n * j > ROOT_SCAN_BATCH:  # a node-by-node scan, from the last node's values
-            v_right = value(nodes[:, j:], *params)[:, 0]
+        v_right = value(nodes[:, j:], *params)[:, 0]
         while live.size and j:
-            if live.size * j <= ROOT_SCAN_BATCH:  # the last sign change among nodes 0..j
-                v = value(nodes[:, :j + 1] if shared else nodes[live, :j + 1],
-                          *(a[live] for a in params))
-                change = v[:, :-1] * v[:, 1:] <= 0.0
-                hit = change.any(axis=1)
-                at = np.flatnonzero(hit)
-                last = j - 1 - change[at, ::-1].argmax(axis=1)
-                k[live[at]], v_lo[live[at]], v_hi[live[at]] = last, v[at, last], v[at, last + 1]
-                live = live[~hit]
-                break
             j -= 1
             v = value(nodes[:, j:j + 1] if shared else nodes[live, j:j + 1],
                       *(a[live] for a in params))[:, 0]

@@ -1,11 +1,8 @@
-import contextlib
-
 import numpy as np
 import pytest
 from hypothesis import settings
 
 import camdrive as cd
-from camdrive import geometry
 
 settings.register_profile("ci", max_examples=50, deadline=None)
 settings.load_profile("ci")
@@ -35,15 +32,3 @@ def baseline_spec():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260808)
-
-
-@contextlib.contextmanager
-def scan_batch(size):
-    """`geometry.last_root` with ROOT_SCAN_BATCH set to size: 0 scans node
-    by node to the end, a huge size evaluates every node in one call."""
-    saved = geometry.ROOT_SCAN_BATCH
-    geometry.ROOT_SCAN_BATCH = size
-    try:
-        yield
-    finally:
-        geometry.ROOT_SCAN_BATCH = saved

@@ -437,10 +437,10 @@ class TestCsvLines:
         self.check_arrays(tmp_path, [["at_max", "rms"], np.array([0.5, -0.0]),
                                      np.array([True, False]), ["r eta p L", "L p eta r"]])
 
-    def test_leading_text_columns_are_kept(self):
+    def test_string_columns_of_float_reprs_equal_the_arrays(self):
         values, flags = np.array([0.5, -0.0, 1e16]), np.array([True, False, True])
         text = list(map(repr, values.tolist()))
-        assert _csv_lines(text, text, flags, text=2) == _csv_lines(values, values, flags) == \
+        assert _csv_lines(text, text, flags) == _csv_lines(values, values, flags) == \
             ["0.5,0.5,True\r\n", "-0.0,-0.0,False\r\n", "1e+16,1e+16,True\r\n"]
 
     def test_array_one_row_and_no_rows(self, tmp_path):

@@ -18,7 +18,6 @@ from camdrive.geometry import (
     ETA_MAX,
     GEOMETRY_NOTES,
     ROOT_NEWTON_STEPS,
-    ROOT_SCAN_BATCH,
     ROOT_SCAN_NODES,
     TAU,
     _ordinate,
@@ -33,7 +32,6 @@ from camdrive.geometry import (
 from camdrive.mechanics import segment_metrics
 
 import oracles
-from conftest import scan_batch
 
 # frozen from independent high-precision evaluation of the closed forms
 B1_P50 = 7.957747154594767
@@ -467,20 +465,14 @@ closure_etas = st.one_of(st.floats(1.0 / TAU, 3.0), st.floats(1.0 / TAU, 1.0 / T
 closure_r = st.one_of(st.floats(0.0, 1.2), st.just(math.nan), st.just("zero"))
 
 
-# `last_root` node by node to the end (batch 0), at its default batch, and
-# with every node in one call
-scan_batches = st.sampled_from([0, ROOT_SCAN_BATCH, 10 ** 9])
-
-
 @settings(max_examples=150, deadline=None)
 @given(st.floats(15.0, 60.0),
-       st.lists(st.tuples(closure_etas, closure_r), min_size=1, max_size=40), scan_batches)
-def test_closure_angles_equal_the_full_scan_bitwise(p, pairs, batch):
+       st.lists(st.tuples(closure_etas, closure_r), min_size=1, max_size=40))
+def test_closure_angles_equal_the_full_scan_bitwise(p, pairs):
     eta = np.array([e for e, _ in pairs])
     r = np.array([closure_zero_at_node_0(p, e) if f == "zero" else f * e * p
                   for e, f in pairs])
-    with scan_batch(batch):
-        got = closure_angles(p, eta, r)
+    got = closure_angles(p, eta, r)
     assert got.tobytes() == full_scan_closure(p, eta, r).tobytes()
 
 
@@ -490,28 +482,25 @@ def test_closure_full_scan_cases_occur():
     eta = np.array([0.3, 0.6, 1.5, math.nan, 1.5, 0.9])
     r = np.array([*closure_zero_at_node_0(p, eta[:3]), 4.0, 0.99 * 1.5 * p, 0.999 * 0.9 * p])
     assert (_ordinate(0.0, p, eta[:3], r[:3]) == 0.0).all()
-    for batch in (0, ROOT_SCAN_BATCH):
-        with scan_batch(batch):
-            got = closure_angles(p, eta, r)
-        assert np.isnan(got[3:]).all() and np.isfinite(got[:3]).all()
-        assert got.tobytes() == full_scan_closure(p, eta, r).tobytes()
+    got = closure_angles(p, eta, r)
+    assert np.isnan(got[3:]).all() and np.isfinite(got[:3]).all()
+    assert got.tobytes() == full_scan_closure(p, eta, r).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.floats(0.2, 4.0), st.floats(-3.0, 3.0), st.integers(0, 16),
                           st.sampled_from(["shift", "node", "nan"])),
                 min_size=1, max_size=20),
-       st.booleans(), scan_batches)
-def test_last_root_equals_the_full_scan_bitwise(rows, per_pair, batch):
+       st.booleans())
+def test_last_root_equals_the_full_scan_bitwise(rows, per_pair):
     # g = sin(c*(x - s)): several roots, a root exactly at node k, or NaN
     nodes = np.linspace(-2.0, 3.0, ROOT_SCAN_NODES)
     c = column([c for c, _, _, _ in rows])
     s = column([nodes[k] if kind == "node" else math.nan if kind == "nan" else shift
                 for _, shift, k, kind in rows])
     grid = nodes + 0.1 * np.arange(len(rows))[:, None] if per_pair else nodes
-    with scan_batch(batch):
-        got = last_root(lambda x, c, s: sine_value(x - s, c),
-                        lambda x, c, s: sine(x - s, c), grid, c, s)
+    got = last_root(lambda x, c, s: sine_value(x - s, c),
+                    lambda x, c, s: sine(x - s, c), grid, c, s)
     want = oracles.last_root_full_scan(lambda x: sine(x - s, c), grid, steps=ROOT_NEWTON_STEPS)
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()

@@ -17,7 +17,6 @@ from camdrive.errors import (
 )
 from camdrive.geometry import (
     ROOT_NEWTON_STEPS,
-    ROOT_SCAN_BATCH,
     ROOT_SCAN_NODES,
     TAU,
     curvature_turnover,
@@ -38,7 +37,6 @@ from camdrive.mechanics import (
 )
 
 import oracles
-from conftest import scan_batch
 
 K_STEEL = 1.3793428401297596e-06          # (1 - 0.3^2) / (pi * 210000)
 MU_AT_SEGMENT_START = 0.10084913109049841  # arctan(0.13097.../1.2943)
@@ -481,17 +479,15 @@ def full_scan_hertz(a, b, p, eta, r):
 @settings(max_examples=150, deadline=None)
 @given(st.floats(15.0, 60.0), st.sampled_from([2, 3]),
        st.lists(st.tuples(st.one_of(st.floats(0.16, 1.0), st.just(math.nan)),
-                          st.floats(0.05, 1.2)), min_size=1, max_size=40),
-       st.sampled_from([0, ROOT_SCAN_BATCH, 10 ** 9]))
-def test_hertz_peak_search_equals_the_full_scan_bitwise(p, m, pairs, batch):
+                          st.floats(0.05, 1.2)), min_size=1, max_size=40))
+def test_hertz_peak_search_equals_the_full_scan_bitwise(p, m, pairs):
     # every pair, inner or not, with or without a sign change, NaN eta too;
-    # the search scans one row of nodes per pair, node by node or at once
+    # the search scans one row of nodes per pair
     eta = np.array([e for e, _ in pairs])
     r = np.array([f for _, f in pairs]) * eta * p
     with np.errstate(invalid="ignore"):
         a, b = hertz_arcs(p, eta, r, m)
-    with scan_batch(batch):
-        got = _hertz_peak_angle(a, b, p, eta, r)
+    got = _hertz_peak_angle(a, b, p, eta, r)
     assert got.tobytes() == full_scan_hertz(a, b, p, eta, r)[0].tobytes()
 
 
@@ -504,10 +500,8 @@ def test_hertz_full_scan_cases_occur():
         a, b = hertz_arcs(20.0, eta, r, 2)
     inner = np.flatnonzero(~(a >= b))  # NaN arcs stay in
     want, found = full_scan_hertz(a[inner], b[inner], 20.0, eta[inner], r[inner])
-    for batch in (0, ROOT_SCAN_BATCH):
-        with scan_batch(batch):
-            got = _hertz_peak_angle(a[inner], b[inner], 20.0, eta[inner], r[inner])
-        assert got.tobytes() == want.tobytes()
+    got = _hertz_peak_angle(a[inner], b[inner], 20.0, eta[inner], r[inner])
+    assert got.tobytes() == want.tobytes()
     assert 10 <= found.sum() <= len(inner) - 10 and np.isnan(got[-1])
 
 
