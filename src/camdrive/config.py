@@ -32,15 +32,15 @@ from .sensitivity import MIN_PROFILE_SAMPLES, MIN_RMS_NODES
 
 FORMATS = ("csv", "json", "svg")
 
-# Most (d_cs, r, L, m) candidates of a sweep. A sweep holds the pairs that
-# pass its angle screen and its fronts, not its candidates (64 bytes each once
-# `SweepResult.grids` is read, which evaluates every pair again), so this
-# bounds its run time and front size, not its memory: four times this many
-# (resolution 512, m = [2, 3]) took 0.9 s and 115 MB in `sweep`. A contour
-# slice holds about 300 bytes per (d_cs, r) cell, a profile or a sensitivity
-# study about 340 bytes per sample and 150 per rms node (measured peak RSS of
-# the CLI, numpy 2.4 on Python 3.11), so their memory limit, a fifth as many
-# cells, samples or nodes, takes at most about 4.5 GB.
+# Most (d_cs, r, L, m) candidates of a sweep. A sweep holds the metrics of
+# its (d_cs, r) pairs and its fronts, not its candidates (64 bytes each once
+# `SweepResult.grids` is read, which evaluates every solvable pair again), so
+# this bounds its run time and front size, not its memory: four times this
+# many (resolution 512, m = [2, 3]) took 0.7-1.0 s and 115 MB in `sweep`. A
+# contour slice holds about 300 bytes per (d_cs, r) cell, a profile or a
+# sensitivity study about 340 bytes per sample and 150 per rms node (measured
+# peak RSS of the CLI, numpy 2.4 on Python 3.11), so their memory limit, a
+# fifth as many cells, samples or nodes, takes at most about 4.5 GB.
 MAX_GRID_CANDIDATES = 2 ** 26
 
 

@@ -2,22 +2,23 @@
 
 Design vector x = [d_cs, r, L, m]; objectives (mu_max, P_max, S_M) are all
 minimised subject to caps on each. The search is an exhaustive grid: the
-evaluations are cheap, deterministic and oracle-checkable, and the space has
-only three continuous axes plus the cam count. A (d_cs, r) pair goes
+evaluations are cheap, deterministic and oracle-checkable, and the space
+has only three continuous axes plus the cam count. A (d_cs, r) pair goes
 through the batched segment kernel `mechanics.segment_metrics` once per cam
 count, which costs closed forms and a short peak search for the few pairs
 whose pressure peaks inside the arc; the closure root does not depend on
-the cam count and is solved once per pair. The unit-width pressure serves
-the whole L axis, because the Hertz pressure scales as 1/sqrt(L). So a
-sweep filters the pairs in two objectives and lays the L axis out only
-for the pairs on that front (see `sweep`). It solves only the pairs that
-can pass the pressure-angle cap, which an exact bound on eta picks out
-before any root, and sends to the kernel only those whose arc start
-passes it. The contour slices and a single candidate (a batch of one)
-evaluate every pair, as does `SweepResult.grids`, the full (d_cs, r, L)
-grid and the sweep's oracle, built only when read. Iso-lines of the
-contour slices come from a table-driven marching squares, and a front's
-hypervolume from a dimension sweep.
+the cam count and is solved once per pair. One driver, `_pair_metrics`,
+solves only the pairs with d_cs > 0 and a valid eta that can pass an angle
+cap, which an exact bound on eta picks out before any root, and sends to
+the kernel only those whose arc start passes it. The unit-width pressure
+serves the whole L axis, because the Hertz pressure scales as 1/sqrt(L). So
+a sweep filters the pairs in two objectives and lays the L axis out only
+for the pairs on that front (see `sweep`), under the space's angle cap. The
+contour slices and a single candidate (a batch of one) pass an infinite cap
+and evaluate every solvable pair, as does `SweepResult.grids`, the full
+(d_cs, r, L) grid and the sweep's oracle, built only when read. Iso-lines
+of the contour slices come from a table-driven marching squares, and a
+front's hypervolume from a dimension sweep.
 """
 from __future__ import annotations
 
@@ -45,7 +46,6 @@ from .geometry import (
 from .mechanics import (
     LoadCase,
     Material,
-    SegmentMetrics,
     compliance_sum,
     find_material,
     pressure_angle,
@@ -56,7 +56,7 @@ _DEFAULT_STEEL = find_material("improved steel")
 
 _PAIR_CHUNK = 4096
 
-# relative slack of the sweep's angle screen on the cap, so that rounding
+# relative slack of the angle screen on the cap, so that rounding
 # never screens a pair that passes it
 _SCREEN_MARGIN = 1e-9
 
@@ -218,7 +218,7 @@ def evaluate_candidate(x, space: DesignSpace) -> DesignCandidate:
     d_cs, r, L, m = float(x[0]), float(x[1]), float(x[2]), int(x[3])
     require_length("contact width", L)
     D, R = np.array([d_cs]), np.array([r])
-    metrics = (_pair_metrics(space, (m,), D, R)[m] if m >= 2
+    metrics = (_pair_metrics(space, (m,), D, R, math.inf)[m] if m >= 2
                else (np.array([False]), np.array([np.nan]), np.array([np.nan])))
     g = _evaluate_grid(space, m, D, R, *metrics, np.array([L]), _sizes(space, m, np.array([L])))
     return _candidates(space, g.table(), g.violations)[0]
@@ -306,33 +306,61 @@ def pareto_front(candidates) -> list[DesignCandidate]:
 
 # --- vectorised grid evaluation ------------------------------------------
 
-def _pair_metrics(space: DesignSpace, m_values, d_cs: np.ndarray, r: np.ndarray) -> dict:
-    """Geometry flag, mu_max and unit-width P_max of each (d_cs, r) pair, by m.
+def _angle_screen(m_values, cap: float, eta: np.ndarray) -> np.ndarray:
+    """Whether each eta can pass the angle cap for some m of m_values.
 
-    d_cs = 0 puts the roller on the cam axis line (e = r), which no profile
-    allows; those pairs and the ones the kernel rejects get NaN metrics.
-    Pairs go to the kernel in chunks of _PAIR_CHUNK, which bound its
-    (chunk, ROOT_SCAN_NODES) arrays and hide its fixed cost per call. The
-    closure angle does not depend on m, so each chunk solves it for the
-    first cam count and the others reuse it.
+    mu_max is |mu| at the arc start psi = 2*pi - delta - 2*pi/m, where with
+    w = psi - pi and q = 2*pi*eta - 1, |mu| = arctan(|q|/w). The closure
+    angle delta lies in [-pi, 0] (`closure_angles` brackets its root there),
+    so 0 <= w <= 2*pi*(1 - 1/m), and arctan(|q|/w) falls as w grows: no
+    delta gives a smaller |mu| than psi = pi + 2*pi*(1 - 1/m). A pair whose
+    |mu| there exceeds the cap for every m fails the cap whatever its
+    closure angle. The test compares angles, not q against w*tan(cap),
+    because a cap of 90 degrees or more passes every pair while its tangent
+    is negative, and it allows a relative _SCREEN_MARGIN.
     """
-    eta = eta_from_design(d_cs, r, space.pitch)
+    bound = cap * (1.0 + _SCREEN_MARGIN)
+    reach = np.zeros(len(eta), dtype=bool)
+    for m in m_values:
+        reach |= np.abs(pressure_angle(math.pi + TAU * (1.0 - 1.0 / m), eta)) <= bound
+    return reach
+
+
+def _pair_metrics(space: DesignSpace, m_values, D: np.ndarray, R: np.ndarray,
+                  cap: float) -> dict:
+    """Geometry flag, mu_max and unit-width P_max of each (d_cs, r) pair, by m:
+    {m: (geometry_ok, mu_max, P_unit)}, (False, NaN, NaN) where geometry
+    fails or mu_max exceeds the angle cap `cap`; a cap of inf drops none.
+
+    Only the pairs that can pass are solved: d_cs > 0, since d_cs = 0 puts
+    the roller on the cam axis line (e = r), which no profile allows; eta
+    passes `eta_valid`; and eta passes `_angle_screen` at the cap. They go
+    in chunks of _PAIR_CHUNK, which bound the kernel's (chunk,
+    ROOT_SCAN_NODES) arrays and hide its fixed cost per call. The closure
+    angle does not depend on m, so each chunk solves it once, and for each
+    m only the pairs whose arc-start |mu| is at most the cap go to
+    `segment_metrics`, with those angles. The kernel is elementwise per
+    pair, so a pair's metrics do not depend on the pairs solved with it.
+    """
+    eta = eta_from_design(D, R, space.pitch)
     K_sum = compliance_sum(space.cam_material, space.roller_material)
-    parts = {m: [] for m in m_values}
-    for s in range(0, len(eta), _PAIR_CHUNK):
-        delta = None
-        for m in m_values:
-            seg = segment_metrics(space.pitch, eta[s:s + _PAIR_CHUNK], r[s:s + _PAIR_CHUNK],
-                                  m, space.load.torque, K_sum, delta=delta)
-            parts[m].append(seg)
-            delta = seg.delta
-    out = {}
-    for m, segs in parts.items():
-        seg = SegmentMetrics(*(np.concatenate(col) for col in zip(*segs)))
-        # e > r exactly: eta*p, all the kernel sees, can round above r at d_cs = 0
-        geom = (d_cs > 0.0) & seg.ok
-        out[m] = (geom, np.where(geom, seg.mu_max, np.nan),
-                  np.where(geom, seg.P_max, np.nan))
+    n = len(eta)
+    out = {m: (np.zeros(n, dtype=bool), np.full(n, np.nan), np.full(n, np.nan))
+           for m in m_values}
+    # e > r exactly: eta*p, all the kernel sees, can round above r at d_cs = 0
+    solved = np.flatnonzero((D > 0.0) & eta_valid(eta) & _angle_screen(m_values, cap, eta))
+    for s in range(0, len(solved), _PAIR_CHUNK):
+        idx = solved[s:s + _PAIR_CHUNK]
+        e, r = eta[idx], R[idx]
+        delta = closure_angles(space.pitch, e, r)
+        for m, (geom, mu, P_unit) in out.items():
+            go = np.abs(pressure_angle(driving_window(delta, m)[0], e)) <= cap
+            seg = segment_metrics(space.pitch, e[go], r[go], m, space.load.torque, K_sum,
+                                  delta=delta[go])
+            at = idx[go][seg.ok]
+            geom[at] = True
+            mu[at] = seg.mu_max[seg.ok]
+            P_unit[at] = seg.P_max[seg.ok]
     return out
 
 
@@ -343,12 +371,6 @@ def _pair_axes(space: DesignSpace, res: int):
     r_axis = np.linspace(space.r_range[0], space.r_range[1], res)
     D, R = (a.ravel() for a in np.meshgrid(d_axis, r_axis, indexing="ij"))
     return d_axis, r_axis, D, R
-
-
-def _pair_grid(space: DesignSpace, m_values, res: int):
-    """`_pair_axes` and the metrics of every pair by m (`_pair_metrics`)."""
-    d_axis, r_axis, D, R = _pair_axes(space, res)
-    return d_axis, r_axis, D, R, _pair_metrics(space, m_values, D, R)
 
 
 @dataclass(frozen=True)
@@ -388,7 +410,7 @@ class SweepResult:
     the same fronts as `DesignCandidate` lists, are built when first read.
     `grids`, the evaluation of every (d_cs, r, L) candidate, is the oracle
     of the screened sweep: its first read runs the kernel again on every
-    pair, unscreened, as a contour slice does.
+    solvable pair, unscreened, as a contour slice does.
     """
 
     space: DesignSpace
@@ -416,9 +438,9 @@ class SweepResult:
     @cached_property
     def grids(self) -> dict:
         space = self.space
-        _, _, D, R, metrics = _pair_grid(space, space.m_values, space.resolution)
-        return {m: _evaluate_grid(space, m, D, R, *metrics[m], *_widths(space, m))
-                for m in space.m_values}
+        _, _, D, R = _pair_axes(space, space.resolution)
+        return {m: _evaluate_grid(space, m, D, R, *metrics, *_widths(space, m))
+                for m, metrics in _pair_metrics(space, space.m_values, D, R, math.inf).items()}
 
 
 def _evaluate_grid(space: DesignSpace, m: int, D, R, geom_pair, mu_pair, P_pair,
@@ -442,7 +464,8 @@ def _per_m_front(space: DesignSpace, m: int, D, R, geom, mu, P_unit) -> np.ndarr
     """The m-cam front as a (mu, P, S, m, d_cs, r, L) table in `_lex_order`.
 
     The rows are the feasible widths of the pairs that are nondominated in
-    (mu_max, P_unit) among the pairs that pass geometry and the angle cap.
+    (mu_max, P_unit) among the pairs that pass geometry and the angle cap;
+    the comparison with the cap also drops the NaN metrics of the others.
     """
     cand = np.flatnonzero(geom & (mu <= space.mu_cap))
     pair = cand[nondominated_mask(np.column_stack([mu[cand], P_unit[cand]]))]
@@ -450,44 +473,6 @@ def _per_m_front(space: DesignSpace, m: int, D, R, geom, mu, P_unit) -> np.ndarr
                        *_widths(space, m))
     table = g.table()[g.feasible]
     return table[_lex_order(table)]
-
-
-def _angle_screen(space: DesignSpace, eta: np.ndarray) -> np.ndarray:
-    """Whether each eta can pass the angle cap for some m of the space: the
-    arc-start |mu| at the largest arc start any closure angle gives (`sweep`)
-    is at most the cap, with a relative _SCREEN_MARGIN."""
-    bound = space.mu_cap * (1.0 + _SCREEN_MARGIN)
-    reach = np.zeros(len(eta), dtype=bool)
-    for m in space.m_values:
-        reach |= np.abs(pressure_angle(math.pi + TAU * (1.0 - 1.0 / m), eta)) <= bound
-    return reach
-
-
-def _front_pairs(space: DesignSpace, D: np.ndarray, R: np.ndarray) -> dict:
-    """The pairs that can reach each cam count's front, with their metrics:
-    {m: (pair index, geometry_ok, mu_max, P_unit)}.
-
-    A pair is solved when d_cs > 0, eta passes `eta_valid` and eta passes
-    `_angle_screen`; the others fail geometry or the angle cap at every m.
-    The solved pairs go in chunks of _PAIR_CHUNK, as in `_pair_metrics`.
-    Each chunk solves its closure angles once, and for each m only the pairs
-    whose arc-start |mu| passes the cap go to the kernel, with those angles.
-    """
-    eta = eta_from_design(D, R, space.pitch)
-    K_sum = compliance_sum(space.cam_material, space.roller_material)
-    solved = np.flatnonzero((D > 0.0) & eta_valid(eta) & _angle_screen(space, eta))
-    parts = {m: [] for m in space.m_values}
-    for s in range(0, len(solved) or 1, _PAIR_CHUNK):  # one empty chunk if none
-        idx = solved[s:s + _PAIR_CHUNK]
-        e, r = eta[idx], R[idx]
-        delta = closure_angles(space.pitch, e, r)
-        for m in space.m_values:
-            go = np.abs(pressure_angle(driving_window(delta, m)[0], e)) <= space.mu_cap
-            seg = segment_metrics(space.pitch, e[go], r[go], m, space.load.torque, K_sum,
-                                  delta=delta[go])
-            parts[m].append((idx[go], seg.ok, seg.mu_max, seg.P_max))
-    return {m: tuple(np.concatenate(col) for col in zip(*cols))
-            for m, cols in parts.items()}
 
 
 def sweep(space: DesignSpace) -> SweepResult:
@@ -509,23 +494,14 @@ def sweep(space: DesignSpace) -> SweepResult:
     keeps them as those tables; no candidate is built until one is read.
 
     So only the pairs that pass geometry and the angle cap matter, and the
-    sweep solves only those that can (`_front_pairs`). mu_max is |mu| at the
-    arc start psi = 2*pi - delta - 2*pi/m, where with w = psi - pi and
-    q = 2*pi*eta - 1, |mu| = arctan(|q|/w). The closure angle delta lies in
-    [-pi, 0] (`closure_angles` brackets its root there), so
-    0 <= w <= 2*pi*(1 - 1/m), and arctan(|q|/w) falls as w grows: no delta
-    gives a smaller |mu| than psi = pi + 2*pi*(1 - 1/m). A pair whose |mu|
-    there exceeds the cap for every m fails the cap whatever its closure
-    angle, and skips the closure root (`_angle_screen`). The test compares
-    angles, not q against w*tan(mu_cap), because a cap of 90 degrees or
-    more passes every pair while its tangent is negative. Of the solved
-    pairs, only those whose arc start passes the cap get the Hertz peak
-    search. `evaluated` still counts every candidate of the grid.
+    sweep passes the cap to `_pair_metrics`: a pair that fails it for every
+    m skips the closure root (`_angle_screen`), and of the solved pairs only
+    those whose arc start passes it get the Hertz peak search. `evaluated`
+    still counts every candidate of the grid.
     """
     _, _, D, R = _pair_axes(space, space.resolution)
-    tables = {}
-    for m, (idx, geom, mu, P_unit) in _front_pairs(space, D, R).items():
-        tables[m] = _per_m_front(space, m, D[idx], R[idx], geom, mu, P_unit)
+    tables = {m: _per_m_front(space, m, D, R, *metrics)
+              for m, metrics in _pair_metrics(space, space.m_values, D, R, space.mu_cap).items()}
     return SweepResult(space=space, tables=tables,
                        front_index=_front(np.concatenate(list(tables.values()))))
 
@@ -643,8 +619,9 @@ def contour_slice(space: DesignSpace, m: int, S_M: float,
     res = space.resolution if resolution is None else resolution
     if res < MIN_GRID_RESOLUTION:
         raise InvalidSpec(f"resolution must be at least {MIN_GRID_RESOLUTION}, got {res}")
-    d_axis, r_axis, D, R, pairs = _pair_grid(space, (m,), res)
-    g = _evaluate_grid(space, m, D, R, *pairs[m], np.array([L]), np.array([S_M]))
+    d_axis, r_axis, D, R = _pair_axes(space, res)
+    pairs = _pair_metrics(space, (m,), D, R, math.inf)[m]
+    g = _evaluate_grid(space, m, D, R, *pairs, np.array([L]), np.array([S_M]))
     table = g.table()[g.feasible]
     mu_grid = g.mu_max.reshape(res, res)
     P_grid = g.P_max.reshape(res, res)

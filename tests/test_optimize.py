@@ -10,7 +10,9 @@ from camdrive import optimize
 from camdrive.errors import InfeasibleCamCount, InvalidSpec
 from camdrive.optimize import (
     GridData,
-    _pair_grid,
+    _angle_screen,
+    _pair_axes,
+    _pair_metrics,
     _violations,
     eta_from_design,
     marching_squares,
@@ -711,6 +713,33 @@ def test_sweep_solves_each_closure_once(monkeypatch):
     assert sum(solved) == live
 
 
+def test_unscreened_callers_solve_only_solvable_pairs(monkeypatch):
+    # a contour slice and a single candidate solve the closure of the pairs
+    # with d_cs > 0 and q = 2*pi*eta - 1 >= 1e-9 only; the others fail geometry
+    from camdrive import geometry
+    solve = geometry.closure_angles
+    solved = []
+
+    def counted(p, eta, r):
+        solved.append(len(eta))
+        return solve(p, eta, r)
+
+    monkeypatch.setattr(geometry, "closure_angles", counted)
+    monkeypatch.setattr(optimize, "closure_angles", counted)
+    space = small_space(pitch=24.0, r_range=(0.5, 10.5))
+    cut = cd.contour_slice(space, 2, 60.0)
+    D, R = (a.ravel() for a in np.meshgrid(np.linspace(0.0, 30.0, 16),
+                                           np.linspace(0.5, 10.5, 16), indexing="ij"))
+    q = 2.0 * math.pi * (R + D / 2.0) / space.pitch - 1.0
+    live = (D > 0.0) & (q >= 1e-9)
+    assert ((D > 0.0) & ~live).any() and 0 < live.sum() < 16 * 16
+    assert sum(solved) == int(live.sum())
+    assert np.isnan(cut.mu_grid.ravel()[~live]).all()
+    solved.clear()
+    c = cd.evaluate_candidate((0.0, 5.0, 10.0, 2), space)
+    assert sum(solved) == 0 and not c.feasible and "geometry" in c.violations
+
+
 class TestScreen:
     """The sweep's angle screen and Hertz gate against the unscreened grids."""
 
@@ -723,44 +752,51 @@ class TestScreen:
         space = cd.DesignSpace(resolution=16, pitch=pitch, mu_cap=math.radians(cap_deg),
                                m_values=tuple(m_values), d_cs_range=(0.0, d_hi),
                                r_range=(0.5, r_hi), L_range=(0.01, None), S_cap=120.0)
-        _, _, D, R = optimize._pair_axes(space, 16)
-        kept = optimize._front_pairs(space, D, R)
-        screen = optimize._angle_screen(space, eta_from_design(D, R, space.pitch))
+        _, _, D, R = _pair_axes(space, 16)
+        kept = _pair_metrics(space, space.m_values, D, R, space.mu_cap)
+        every = _pair_metrics(space, space.m_values, D, R, math.inf)
+        screen = _angle_screen(space.m_values, space.mu_cap, eta_from_design(D, R, space.pitch))
         grids = cd.sweep(space).grids
         for m in m_values:
             g = grids[m]
             first = slice(None, None, space.resolution)  # each pair's first width
             geom, mu, P_unit = g.geometry_ok[first], g.mu_max[first], g.P_max[first]
             passing = np.flatnonzero(geom & (mu <= space.mu_cap))
-            idx, ok, mu_kept, P_kept = kept[m]
-            assert np.isin(passing, idx).all()
+            ok, mu_kept, P_kept = kept[m]
+            assert ok[passing].all()
             assert screen[passing].all()
-            # the pairs the kernel saw get the grid's metrics, bit for bit
-            assert np.array_equal(ok, geom[idx])
-            assert np.array_equal(mu_kept[ok], mu[idx][ok])
-            assert np.array_equal(P_kept[ok] / np.sqrt(g.L[0]), P_unit[idx][ok])
+            # the pairs the screen keeps get the grid's metrics, bit for bit
+            assert geom[ok].all()
+            assert np.array_equal(mu_kept[ok], mu[ok])
+            assert np.array_equal(P_kept[ok] / np.sqrt(g.L[0]), P_unit[ok])
+            # where the unscreened pair passes geometry and the cap the screened
+            # arrays equal the unscreened ones; elsewhere they are (False, NaN, NaN)
+            ok_all, mu_all, P_all = every[m]
+            keep = ok_all & (mu_all <= space.mu_cap)
+            assert np.array_equal(ok, keep)
+            assert np.array_equal(mu_kept, np.where(keep, mu_all, np.nan), equal_nan=True)
+            assert np.array_equal(P_kept, np.where(keep, P_all, np.nan), equal_nan=True)
 
     @pytest.mark.parametrize("cap_deg", [90.0, 100.0, 179.0])
     def test_a_right_angle_cap_screens_nothing(self, cap_deg):
         eta = np.concatenate([np.linspace(0.0, 2.0, 2001), [1e-12, 1e6, 1e100]])
         for m in (2, 3, 360):
-            space = cd.DesignSpace(resolution=16, m_values=(m,), mu_cap=math.radians(cap_deg),
-                                   L_range=(0.01, None))
-            assert optimize._angle_screen(space, eta).all()
+            assert _angle_screen((m,), math.radians(cap_deg), eta).all()
 
     def test_the_default_space_screens_most_pairs(self):
         space = cd.DesignSpace()
-        _, _, D, R = optimize._pair_axes(space, space.resolution)
-        screen = optimize._angle_screen(space, eta_from_design(D, R, space.pitch))
+        _, _, D, R = _pair_axes(space, space.resolution)
+        screen = _angle_screen(space.m_values, space.mu_cap, eta_from_design(D, R, space.pitch))
         assert 0.0 < screen.mean() < 0.5
 
 
 def test_cam_counts_share_the_closure_solve():
     # one kernel pass per chunk for all cam counts equals one pass per count
     space = small_space(m_values=(2, 3))
-    shared = _pair_grid(space, (2, 3), space.resolution)[4]
+    _, _, D, R = _pair_axes(space, space.resolution)
+    shared = _pair_metrics(space, (2, 3), D, R, math.inf)
     for m in (2, 3):
-        alone = _pair_grid(space, (m,), space.resolution)[4][m]
+        alone = _pair_metrics(space, (m,), D, R, math.inf)[m]
         for a, b in zip(shared[m], alone):
             assert np.array_equal(a, b, equal_nan=True)
 
