@@ -39,7 +39,6 @@ from .optimize import (
     DesignCandidate,
     DesignSpace,
     contour_slice,
-    dominates,
     evaluate_candidate,
     hypervolume,
     pareto_front,

@@ -36,7 +36,7 @@ FORMATS = ("csv", "json", "svg")
 # its (d_cs, r) pairs and its fronts, not its candidates (64 bytes each once
 # `SweepResult.grids` is read, which evaluates every solvable pair again), so
 # this bounds its run time and front size, not its memory: four times this
-# many (resolution 512, m = [2, 3]) took 0.7-1.0 s and 115 MB in `sweep`. A
+# many (resolution 512, m = [2, 3]) took 0.2-0.35 s and 89 MB in `sweep`. A
 # contour slice holds about 300 bytes per (d_cs, r) cell, a profile or a
 # sensitivity study about 340 bytes per sample and 150 per rms node (measured
 # peak RSS of the CLI, numpy 2.4 on Python 3.11), so their memory limit, a

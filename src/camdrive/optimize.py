@@ -12,13 +12,15 @@ solves only the pairs with d_cs > 0 and a valid eta that can pass an angle
 cap, which an exact bound on eta picks out before any root, and sends to
 the kernel only those whose arc start passes it. The unit-width pressure
 serves the whole L axis, because the Hertz pressure scales as 1/sqrt(L). So
-a sweep filters the pairs in two objectives and lays the L axis out only
-for the pairs on that front (see `sweep`), under the space's angle cap. The
-contour slices and a single candidate (a batch of one) pass an infinite cap
-and evaluate every solvable pair, as does `SweepResult.grids`, the full
-(d_cs, r, L) grid and the sweep's oracle, built only when read. Iso-lines
-of the contour slices come from a table-driven marching squares, and a
-front's hypervolume from a dimension sweep.
+a sweep filters the pairs in two objectives with numpy prefix minima, lays
+the L axis out only for the pairs on that front, and merges the cam counts'
+fronts by looking each row up against the other counts' pair fronts and
+width axes, with no loop over rows (see `sweep`), under the space's angle
+cap. The contour slices and a single candidate (a batch of one) pass an
+infinite cap and evaluate every solvable pair, as does `SweepResult.grids`,
+the full (d_cs, r, L) grid and the sweep's oracle, built only when read.
+Iso-lines of the contour slices come from a table-driven marching squares,
+and a front's hypervolume from a one-pass dimension sweep.
 """
 from __future__ import annotations
 
@@ -224,19 +226,15 @@ def evaluate_candidate(x, space: DesignSpace) -> DesignCandidate:
     return _candidates(space, g.table(), g.violations)[0]
 
 
-def dominates(a: DesignCandidate, b: DesignCandidate) -> bool:
-    """True iff a is no worse in all three objectives and better in one."""
-    ao, bo = a.objectives, b.objectives
-    return all(x <= y for x, y in zip(ao, bo)) and any(x < y for x, y in zip(ao, bo))
-
-
 def _staircase_step(xs: list, ys: list, x: float, y: float):
     """Where (x, y) enters a 2-D minimisation staircase, or None if it is covered.
 
     The staircase lists its points with xs strictly ascending and ys strictly
     descending. None means a point on it is <= (x, y) in both coordinates.
     Otherwise (x, y) belongs at index j and replaces xs[j:k], ys[j:k], the
-    points it weakly dominates; the caller does the replacing.
+    points it weakly dominates; the caller does the replacing. Only the 3-D
+    filter uses it: `hypervolume` walks its own staircase, because it adds
+    each replaced point's strip as it goes.
     """
     i = bisect.bisect_right(xs, x)
     if i and ys[i - 1] <= y:
@@ -248,26 +246,45 @@ def _staircase_step(xs: list, ys: list, x: float, y: float):
     return j, k
 
 
+def _front_mask_2d(F: np.ndarray) -> np.ndarray:
+    """The (N, 2) path of `nondominated_mask`, in numpy.
+
+    In lexicographic order a row can be dominated only by a row before it:
+    by one of strictly smaller f1 and f2 <= its f2, which the prefix minimum
+    of f2 over the rows before its f1 group answers, or by the first row of
+    its own f1 group, when that row's f2 is smaller. Equal rows pass both.
+    """
+    f1, f2 = F[:, 0], F[:, 1]
+    order = np.lexsort((f2, f1))
+    s1, s2 = f1[order], f2[order]
+    start = np.searchsorted(s1, s1)  # first row of each row's f1 group
+    best = np.concatenate(([np.inf], np.minimum.accumulate(s2)))  # min f2 of the first k rows
+    keep = np.empty(len(F), dtype=bool)
+    keep[order] = (s2 < best[start]) & (s2 == s2[start])
+    return keep
+
+
 def nondominated_mask(objectives) -> np.ndarray:
     """Boolean mask of the maximal nondominated subset (minimisation).
 
-    Accepts an (N, 2) or (N, 3) array. Equal rows are all retained. One pass
-    over the distinct rows in lexicographic order (Kung, Luccio & Preparata
-    1975): a row can be dominated only by a row before it, so it is kept
-    exactly when no earlier kept row is <= in (f1, f2), which a staircase of
-    the kept rows answers. O(N log N); the brute-force O(N^2) filter is kept
-    in the test suite as its oracle.
+    Accepts an (N, 2) or (N, 3) array. Equal rows are all retained. Both
+    paths go through the rows in lexicographic order (Kung, Luccio &
+    Preparata 1975), where a row can be dominated only by a row before it.
+    Two objectives take prefix minima (`_front_mask_2d`); three take one
+    pass over the distinct rows, keeping a row exactly when no earlier kept
+    row is <= in (f1, f2), which a staircase of the kept rows answers.
+    O(N log N); the brute-force O(N^2) filter is kept in the test suite as
+    their oracle.
     """
     F = np.asarray(objectives, dtype=float)
     if F.ndim != 2 or F.shape[1] not in (2, 3):
         raise InvalidSpec(f"objectives must be (N, 2) or (N, 3), got {F.shape}")
-    n = len(F)
-    if n == 0:
+    if len(F) == 0:
         return np.zeros(0, dtype=bool)
     if not np.isfinite(F).all():
         raise InvalidSpec("objectives must be finite to compare designs")
     if F.shape[1] == 2:
-        F = np.column_stack([F, np.zeros(n)])
+        return _front_mask_2d(F)
     uniq, inv = np.unique(F, axis=0, return_inverse=True)
     keep = np.ones(len(uniq), dtype=bool)
     xs: list[float] = []  # staircase of the kept rows in (f1, f2)
@@ -460,8 +477,9 @@ def _evaluate_grid(space: DesignSpace, m: int, D, R, geom_pair, mu_pair, P_pair,
                     violations=violations)
 
 
-def _per_m_front(space: DesignSpace, m: int, D, R, geom, mu, P_unit) -> np.ndarray:
-    """The m-cam front as a (mu, P, S, m, d_cs, r, L) table in `_lex_order`.
+def _per_m_front(space: DesignSpace, m: int, D, R, geom, mu, P_unit):
+    """The m-cam front as a (mu, P, S, m, d_cs, r, L) table in `_lex_order`,
+    and its pair front, the (mu_max, P_unit) arrays of its pairs.
 
     The rows are the feasible widths of the pairs that are nondominated in
     (mu_max, P_unit) among the pairs that pass geometry and the angle cap;
@@ -472,7 +490,37 @@ def _per_m_front(space: DesignSpace, m: int, D, R, geom, mu, P_unit) -> np.ndarr
     g = _evaluate_grid(space, m, D[pair], R[pair], geom[pair], mu[pair], P_unit[pair],
                        *_widths(space, m))
     table = g.table()[g.feasible]
-    return table[_lex_order(table)]
+    return table[_lex_order(table)], (mu[pair], P_unit[pair])
+
+
+def _merged_front(space: DesignSpace, fronts: dict) -> np.ndarray:
+    """`front_index` of the `_per_m_front` results {m: (table, pair front)}:
+    the rows that no other cam count dominates, in `_lex_order` (see
+    `sweep`)."""
+    lookups = []
+    for m, (_, (mu, P_unit)) in fronts.items():
+        order = np.argsort(mu, kind="stable")
+        L, S = _widths(space, m)
+        lookups.append((m, mu[order], np.concatenate(([np.inf], np.minimum.accumulate(
+            P_unit[order]))), np.sqrt(L), S))
+    beaten = []
+    tables = [table for table, _ in fronts.values()]
+    for m, table in zip(fronts, tables):
+        mu, P, S = table[:, 0], table[:, 1], table[:, 2]
+        out = np.zeros(len(table), dtype=bool)
+        for m2, mu2, best, root, S2 in lookups:
+            if m2 == m:
+                continue
+            le = best[np.searchsorted(mu2, mu, side="right")]  # min P_unit over mu' <= mu
+            lt = best[np.searchsorted(mu2, mu)]                # over mu' < mu
+            below = np.searchsorted(S2, S) - 1                 # widest width of size < S
+            at = np.searchsorted(S2, S, side="right") - 1      # widest width of size <= S
+            out |= (below >= 0) & (le / root[below] <= P)
+            out |= ((at >= 0) & (S2[at] == S)
+                    & ((lt / root[at] <= P) | (le / root[at] < P)))
+        beaten.append(out)
+    idx = np.flatnonzero(~np.concatenate(beaten))
+    return idx[_lex_order(np.concatenate(tables)[idx])]
 
 
 def sweep(space: DesignSpace) -> SweepResult:
@@ -487,11 +535,32 @@ def sweep(space: DesignSpace) -> SweepResult:
     Preparata 1975). Only those pairs get an L axis, and their rows pass
     the same `_violations` verdict as the grid's. Two P_unit values divided
     by one sqrt(L) never swap order, though two an ulp apart could tie;
-    the tests check the fronts against the filter over the whole grid. The
-    merged front is the front of the union of the per-m fronts, which
-    equals the front over all evaluated feasible candidates. Fronts are
-    in `_lex_order` of their (mu, P, S, m, d_cs, r, L) rows, and the result
-    keeps them as those tables; no candidate is built until one is read.
+    the tests check the fronts against the filter over the whole grid.
+
+    The merged front is the front of the union of the per-m fronts, which
+    equals the front over all evaluated feasible candidates. Each per-m
+    front is nondominated, so a row (mu, P, S) of cam count m can be
+    dominated only from another cam count m', and then by a row of m''s
+    front: a row of m' that dominates it is itself dominated by, or equal
+    to, a front row. A front row of m' is a pair (mu', P_unit) of the m'
+    pair front at a width L' of size S'. The width axis ascends, and so do
+    its sizes, while P' = P_unit/sqrt(L') falls; so among the widths whose
+    size bounds S the widest is the best, and any P' <= P <= P_cap makes
+    that row feasible. With prefix minima of P_unit over the pair front in
+    mu order, the row is dominated exactly when
+      - strictly smaller size: L< is the widest m' width of size < S, and
+        min{P_unit : mu' <= mu}/sqrt(L<) <= P; or
+      - equal size: L= is the widest m' width of size S, and
+        min{P_unit : mu' < mu}/sqrt(L=) <= P or
+        min{P_unit : mu' <= mu}/sqrt(L=) < P,
+    the second case keeping equal rows. Sizes tie across cam counts at the
+    S_cap clamp of `_sizes`. A correctly rounded division by sqrt(L') is
+    monotone, so the minimum of P_unit divided by it is the minimum of the
+    P' that `_evaluate_grid` computes with the same expression, and each
+    comparison is exact. `np.searchsorted` on the sorted mu and on the
+    sizes finds every row's bounds at once. Fronts are in `_lex_order` of
+    their (mu, P, S, m, d_cs, r, L) rows, and the result keeps them as
+    those tables; no candidate is built until one is read.
 
     So only the pairs that pass geometry and the angle cap matter, and the
     sweep passes the cap to `_pair_metrics`: a pair that fails it for every
@@ -500,10 +569,10 @@ def sweep(space: DesignSpace) -> SweepResult:
     still counts every candidate of the grid.
     """
     _, _, D, R = _pair_axes(space, space.resolution)
-    tables = {m: _per_m_front(space, m, D, R, *metrics)
+    fronts = {m: _per_m_front(space, m, D, R, *metrics)
               for m, metrics in _pair_metrics(space, space.m_values, D, R, space.mu_cap).items()}
-    return SweepResult(space=space, tables=tables,
-                       front_index=_front(np.concatenate(list(tables.values()))))
+    return SweepResult(space=space, tables={m: table for m, (table, _) in fronts.items()},
+                       front_index=_merged_front(space, fronts))
 
 
 # --- fixed-size contour slices --------------------------------------------
@@ -642,14 +711,16 @@ def hypervolume(objectives, ref) -> float:
 
     Points not strictly better than the reference in every coordinate
     contribute nothing. Dimension sweep (Fonseca, Paquete & Lopez-Ibanez
-    2006): the points enter in ascending f2, and between consecutive f2
-    values the volume grows by the (f0, f1) area that the entered points
-    dominate, times the f2 step. That area belongs to a staircase of the
-    entered points that are nondominated in (f0, f1), kept and updated by
-    `_staircase_step` as in `nondominated_mask`, and each insertion adds the
-    newly dominated strips to it. Every added term is non-negative, so the
-    sums do not cancel. O(n log n) comparisons; a list insertion also moves
-    up to n references.
+    2006): the points enter in ascending f2, and between distinct
+    consecutive f2 values the volume grows by the (f0, f1) area that the
+    entered points dominate, times the f2 step. That area belongs to a
+    staircase of the entered points that are nondominated in (f0, f1), xs
+    strictly ascending and ys strictly descending. A point that enters it
+    replaces the points it weakly dominates, and one walk over them adds
+    the newly dominated strips, so the staircase is kept here and not by
+    `_staircase_step`, which would walk them twice. Every added term is
+    non-negative, so the sums do not cancel. O(n log n) comparisons; a list
+    insertion also moves up to n references.
     """
     F = np.asarray(objectives, dtype=float)
     ref = np.asarray(ref, dtype=float)
@@ -659,23 +730,26 @@ def hypervolume(objectives, ref) -> float:
     if len(F) == 0:
         return 0.0
     x_ref, y_ref, z_ref = ref.tolist()
+    points = F[np.argsort(F[:, 2], kind="stable")].tolist()
     xs: list[float] = []  # staircase of the entered points in (f0, f1)
     ys: list[float] = []
     area = volume = 0.0
-    z_prev = None
-    for x, y, z in F[np.argsort(F[:, 2], kind="stable")].tolist():
-        if z_prev is not None:
+    z_prev = points[0][2]
+    for x, y, z in points:
+        if z != z_prev:
             volume += area * (z - z_prev)
-        z_prev = z
-        step = _staircase_step(xs, ys, x, y)
-        if step is None:
+            z_prev = z
+        i = bisect.bisect_right(xs, x)
+        if i and ys[i - 1] <= y:
             continue  # weakly dominated in (f0, f1)
-        j, k = step
+        j = k = i - 1 if i and xs[i - 1] == x else i
         top = ys[j - 1] if j else y_ref
-        for xk, yk in zip(xs[j:k], ys[j:k]):  # points the new one dominates
-            area += (xk - x) * (top - yk)
-            top = yk
-        area += ((xs[k] if k < len(xs) else x_ref) - x) * (top - y)
+        n = len(xs)
+        while k < n and ys[k] >= y:  # points the new one dominates
+            area += (xs[k] - x) * (top - ys[k])
+            top = ys[k]
+            k += 1
+        area += ((xs[k] if k < n else x_ref) - x) * (top - y)
         xs[j:k] = [x]
         ys[j:k] = [y]
     return float(volume + area * (z_ref - z_prev))

@@ -6,6 +6,7 @@ fast implementations under test.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -46,6 +47,55 @@ def brute_force_front_mask(objectives: np.ndarray) -> np.ndarray:
                 keep[i] = False
                 break
     return keep
+
+
+def dominates(a, b) -> bool:
+    """True iff candidate a is no worse than b in all three objectives and
+    better in one."""
+    ao, bo = a.objectives, b.objectives
+    return all(x <= y for x, y in zip(ao, bo)) and any(x < y for x, y in zip(ao, bo))
+
+
+def hypervolume_staircase(objectives, ref) -> float:
+    """The dimension sweep that `optimize.hypervolume` made before it walked
+    its staircase once per point, kept to check that every bit is the same.
+
+    The points enter in ascending f2 (stable), and the volume grows by the
+    (f0, f1) area of the entered points times every f2 step, zero steps
+    included. A staircase of the points nondominated in (f0, f1) holds that
+    area: a new point first asks whether the staircase covers it, then
+    where it enters and which points it replaces, and then walks those
+    points again to add the strips it newly dominates.
+    """
+    F = np.asarray(objectives, dtype=float)
+    ref = np.asarray(ref, dtype=float)
+    F = F[np.all(F < ref, axis=1)]
+    if len(F) == 0:
+        return 0.0
+    x_ref, y_ref, z_ref = ref.tolist()
+    xs: list[float] = []
+    ys: list[float] = []
+    area = volume = 0.0
+    z_prev = None
+    for x, y, z in F[np.argsort(F[:, 2], kind="stable")].tolist():
+        if z_prev is not None:
+            volume += area * (z - z_prev)
+        z_prev = z
+        i = bisect.bisect_right(xs, x)
+        if i and ys[i - 1] <= y:
+            continue
+        j = bisect.bisect_left(xs, x)
+        k = j
+        while k < len(xs) and ys[k] >= y:
+            k += 1
+        top = ys[j - 1] if j else y_ref
+        for xk, yk in zip(xs[j:k], ys[j:k]):
+            area += (xk - x) * (top - yk)
+            top = yk
+        area += ((xs[k] if k < len(xs) else x_ref) - x) * (top - y)
+        xs[j:k] = [x]
+        ys[j:k] = [y]
+    return float(volume + area * (z_ref - z_prev))
 
 
 def mc_hypervolume(points, ref, samples: int = 200_000, seed: int = 0) -> float:

@@ -182,18 +182,18 @@ class TestDominates:
     def test_equal_objectives_do_not_dominate(self):
         a = make_candidate(0.1, 650.0, 60.0)
         b = make_candidate(0.1, 650.0, 60.0)
-        assert not cd.dominates(a, b) and not cd.dominates(b, a)
+        assert not oracles.dominates(a, b) and not oracles.dominates(b, a)
 
     def test_single_strict_improvement(self):
         a = make_candidate(0.1, 650.0, 60.0)
         b = make_candidate(0.1, 660.0, 60.0)
-        assert cd.dominates(a, b) and not cd.dominates(b, a)
+        assert oracles.dominates(a, b) and not oracles.dominates(b, a)
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6))
     def test_antisymmetry(self, vals):
         a = make_candidate(vals[0], vals[1], vals[2])
         b = make_candidate(vals[3], vals[4], vals[5])
-        assert not (cd.dominates(a, b) and cd.dominates(b, a))
+        assert not (oracles.dominates(a, b) and oracles.dominates(b, a))
 
 
 class TestNondominatedMask:
@@ -228,9 +228,19 @@ class TestNondominatedMask:
         assert np.array_equal(nondominated_mask(F),
                               oracles.brute_force_front_mask(F))
 
+    @settings(max_examples=80)
+    @given(st.lists(st.tuples(*[st.sampled_from([-0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0])] * 2),
+                    min_size=1, max_size=60))
+    def test_2d_matches_brute_force_on_ties(self, rows):
+        # seven values, signed zeros among them, tie in f1, in f2 and in both
+        F = np.array(rows, dtype=float)
+        assert np.array_equal(nondominated_mask(F), oracles.brute_force_front_mask(F))
+
     def test_rejects_nan(self):
         with pytest.raises(InvalidSpec):
             nondominated_mask(np.array([[1.0, float("nan"), 2.0]]))
+        with pytest.raises(InvalidSpec):
+            nondominated_mask(np.array([[1.0, float("inf")]]))
 
 
 class TestParetoFront:
@@ -490,6 +500,65 @@ class TestPairLevelFronts:
         assert result.grids is result.grids
 
 
+# the merge cases: cam counts in either order, three of them, widths that
+# end at the size cap, one width per axis and the large polyamide fronts
+MERGE_SPACES = {
+    "m-3-2": dict(m_values=(3, 2)),
+    "m-2-3-4": dict(m_values=(2, 3, 4)),
+    "L-ends-at-size-cap": dict(S_cap=96.2, L_range=(1.0, 96.2 / 3)),
+    "one-width": dict(L_range=(20.0, 20.0)),
+    "one-width-m-2-3-4": dict(m_values=(2, 3, 4), L_range=(15.0, 15.0)),
+    "polyamide": dict(cam_material=_POLYAMIDE, roller_material=_POLYAMIDE),
+}
+
+
+class TestMergedFrontLookup:
+    @settings(max_examples=40)
+    @given(name=st.sampled_from(sorted(MERGE_SPACES)), res=st.integers(16, 24),
+           pitch=st.floats(16.0, 26.0), mu_cap_deg=st.floats(24.0, 40.0),
+           P_cap=st.floats(500.0, 1000.0))
+    def test_equals_filter_over_per_m_tables(self, name, res, pitch, mu_cap_deg, P_cap):
+        # row for row and in order, the front `_front` picks from the
+        # concatenated per-m tables
+        space = cd.DesignSpace(resolution=res, pitch=pitch, mu_cap=math.radians(mu_cap_deg),
+                               P_cap=P_cap, **MERGE_SPACES[name])
+        result = cd.sweep(space)
+        union = np.concatenate(list(result.tables.values()))
+        assert np.array_equal(result.front_index, optimize._front(union))
+
+    @settings(max_examples=100)
+    @given(st.lists(st.tuples(st.integers(0, 8), st.integers(2, 9)), max_size=10),
+           st.lists(st.tuples(st.integers(0, 8), st.integers(2, 9)), max_size=10))
+    def test_exact_ties_across_cam_counts(self, two, eight):
+        # m = 2 and 8 under S_cap = 32: the width axes 1..16 and 1..4 share
+        # the sizes 8 (L = 4 and 1) and 32 (L = 16 and 4), at widths with
+        # exact square roots, so P_unit = 400p and 200p give both cam counts
+        # P = 200p and 100p there, and mu on one lattice ties the angles too;
+        # only such exact ties tell `<` from `<=` in the lookup
+        space = cd.DesignSpace(resolution=16, m_values=(2, 8), S_cap=32.0)
+        fronts = {}
+        for m, rows, scale in ((2, two, 400.0), (8, eight, 200.0)):
+            n = len(rows)
+            mu = np.array([0.05 * k for k, _ in rows], dtype=float)
+            P_unit = np.array([scale * p for _, p in rows], dtype=float)
+            fronts[m] = optimize._per_m_front(space, m, np.arange(n, dtype=float),
+                                              np.full(n, 4.0), np.ones(n, dtype=bool), mu, P_unit)
+        union = np.concatenate([table for table, _ in fronts.values()])
+        assert np.array_equal(optimize._merged_front(space, fronts), optimize._front(union))
+
+    @pytest.mark.parametrize("name", ["m-3-2", "m-2-3-4", "L-ends-at-size-cap", "polyamide"])
+    def test_cam_counts_beat_each_other(self, name):
+        # rows that only another cam count dominates; where every width
+        # axis ends at S_cap/m, sizes also tie at the cap across cam counts
+        space = cd.DesignSpace(resolution=32, **MERGE_SPACES[name])
+        result = cd.sweep(space)
+        union = np.concatenate(list(result.tables.values()))
+        assert 0 < len(result.front_index) < len(union)
+        assert np.array_equal(result.front_index, optimize._front(union))
+        at_cap = [m for m, t in result.tables.items() if (t[:, 2] == space.S_cap).any()]
+        assert len(at_cap) >= (1 if "L_range" in MERGE_SPACES[name] else 2)
+
+
 class TestContourSlice:
     def test_locus_is_nondominated_and_feasible(self):
         space = cd.DesignSpace(resolution=24)
@@ -657,6 +726,11 @@ class TestHypervolume:
         inter = (ref[0] - 0.3) * 300.0 * 20.0
         assert cd.hypervolume(pts, ref) == pytest.approx(v1 + v2 - inter)
 
+    def test_infinite_reference_gives_infinite_volume(self):
+        # an unbounded box, also when two points tie in f2
+        pts = [[0.5, 0.5, 0.5], [0.4, 0.6, 0.5]]
+        assert cd.hypervolume(pts, (math.inf, 1.0, 1.0)) == math.inf
+
     def test_points_outside_reference_ignored(self):
         ref = (1.0, 1.0, 1.0)
         assert cd.hypervolume([[2.0, 0.1, 0.1]], ref) == 0.0
@@ -799,6 +873,42 @@ def test_cam_counts_share_the_closure_solve():
         alone = _pair_metrics(space, (m,), D, R, math.inf)[m]
         for a, b in zip(shared[m], alone):
             assert np.array_equal(a, b, equal_nan=True)
+
+
+class TestHypervolumeBits:
+    """The one-pass staircase against `oracles.hypervolume_staircase`, `==`."""
+
+    @settings(max_examples=80)
+    @given(st.lists(st.tuples(*[st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])] * 3),
+                    min_size=1, max_size=50))
+    def test_lattice_sets(self, rows):
+        # ties in every coordinate, duplicates and points on the reference
+        # planes (1.0)
+        assert cd.hypervolume(rows, (1.0, 1.0, 1.0)) == oracles.hypervolume_staircase(
+            rows, (1.0, 1.0, 1.0))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_sets_with_tied_x_and_z(self, seed):
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(0.0, 1.0, size=(300, 3))
+        pts[::3, 0] = pts[1::3, 0][:len(pts[::3])]  # tied f0
+        pts[::4, 2] = rng.choice(pts[:20, 2], len(pts[::4]))  # tied f2
+        pts[::25, 1] = 1.0  # on a reference plane
+        ref = (1.0, 1.0, 1.0)
+        assert cd.hypervolume(pts, ref) == oracles.hypervolume_staircase(pts, ref)
+
+    @pytest.mark.parametrize("res", [48, 64, 80])
+    def test_sweep_fronts(self, res):
+        space = cd.DesignSpace(resolution=res)
+        F = cd.sweep(space).front_table[:, :3]
+        ref = (space.mu_cap, space.P_cap, space.S_cap)
+        assert len(F) > 500
+        assert cd.hypervolume(F, ref) == oracles.hypervolume_staircase(F, ref)
+
+    def test_res_512_default_space(self):
+        space = cd.DesignSpace(resolution=512)
+        F = cd.sweep(space).front_table[:, :3]
+        assert cd.hypervolume(F, (space.mu_cap, space.P_cap, space.S_cap)) == 4592.033309682481
 
 
 class TestHypervolumeAgainstSlicing:
