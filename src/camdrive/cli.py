@@ -22,7 +22,7 @@ import numpy as np
 from . import geometry, mechanics, optimize, sensitivity
 from .config import RESOLUTION_FIELDS, RunConfig, apply_overrides, load_config
 from .errors import ConfigError, ModelError
-from .svgplot import Canvas, _column_text, padded_range
+from .svgplot import Canvas, padded_range
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -84,6 +84,20 @@ def _wants(cfg: RunConfig, fmt: str) -> bool:
     return fmt in cfg.output.formats or "all" in cfg.output.formats
 
 
+def _column_text(values, fmt) -> list:
+    """The strings of a 1-D array's elements: `fmt` of the list of its
+    distinct values (floats by bit pattern: -0.0 and 0.0 are two), spread
+    back over the rows."""
+    values = np.asarray(values)
+    floats = values.dtype.kind == "f"
+    if floats:
+        values = values.astype(np.float64, copy=False)
+    distinct, inverse = np.unique(values.view(np.int64) if floats else values,
+                                  return_inverse=True)
+    text = np.array(fmt(distinct.view(values.dtype).tolist()), dtype=object)
+    return text[inverse].tolist()
+
+
 def _csv_fields(values) -> list[str]:
     """The CSV field of each value: `str`, which is `repr` for a float."""
     return list(map(str, values))
@@ -99,7 +113,7 @@ def _csv_lines(*columns) -> list[str]:
 
     A column is a 1-D numpy array of floats, ints or bools, or a sequence of
     strings. A column becomes the `str` of each element, an array's with one
-    `str` per distinct value (`svgplot._column_text`), and the last column's
+    `str` per distinct value (`_column_text`), and the last column's
     strings carry the CRLF line end; each line is one `",".join`. For
     strings holding no comma, double quote, carriage return or newline these
     are the lines `csv.writer` writes for the same Python values: it writes
@@ -338,7 +352,8 @@ def cmd_pareto(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-_M_COLORS = {2: "#aa3322", 3: "#2255aa"}
+# stroke by cam count up to 4: red for 2, blue for 3, else black
+_M_COLORS = np.array(["#000000"] * 2 + ["#aa3322", "#2255aa", "#000000"], dtype=object)
 
 
 def _plotted(table) -> np.ndarray:
@@ -358,19 +373,13 @@ def _pareto_svgs(out: Path, result) -> None:
         "pareto_p_mu.svg": (MU, P, "mu_max [deg]", "P_max [MPa]"),
         "pareto_p_sm.svg": (S, P, "S_M [mm]", "P_max [MPa]"),
     }
-    # page text by (axis, column, m): a column has one range in every figure,
-    # so mu on x and P on y, each in two figures, are formatted once
-    text = {}
     for name, (ix, iy, xl, yl) in axes.items():
         canvas = Canvas(ranges[ix], ranges[iy])
         canvas.axes(xl, yl)
         y = 18
         for m, front in fronts.items():
-            for key, to_text in ((("x", ix, m), canvas.x_text), (("y", iy, m), canvas.y_text)):
-                if key not in text:
-                    text[key] = to_text(front[:, key[1]])
-            color = _M_COLORS.get(m, "#000000")
-            canvas.circles_at(text["x", ix, m], text["y", iy, m], 2.2, stroke=color)
+            color = _M_COLORS[min(m, 4)]
+            canvas.circles(front[:, ix], front[:, iy], 2.2, stroke=color)
             canvas.page_text(canvas.width - 150, y, f"{m} conjugate cams",
                              color=color)
             y += 16
@@ -389,8 +398,7 @@ def _pareto_svgs(out: Path, result) -> None:
     py = (nx + ny) * cb + nz
     canvas = Canvas(padded_range(float(px.min()), float(px.max())),
                     padded_range(float(py.min()), float(py.max())))
-    canvas.circles(px, py, 2.2, stroke=[_M_COLORS.get(m, "#000000")
-                                        for m in table[:, 3].astype(int).tolist()])
+    canvas.circles(px, py, 2.2, stroke=_M_COLORS[np.minimum(table[:, 3], 4).astype(int)].tolist())
     canvas.page_text(14, 18, "merged front, isometric axes: mu_max, S_M, P_max")
     canvas.write(out / "pareto_3d.svg")
 

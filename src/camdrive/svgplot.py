@@ -19,52 +19,46 @@ def _fmt(x: float) -> str:
     return "0.000" if s == "-0.000" else s
 
 
-def _column_text(values, fmt) -> list:
-    """The strings of the elements of a 1-D array, formatting each distinct
-    value once.
-
-    `fmt` takes the list of the distinct values, as Python scalars, and
-    returns their strings in the same order. Floats are told apart by bit
-    pattern, so -0.0 and 0.0 are two values. The CSV lines of `cli` and
-    `_fmt_all` both build their text here.
-    """
-    values = np.asarray(values)
-    floats = values.dtype.kind == "f"
-    if floats:
-        values = values.astype(np.float64, copy=False)
-    distinct, inverse = np.unique(values.view(np.int64) if floats else values,
-                                  return_inverse=True)
-    text = np.array(fmt(distinct.view(values.dtype).tolist()), dtype=object)
-    return text[inverse].tolist()
-
-
-def _fmt_list(values: list) -> list:
-    """`_fmt` of each of a list of finite floats."""
-    return ["0.000" if s == "-0.000" else s for s in map("{:.3f}".format, values)]
+# the text of k thousandths is _INT_TEXT[k // 1000] + _FRAC_TEXT[k % 1000]
+_INT_TEXT = np.array([f"{i}." for i in range(1000)], dtype=object)
+_FRAC_TEXT = np.array([f"{i:03d}" for i in range(1000)], dtype=object)
 
 
 def _fmt_all(values) -> list:
-    """`_fmt` of each value of a 1-D array of finite floats."""
-    return _column_text(values, _fmt_list)
+    """`_fmt` of each value of a 1-D float array, by integer lookup.
+
+    A value v with y = fl(1000 v) more than 1e-6 from a half-integer and
+    k = rint(y) in [0, 1e6) prints as k thousandths from the two tables.
+    That is exact: below 2**20, y is within 1.2e-10 of the real 1000 v, so
+    no half-integer lies between them and k is the integer that `{:.3f}`
+    rounds 1000 v to; (-0.0005, 0] gives k = -0, "0.000", as `_fmt` does.
+    Other values (negative, 1000 or more, near a tie, non-finite) go
+    through `_fmt` in order, so the first non-finite one raises its error.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = v * 1000.0
+        k = np.rint(y)
+        table = (k >= 0.0) & (k < 1e6) & (np.abs(np.abs(y - k) - 0.5) > 1e-6)
+    q, r = np.divmod(k[table].astype(np.int64), 1000)
+    text = _INT_TEXT[q] + _FRAC_TEXT[r]
+    if len(text) == len(v):
+        return text.tolist()
+    out = np.empty(len(v), dtype=object)
+    out[table] = text
+    out[~table] = [_fmt(x) for x in v[~table].tolist()]
+    return out.tolist()
 
 
-def _check_finite(*columns) -> None:
-    """Raise `_fmt`'s error for the first non-finite value that a loop over
-    the rows of the broadcast columns, each row in column order, would meet."""
-    if all(np.isfinite(c).all() for c in columns):
-        return
-    for row in zip(*np.broadcast_arrays(*columns)):
-        for v in row:
-            _fmt(float(v))
-
-
-def _page_text(to_page, values) -> list:
-    """`_fmt_all` of the page coordinates `to_page` gives a 1-D array of data
-    values; a non-finite one raises `_fmt`'s error."""
-    values = np.asarray(values, dtype=float)
-    page = np.broadcast_to(to_page(values), values.shape)
-    _check_finite(page)
-    return _fmt_all(page)
+def _join_rows(text: list, gaps, sep: str, head: str, tail: str) -> str:
+    """One join of `head`, the rows of `text` split by `sep`, and `tail`; a
+    row is the next len(gaps) + 1 strings, split by `gaps`."""
+    block = [sep, None, *(p for gap in gaps for p in (gap, None))]
+    pieces = block * (len(text) // (len(gaps) + 1))
+    pieces[1::2] = text
+    pieces[:1] = [head]
+    pieces.append(tail)
+    return "".join(pieces)
 
 
 @dataclass
@@ -92,23 +86,26 @@ class Canvas:
         frac = (y - y0) / (y1 - y0)
         return self.height - self.margin - frac * (self.height - 2.0 * self.margin)
 
-    def _page(self, xs, ys) -> tuple[np.ndarray, np.ndarray]:
-        """Page coordinates of data points, as two float arrays."""
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        return (np.broadcast_to(self._sx(xs), xs.shape),
-                np.broadcast_to(self._sy(ys), ys.shape))
+    def _page(self, *xy) -> np.ndarray:
+        """Page coordinates of data columns x, y, x, y, ..., row by row."""
+        page = [np.asarray(c, dtype=float) for c in xy]
+        return np.column_stack([np.broadcast_to((self._sy if i % 2 else self._sx)(c), c.shape)
+                                for i, c in enumerate(page)]).ravel()
+
+    def _rows(self, text: list, gaps, head: str, tail: str) -> None:
+        """One element per row of `text`; see `_join_rows`."""
+        if text:
+            self.elements += _join_rows(text, gaps, tail + "\n" + head, head, tail).split("\n")
 
     def polyline(self, xs, ys, stroke="#000000", width=1.0, dashed=False):
         """One polyline through the points, mapped and formatted as whole
-        arrays; a non-finite page coordinate raises `_fmt`'s error."""
-        sx, sy = self._page(xs, ys)
-        _check_finite(sx, sy)
-        pts = " ".join(map("{},{}".format, _fmt_all(sx), _fmt_all(sy)))
+        arrays; a non-finite page coordinate raises `_fmt`'s error for the
+        first one in point order."""
         dash = ' stroke-dasharray="6,4"' if dashed else ""
-        self.elements.append(
+        self.elements.append(_join_rows(
+            _fmt_all(self._page(xs, ys)), (",",), " ",
             f'<polyline fill="none" stroke="{stroke}" stroke-width="{width}"'
-            f'{dash} points="{pts}"/>')
+            f'{dash} points="', '"/>'))
 
     def segments(self, x1s, y1s, x2s, y2s, stroke="#000000", width=1.0, dashed=False):
         """One line element per (x1, y1, x2, y2), mapped and formatted as
@@ -117,14 +114,10 @@ class Canvas:
         A non-finite page coordinate raises `_fmt`'s error for the first one
         in row order, x1, y1, x2, y2 within a row.
         """
-        sx1, sy1 = self._page(x1s, y1s)
-        sx2, sy2 = self._page(x2s, y2s)
-        _check_finite(sx1, sy1, sx2, sy2)
-        tail = f' stroke="{stroke}" stroke-width="{width}"'
+        tail = f'" stroke="{stroke}" stroke-width="{width}"'
         tail += ' stroke-dasharray="6,4"/>' if dashed else "/>"
-        self.elements.extend([
-            f'<line x1="{a}" y1="{b}" x2="{c}" y2="{d}"{tail}'
-            for a, b, c, d in zip(*map(_fmt_all, (sx1, sy1, sx2, sy2)), strict=True)])
+        self._rows(_fmt_all(self._page(x1s, y1s, x2s, y2s)),
+                   ('" y1="', '" x2="', '" y2="'), '<line x1="', tail)
 
     def circles(self, xs, ys, radius_px=2.5, stroke="#000000", fill="none"):
         """One circle element per point, mapped and formatted as whole arrays.
@@ -133,29 +126,21 @@ class Canvas:
         non-finite value raises `_fmt`'s error for the first one in point
         order, x, y and then the radius within a point.
         """
-        sx, sy = self._page(xs, ys)
-        if not sx.size:
+        page = self._page(xs, ys)
+        if not page.size:
             return
-        _check_finite(sx, sy, radius_px)
-        self.circles_at(_fmt_all(sx), _fmt_all(sy), radius_px, stroke, fill)
-
-    def circles_at(self, cx, cy, radius_px=2.5, stroke="#000000", fill="none"):
-        """`circles` at page coordinates given as text (`x_text`, `y_text`),
-        so that a figure can reuse the text of a column that another figure
-        with the same range has formatted."""
-        strokes = [stroke] * len(cx) if isinstance(stroke, str) else stroke
+        if not math.isfinite(radius_px):  # x and y of point 0 come first
+            _fmt_all(page[:2])
         r = _fmt(radius_px)
-        self.elements.extend([
-            f'<circle cx="{x}" cy="{y}" r="{r}" stroke="{s}" fill="{fill}"/>'
-            for x, y, s in zip(cx, cy, strokes, strict=True)])
-
-    def x_text(self, xs) -> list:
-        """`_fmt` of the page x coordinate of each data x."""
-        return _page_text(self._sx, xs)
-
-    def y_text(self, ys) -> list:
-        """`_fmt` of the page y coordinate of each data y."""
-        return _page_text(self._sy, ys)
+        text = _fmt_all(page)
+        if isinstance(stroke, str):
+            gaps, tail = ('" cy="',), f'" r="{r}" stroke="{stroke}" fill="{fill}"/>'
+        else:  # x, y and stroke of each point
+            fields = [None] * (len(text) // 2 * 3)
+            fields[0::3], fields[1::3], fields[2::3] = text[0::2], text[1::2], stroke
+            text = fields
+            gaps, tail = ('" cy="', f'" r="{r}" stroke="'), f'" fill="{fill}"/>'
+        self._rows(text, gaps, '<circle cx="', tail)
 
     def data_circle(self, x, y, radius, stroke="#000000", fill="none"):
         """Circle whose radius lives in data units (x scale)."""

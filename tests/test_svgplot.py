@@ -2,10 +2,34 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import camdrive.svgplot as svgplot
 from camdrive.svgplot import Canvas, _fmt, _fmt_all
 
 import oracles
+
+
+def _half_thousandths(j: int, step: int) -> float:
+    """The float nearest (j + 0.5) / 1000, moved `step` floats along."""
+    x = (2 * j + 1) / 2000
+    for _ in range(abs(step)):
+        x = float(np.nextafter(x, math.copysign(math.inf, step)))
+    return x
+
+
+# page-like numbers and the ones next to where `{:.3f}` rounds: decimal
+# half-thousandths and their neighbours, exact binary ties m + k/16 (k odd),
+# -0.0 and (-0.0005, 0], and values of 1000 or more
+FMT_VALUES = st.one_of(
+    st.floats(-2e6, 2e6),
+    st.builds(_half_thousandths, st.integers(-2_000_000, 2_000_000), st.integers(-2, 2)),
+    st.builds(lambda m, k: m + k / 16, st.integers(-2000, 2000), st.sampled_from(range(1, 16, 2))),
+    st.just(-0.0),
+    st.floats(-0.0005, 0.0, exclude_min=True),
+    st.floats(1000.0, 2e6),
+)
 
 
 class TestFmtAll:
@@ -27,6 +51,36 @@ class TestFmtAll:
 
     def test_constant_page_coordinate(self):
         assert _fmt_all(np.broadcast_to(np.float64(320.0), (4,))) == ["320.000"] * 4
+
+    @given(st.lists(FMT_VALUES, max_size=40))
+    @example([1.0005, 123.4565, 1.0035, 2.0625, -0.0, -0.0004999, 999.9995, 1000.0])
+    def test_matches_the_oracle(self, values):
+        assert _fmt_all(np.array(values, dtype=float)) == list(map(oracles.svg_number, values))
+
+    @given(st.lists(FMT_VALUES, max_size=20), st.lists(st.sampled_from(
+        [math.nan, math.inf, -math.inf]), min_size=1, max_size=3), st.randoms())
+    def test_non_finite_raises_the_first_error(self, values, bad, random):
+        for v in bad:
+            values.insert(random.randint(0, len(values)), v)
+        with pytest.raises(ValueError) as want:
+            list(map(oracles.svg_number, values))
+        with pytest.raises(ValueError) as got:
+            _fmt_all(np.array(values))
+        assert str(got.value) == str(want.value)
+
+    def test_page_coordinates_need_no_per_value_format(self, monkeypatch):
+        # only values next to a rounding tie reach `_fmt`: here the 3 exact ties
+        canvas = Canvas((0.0, 1.0), (0.0, 1.0))
+        values = canvas._sx(np.random.default_rng(15).uniform(0.0, 1.0, 997))
+        values = np.concatenate([values, [100.0625, 320.4375, 56.5625]])
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return _fmt(x)
+        monkeypatch.setattr(svgplot, "_fmt", counted)
+        assert _fmt_all(values) == list(map(oracles.svg_number, values.tolist()))
+        assert calls == [100.0625, 320.4375, 56.5625]
 
 
 def looped(canvas_args, xs, ys, radius_px, stroke, fill="none"):
@@ -93,15 +147,16 @@ class TestCircles:
         assert 'cx="0.000"' in elements[0]
 
     def test_text_columns_give_the_same_elements(self):
-        # `circles` is `circles_at` of the `x_text` and `y_text` columns
+        # two figures that share the x range print the same x column alike
         rng = np.random.default_rng(9)
         xs, ys = rng.uniform(0.0, 3.0, 80), rng.uniform(-5.0, 5.0, 80)
-        args = ((-0.2, 3.1), (-5.5, 5.5))
-        canvas = Canvas(*args)
-        canvas.circles_at(canvas.x_text(xs), canvas.y_text(ys), 2.2, stroke="#2255aa")
-        assert canvas.elements == batched(args, xs, ys, 2.2, "#2255aa")
+        args, other = ((-0.2, 3.1), (-5.5, 5.5)), ((-0.2, 3.1), (-9.0, 1.0))
+        elements = batched(args, xs, ys, 2.2, "#2255aa")
+        assert elements == looped(args, xs.tolist(), ys.tolist(), 2.2, "#2255aa")
+        cx = [e.split('"')[1] for e in elements]
+        assert cx == [e.split('"')[1] for e in batched(other, xs, ys, 2.2, "#2255aa")]
         with pytest.raises(ValueError, match="non-finite"):
-            canvas.y_text([0.0, math.nan])
+            Canvas(*args).circles([0.1, 0.2], [0.0, math.nan])
 
     def test_empty_input_adds_nothing(self):
         canvas = Canvas((0.0, 1.0), (0.0, 1.0))
