@@ -8,12 +8,12 @@ Each quantity has one formula here, written for numpy arrays: the profile
 ordinate v_c, the closure root, the pitch curvature and its turnover, the
 cam curvature radius, its minimum over the driving arc, the driving window
 and the geometry verdict `driving_arc`. The batched segment kernel in
-`mechanics` and the scalar functions below call the same formulas. Each
-formula is elementwise: a scalar gives what a batch of one gives (but for
-the last bit of `pitch_curvature`, whose array power can round one ulp away
-from the scalar power), and a singular input gives NaN or inf, not an
-error. The verdict's cause codes mark the failed pairs. Only the gates
-raise: `require_feasible`, which `sample_profile` applies, and
+`mechanics` and the scalar functions below call the same formulas. Each is
+elementwise, its steps correctly rounded (+, -, *, /, sqrt: `pitch_curvature`
+takes s*sqrt(s), not s**1.5) or numpy ufuncs, so a Python float, a 0-d array
+and a batch give the same bits (Goldberg, 1991); a singular input gives NaN
+or inf, not an error. The verdict's cause codes mark the failed pairs. Only
+the gates raise: `require_feasible`, which `sample_profile` applies, and
 `extended_angle`, with the constructors of the model objects.
 """
 from __future__ import annotations
@@ -251,7 +251,8 @@ def pitch_curvature(psi, p, eta):
     q = TAU * eta - 1.0
     w = psi - math.pi
     num = w * w + 2.0 * q * (math.pi * eta - 1.0)
-    den = (w * w + q * q) ** 1.5
+    s = w * w + q * q
+    den = s * np.sqrt(s)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.divide(np.divide(TAU, p) * num, den)
 

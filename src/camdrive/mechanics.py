@@ -10,8 +10,8 @@ peak pressure angle, the peak unit-width Hertz pressure and the smallest cam
 curvature radius. The angle and the radius peak where closed forms put
 them; the pressure is searched for only on the pairs whose peak can lie
 inside the arc. The scalar metrics call it on a batch of one. As in
-`geometry`, each formula is elementwise: a scalar gives what a batch of one
-gives, NaN and inf included, up to the last bit of the pitch curvature. Only the gates `design_segment` and
+`geometry`, each formula is elementwise: a scalar gives the bits of a batch
+of one, NaN and inf included. Only the gates `design_segment` and
 `hertz_segment` and the constructors of the model objects raise.
 """
 from __future__ import annotations

@@ -124,11 +124,9 @@ def sensitivity_report(spec: TransmissionSpec, load: LoadCase,
     """Full sensitivity study: pointwise series, peak values, rms, rankings.
 
     The kernel runs once and its arc and peak serve all three parts. One
-    evaluation of the partials on the `samples` grid followed by the rms
-    node grid gives the series and the rms; the peak values come from a
-    scalar evaluation at psi_P, because numpy's array power can round one
-    ulp away from the scalar one. Needs at least 64 samples and 1025 nodes;
-    an even node count takes one node more.
+    evaluation of the partials on the `samples` grid, the rms node grid and
+    psi_P gives the series, the rms and the peak values. Needs at least 64
+    samples and 1025 nodes; an even node count takes one node more.
     """
     seg = hertz_segment(spec, load, *materials)[1]
     arc = active_segment(spec, seg.delta)
@@ -139,11 +137,10 @@ def sensitivity_report(spec: TransmissionSpec, load: LoadCase,
     nodes = rms_nodes | 1  # Simpson needs an even interval count
     psis = arc.grid(samples)
     partials = _sensitivities(spec, load, materials,
-                              np.concatenate([psis, arc.grid(nodes)]))[1]
-    peak = _sensitivities(spec, load, materials, seg.psi_P)[1]
+                              np.concatenate([psis, arc.grid(nodes), [seg.psi_P]]))[1]
     h = arc.length / (nodes - 1)
-    at_max = {name: abs(float(peak[i])) for i, name in enumerate(PARAMS)}
-    rms = {name: math.sqrt(_simpson(partials[i, samples:] ** 2, h) / arc.length)
+    at_max = {name: abs(float(partials[i, -1])) for i, name in enumerate(PARAMS)}
+    rms = {name: math.sqrt(_simpson(partials[i, samples:-1] ** 2, h) / arc.length)
            for i, name in enumerate(PARAMS)}
     names = PARAMS + ("torque",) if include_torque else PARAMS
     nominal = {"r": spec.r, "eta": spec.eta, "p": spec.p, "L": spec.L,

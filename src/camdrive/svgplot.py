@@ -63,7 +63,7 @@ def _join_rows(text: list, gaps, sep: str, head: str, tail: str) -> str:
 
 @dataclass
 class Canvas:
-    """Data-space to page-space mapping plus an element buffer."""
+    """Data-space to page-space mapping plus a buffer of element text."""
 
     x_range: tuple[float, float]
     y_range: tuple[float, float]
@@ -93,9 +93,9 @@ class Canvas:
                                 for i, c in enumerate(page)]).ravel()
 
     def _rows(self, text: list, gaps, head: str, tail: str) -> None:
-        """One element per row of `text`; see `_join_rows`."""
+        """One block of elements, one line per row of `text`; see `_join_rows`."""
         if text:
-            self.elements += _join_rows(text, gaps, tail + "\n" + head, head, tail).split("\n")
+            self.elements.append(_join_rows(text, gaps, tail + "\n" + head, head, tail))
 
     def polyline(self, xs, ys, stroke="#000000", width=1.0, dashed=False):
         """One polyline through the points, mapped and formatted as whole

@@ -215,8 +215,8 @@ def cam_radius_series(psi, spec) -> np.ndarray:
     """Cam curvature radius rho_c = 1/kappa_p - r at each psi, closed form."""
     q = TAU * spec.eta - 1.0
     w = np.asarray(psi, dtype=float) - math.pi
-    kp = (TAU / spec.p) * (w * w + 2.0 * q * (math.pi * spec.eta - 1.0)) \
-        / (w * w + q * q) ** 1.5
+    s = w * w + q * q
+    kp = (TAU / spec.p) * (w * w + 2.0 * q * (math.pi * spec.eta - 1.0)) / (s * np.sqrt(s))
     with np.errstate(divide="ignore"):
         return (1.0 - spec.r * kp) / kp
 

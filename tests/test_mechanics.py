@@ -14,11 +14,13 @@ from camdrive.errors import (
     InfeasibleCamCount,
     InfeasibleProfile,
     InvalidSpec,
+    ModelError,
 )
 from camdrive.geometry import (
     ROOT_NEWTON_STEPS,
     ROOT_SCAN_NODES,
     TAU,
+    closure_angles,
     curvature_turnover,
     driving_arc,
     driving_window,
@@ -31,6 +33,7 @@ from camdrive.mechanics import (
     _normal_force,
     compliance_sum,
     contact_state,
+    design_segment,
     material,
     pressure_sensitivities,
     segment_metrics,
@@ -617,36 +620,84 @@ def test_property_pressure_angle_series_matches_scalar(eta, p):
         assert mu == pytest.approx(cd.pressure_angle(float(psi), eta), rel=1e-14)
 
 
-# Singular inputs of each formula: a singular eta, a blocking roller, a
-# mid-stroke pressure angle, a diverging force, a degenerate radius, a
-# negative load or radius, a zero load or band, and the pressure partials
-# where the curvature's numerator and w^2 + q^2 both vanish. The formulas are
-# elementwise, so a scalar call gives the bits of a batch of one, NaN and inf
-# included, and neither raises nor warns; only the gates raise.
-SINGULAR_CALLS = {
-    "profile_coefficients": (cd.profile_coefficients, (1.0, 50.0, 1.0 / TAU)),
-    "pitch_curvature": (cd.pitch_curvature, (math.pi, 50.0, 1.0 / TAU)),
-    "cam_curvature": (cd.cam_curvature, (0.25, 4.0)),
-    "pressure_angle": (cd.pressure_angle, (math.pi, 0.18)),
-    "normal_force": (_normal_force, (math.pi / 2.0, 1200.0, 50.0)),
-    "equivalent_radius": (cd.equivalent_radius, (4.0, -4.0)),
-    "band_width_negative_load": (cd.hertz_band_width, (-1.0, K_STEEL, K_STEEL, 3.0, 10.0)),
-    "band_width_negative_radius": (cd.hertz_band_width, (1.0, K_STEEL, K_STEEL, -3.0, 10.0)),
-    "pressure_zero_load": (cd.hertz_pressure, (0.0, 10.0, 0.0)),
-    "pressure_zero_band": (cd.hertz_pressure, (377.0, 10.0, 0.0)),
-    "pressure_sensitivities": (pressure_sensitivities,
-                               (math.pi, 50.0, 1.0 / TAU, 4.0, 1200.0, 2.0 * K_STEEL, 10.0)),
+def _design_segment(eta, r, p, m, torque, K_sum):
+    """`segment_metrics`' scalar entry point, `design_segment`; None where
+    the spec or its geometry gate rejects the pair."""
+    try:
+        spec = cd.TransmissionSpec(p=p, eta=eta, r=r, m=m)
+        return design_segment(spec, torque, K_sum)[1]
+    except ModelError:
+        return None
+
+
+_PSI, _P, _TORQUE, _L = (st.floats(0.0, TAU), st.floats(5.0, 100.0),
+                         st.floats(1.0, 1e4), st.floats(1.0, 50.0))
+_ETA, _R, _M = st.floats(0.1, 2.0), st.floats(0.5, 30.0), st.sampled_from([2, 3, 5])
+_K_SUM = st.floats(1e-6, 1e-5)
+_CONTACT_ROW = st.tuples(_PSI, _P, _ETA, _R, _TORQUE, _K_SUM, _L)
+_SINGULAR_CONTACT = (math.pi, 50.0, 1.0 / TAU, 4.0, 1200.0, 2.0 * K_STEEL, 10.0)
+
+
+def _call(fn, singular, rows=None, shared=st.just(()), scalar=None):
+    """An entry of SCALAR_BATCH_CALLS: the function, its scalar entry point,
+    a singular row of per-pair arguments, a strategy of regular rows (None:
+    the singular row alone) and a strategy of the arguments that every pair
+    shares, passed after the per-pair ones."""
+    return fn, scalar or fn, singular, rows, shared
+
+
+# The singular rows: a singular eta, a blocking roller, a mid-stroke pressure
+# angle, a diverging force, a degenerate radius, a negative load or radius, a
+# zero load or band, and the contact state and pressure partials where the
+# curvature's numerator and w^2 + q^2 both vanish.
+SCALAR_BATCH_CALLS = {
+    "profile_coefficients": _call(cd.profile_coefficients, (1.0, 50.0, 1.0 / TAU)),
+    "pitch_curvature": _call(cd.pitch_curvature, (math.pi, 50.0, 1.0 / TAU),
+                             st.tuples(_PSI, _P, _ETA)),
+    "cam_curvature": _call(cd.cam_curvature, (0.25, 4.0)),
+    "pressure_angle": _call(cd.pressure_angle, (math.pi, 0.18)),
+    "normal_force": _call(_normal_force, (math.pi / 2.0, 1200.0, 50.0)),
+    "equivalent_radius": _call(cd.equivalent_radius, (4.0, -4.0)),
+    "band_width_negative_load": _call(cd.hertz_band_width, (-1.0, K_STEEL, K_STEEL, 3.0, 10.0)),
+    "band_width_negative_radius": _call(cd.hertz_band_width,
+                                        (1.0, K_STEEL, K_STEEL, -3.0, 10.0)),
+    "pressure_zero_load": _call(cd.hertz_pressure, (0.0, 10.0, 0.0)),
+    "pressure_zero_band": _call(cd.hertz_pressure, (377.0, 10.0, 0.0)),
+    "contact_state": _call(contact_state, _SINGULAR_CONTACT, _CONTACT_ROW),
+    "pressure_sensitivities": _call(pressure_sensitivities, _SINGULAR_CONTACT, _CONTACT_ROW),
+    "closure_angles": _call(lambda eta, r, p: closure_angles(p, eta, r),
+                            (1.0 / TAU, 4.0), st.tuples(_ETA, _R), st.tuples(_P)),
+    "driving_arc": _call(lambda eta, r, p, m: driving_arc(p, eta, r, m),
+                         (1.0 / TAU, 4.0), st.tuples(_ETA, _R), st.tuples(_P, _M)),
+    "segment_metrics": _call(lambda eta, r, p, *rest: segment_metrics(p, eta, r, *rest),
+                             (1.0 / TAU, 4.0), st.tuples(_ETA, _R),
+                             st.tuples(_P, _M, _TORQUE, _K_SUM), scalar=_design_segment),
 }
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("name", sorted(SINGULAR_CALLS))
-def test_singular_scalar_equals_batch_of_one(name):
-    fn, args = SINGULAR_CALLS[name]
+@pytest.mark.parametrize("name", sorted(SCALAR_BATCH_CALLS))
+@given(data=st.data())
+def test_singular_scalar_equals_batch_of_one(name, data):
+    # The formulas are elementwise and each step is correctly rounded, so a
+    # pair's bits do not depend on its batch: a batch, each batch of one and
+    # the scalar call agree, NaN and inf included, and neither raises nor
+    # warns (the suite turns warnings into errors); only the gates raise.
+    fn, scalar_fn, singular, rows, shared = SCALAR_BATCH_CALLS[name]
+    batch = [singular]
+    if rows is not None:
+        batch += data.draw(st.lists(rows, min_size=1, max_size=6))
+    shared = data.draw(shared)
+    columns = [np.array(c) for c in zip(*batch)]
 
-    def flat(result):
-        parts = result if isinstance(result, tuple) else (result,)
-        return np.concatenate([np.ravel(np.asarray(v, dtype=float)) for v in parts])
+    def flat(result, k=None):  # pair k of a batch, or the whole result
+        parts = [np.asarray(v, dtype=float)
+                 for v in (result if isinstance(result, tuple) else (result,))]
+        return np.concatenate([np.ravel(v if k is None else v[..., k]) for v in parts])
 
-    scalar = flat(fn(*args))
-    assert np.array_equal(scalar, flat(fn(*(np.array([a]) for a in args))), equal_nan=True)
+    whole = fn(*columns, *shared)
+    for k, row in enumerate(batch):
+        one = flat(fn(*(c[k:k + 1] for c in columns), *shared))
+        assert np.array_equal(flat(whole, k), one, equal_nan=True), row
+        scalar = scalar_fn(*row, *shared)
+        if scalar is not None:
+            assert np.array_equal(flat(scalar), one, equal_nan=True), row

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import camdrive as cd
 from camdrive import optimize
+from camdrive.cli import main
 from camdrive.errors import InfeasibleCamCount, InvalidSpec
 from camdrive.optimize import (
     GridData,
@@ -68,20 +70,33 @@ class TestEvaluateCandidate:
         assert c.feasible and c.violations == ()
         assert c.mu_max <= space.mu_cap and c.P_max <= space.P_cap
 
-    def test_matches_sweep_arrays(self):
-        # scalar path and grid share the kernel; the scan oracle shares nothing
+    def test_matches_sweep_arrays(self, tmp_path):
+        # scalar path, grid, `max_hertz_pressure` and the `metrics` command
+        # share the kernel and give its bits; the scan oracle shares nothing
         space = small_space()
         result = cd.sweep(space)
         g = result.grids[3]
         idx = np.flatnonzero(g.feasible)[:: max(1, len(g.feasible) // 17)]
+        materials = (space.cam_material, space.roller_material)
         for i in idx:
             c = cd.evaluate_candidate((g.d_cs[i], g.r[i], g.L[i], 3), space)
             assert c.feasible
             assert c.objectives == (g.mu_max[i], g.P_max[i], g.S_M[i])
             spec = cd.TransmissionSpec(p=space.pitch, r=c.r, m=3, L=c.L,
                                        eta=eta_from_design(c.d_cs, c.r, space.pitch))
-            ref = oracles.segment_scan(
-                spec, space.load, space.cam_material, space.roller_material)
+            assert cd.max_hertz_pressure(spec, space.load, *materials)[0] == g.P_max[i]
+            config = tmp_path / f"{i}.json"
+            config.write_text(json.dumps({
+                "mechanism": {"pitch_mm": spec.p, "eta": spec.eta, "roller_radius_mm": spec.r,
+                              "contact_width_mm": spec.L, "cam_count": 3},
+                "load": {"torque_nmm": space.load.torque},
+                "materials": {"cam": materials[0].name, "roller": materials[1].name}}))
+            assert main(["metrics", "--config", str(config), "--out", str(tmp_path / str(i)),
+                         "--format", "json"]) == 0
+            metrics = json.loads((tmp_path / str(i) / "metrics.json").read_text())
+            assert metrics["mu_max_deg"] == math.degrees(g.mu_max[i])
+            assert metrics["p_max_mpa"] == g.P_max[i]
+            ref = oracles.segment_scan(spec, space.load, *materials)
             assert c.mu_max == pytest.approx(ref.mu_max, rel=1e-9)
             assert c.P_max == pytest.approx(ref.P_max, rel=1e-9)
 
@@ -908,7 +923,7 @@ class TestHypervolumeBits:
     def test_res_512_default_space(self):
         space = cd.DesignSpace(resolution=512)
         F = cd.sweep(space).front_table[:, :3]
-        assert cd.hypervolume(F, (space.mu_cap, space.P_cap, space.S_cap)) == 4592.033309682481
+        assert cd.hypervolume(F, (space.mu_cap, space.P_cap, space.S_cap)) == 4592.033309682467
 
 
 class TestHypervolumeAgainstSlicing:

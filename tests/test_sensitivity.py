@@ -225,9 +225,9 @@ class TestReport:
 
     def test_one_kernel_call_and_one_grid_evaluation(self, nominal, load, steel_pair,
                                                      monkeypatch):
-        # the series and the rms come from one evaluation on the sample grid
-        # followed by the odd node grid, the peak values from one scalar
-        # evaluation at psi_P; each equals a separate evaluation bit for bit
+        # the series, the rms and the peak values come from one evaluation on
+        # the sample grid, the odd node grid and psi_P; each part equals a
+        # separate evaluation bit for bit
         kernel, partials_of = mechanics.segment_metrics, sensitivity.pressure_sensitivities
         kernel_calls, psis = [], []
 
@@ -244,15 +244,15 @@ class TestReport:
         rep = cd.sensitivity_report(nominal, load, steel_pair, samples=100,
                                     rms_nodes=1026, include_torque=True)
         assert len(kernel_calls) == 1
-        assert [np.shape(psi) for psi in psis] == [(100 + 1027,), ()]
+        assert [np.shape(psi) for psi in psis] == [(100 + 1027 + 1,)]
         _, psi_P = cd.max_hertz_pressure(nominal, load, *steel_pair)
-        assert psis[1] == psi_P
+        assert psis[0][-1] == psi_P
         args = (nominal.p, nominal.eta, nominal.r, load.torque,
                 compliance_sum(*steel_pair), nominal.L)
         series = partials_of(rep.segment.grid(100), *args)[1]
-        peak = partials_of(psi_P, *args)[1]
+        peak = partials_of(np.array([psi_P]), *args)[1][:, 0]
+        assert np.array_equal(partials_of(psis[0], *args)[1][:, -1], peak)
         nodes = partials_of(rep.segment.grid(1027), *args)[1]
-        assert list(rep.pointwise) == list(PARAMS) + ["torque"]
         h = rep.segment.length / 1026
         for i, name in enumerate(PARAMS + ("torque",)):
             assert np.array_equal(rep.pointwise[name], series[i])

@@ -84,17 +84,18 @@ class TestFmtAll:
 
 
 def looped(canvas_args, xs, ys, radius_px, stroke, fill="none"):
-    """Elements of `oracles.svg_circle`, one point at a time."""
+    """Elements of `oracles.svg_circle`, one point at a time, one per line."""
     canvas = Canvas(*canvas_args)
     strokes = [stroke] * len(xs) if isinstance(stroke, str) else stroke
-    return [oracles.svg_circle(canvas, x, y, radius_px, s, fill)
-            for x, y, s in zip(xs, ys, strokes)]
+    return "\n".join(oracles.svg_circle(canvas, x, y, radius_px, s, fill)
+                     for x, y, s in zip(xs, ys, strokes))
 
 
 def batched(canvas_args, xs, ys, radius_px, stroke, fill="none"):
+    """The text of `Canvas.circles`' elements, as `Canvas.render` joins it."""
     canvas = Canvas(*canvas_args)
     canvas.circles(np.asarray(xs), np.asarray(ys), radius_px, stroke=stroke, fill=fill)
-    return canvas.elements
+    return "\n".join(canvas.elements)
 
 
 class TestCircles:
@@ -105,16 +106,16 @@ class TestCircles:
         xs = rng.uniform(-3.0, 40.0, 500).tolist()
         ys = rng.uniform(300.0, 900.0, 500).tolist()
         args = ((-3.5, 41.0), (280.0, 910.0))
-        elements = batched(args, xs, ys, 2.2, "#aa3322")
-        assert len(elements) == 500
-        assert elements == looped(args, xs, ys, 2.2, "#aa3322")
+        text = batched(args, xs, ys, 2.2, "#aa3322")
+        assert len(text.split("\n")) == 500
+        assert text == looped(args, xs, ys, 2.2, "#aa3322")
 
     def test_fill(self):
         xs, ys = [0.1, 0.5, 0.9], [0.2, 0.4, 0.8]
         args = ((0.0, 1.0), (0.0, 1.0))
-        elements = batched(args, xs, ys, 2.4, "#000000", fill="#000000")
-        assert elements == looped(args, xs, ys, 2.4, "#000000", fill="#000000")
-        assert all(e.endswith(' fill="#000000"/>') for e in elements)
+        text = batched(args, xs, ys, 2.4, "#000000", fill="#000000")
+        assert text == looped(args, xs, ys, 2.4, "#000000", fill="#000000")
+        assert all(e.endswith(' fill="#000000"/>') for e in text.split("\n"))
 
     def test_per_point_strokes(self):
         rng = np.random.default_rng(8)
@@ -132,9 +133,9 @@ class TestCircles:
     def test_degenerate_ranges(self):
         xs, ys = [1.0, 2.0, 3.0], [5.0, 6.0, 7.0]
         args = ((2.0, 2.0), (6.0, 6.0))
-        elements = batched(args, xs, ys, 2.5, "#000000")
-        assert elements == looped(args, xs, ys, 2.5, "#000000")
-        assert all('cx="320.000" cy="240.000"' in e for e in elements)
+        text = batched(args, xs, ys, 2.5, "#000000")
+        assert text == looped(args, xs, ys, 2.5, "#000000")
+        assert all('cx="320.000" cy="240.000"' in e for e in text.split("\n"))
 
     def test_negative_zero_prints_zero(self):
         canvas = Canvas((0.0, 1.0), (0.0, 1.0))
@@ -142,19 +143,20 @@ class TestCircles:
         x = (-0.0004 - canvas.margin) / span
         assert f"{canvas._sx(x):.3f}" == "-0.000"
         args = ((0.0, 1.0), (0.0, 1.0))
-        elements = batched(args, [x], [0.5], 2.2, "#000000")
-        assert elements == looped(args, [x], [0.5], 2.2, "#000000")
-        assert 'cx="0.000"' in elements[0]
+        text = batched(args, [x], [0.5], 2.2, "#000000")
+        assert text == looped(args, [x], [0.5], 2.2, "#000000")
+        assert 'cx="0.000"' in text
 
     def test_text_columns_give_the_same_elements(self):
         # two figures that share the x range print the same x column alike
         rng = np.random.default_rng(9)
         xs, ys = rng.uniform(0.0, 3.0, 80), rng.uniform(-5.0, 5.0, 80)
         args, other = ((-0.2, 3.1), (-5.5, 5.5)), ((-0.2, 3.1), (-9.0, 1.0))
-        elements = batched(args, xs, ys, 2.2, "#2255aa")
-        assert elements == looped(args, xs.tolist(), ys.tolist(), 2.2, "#2255aa")
-        cx = [e.split('"')[1] for e in elements]
-        assert cx == [e.split('"')[1] for e in batched(other, xs, ys, 2.2, "#2255aa")]
+        text = batched(args, xs, ys, 2.2, "#2255aa")
+        assert text == looped(args, xs.tolist(), ys.tolist(), 2.2, "#2255aa")
+        cx = [e.split('"')[1] for e in text.split("\n")]
+        assert cx == [e.split('"')[1]
+                      for e in batched(other, xs, ys, 2.2, "#2255aa").split("\n")]
         with pytest.raises(ValueError, match="non-finite"):
             Canvas(*args).circles([0.1, 0.2], [0.0, math.nan])
 
@@ -185,16 +187,17 @@ class TestCircles:
 
 
 def looped_segments(canvas_args, x1s, y1s, x2s, y2s, **style):
-    """Elements of `oracles.svg_line`, one segment at a time."""
+    """Elements of `oracles.svg_line`, one segment at a time, one per line."""
     canvas = Canvas(*canvas_args)
-    return [oracles.svg_line(canvas, x1, y1, x2, y2, **style)
-            for x1, y1, x2, y2 in zip(x1s, y1s, x2s, y2s)]
+    return "\n".join(oracles.svg_line(canvas, x1, y1, x2, y2, **style)
+                     for x1, y1, x2, y2 in zip(x1s, y1s, x2s, y2s))
 
 
 def batched_segments(canvas_args, x1s, y1s, x2s, y2s, **style):
+    """The text of `Canvas.segments`' elements, as `Canvas.render` joins it."""
     canvas = Canvas(*canvas_args)
     canvas.segments(*(np.asarray(v, dtype=float) for v in (x1s, y1s, x2s, y2s)), **style)
-    return canvas.elements
+    return "\n".join(canvas.elements)
 
 
 class TestSegments:
@@ -207,17 +210,17 @@ class TestSegments:
                 for lo, hi in ((0.0, 8.0), (1.0, 5.0), (0.0, 8.0), (1.0, 5.0))]
         args = ((-0.4, 8.4), (0.8, 5.2))
         style = {"stroke": "#228833", "width": 1.0, "dashed": dashed}
-        elements = batched_segments(args, *ends, **style)
-        assert len(elements) == 600
-        assert elements == looped_segments(args, *ends, **style)
+        text = batched_segments(args, *ends, **style)
+        assert len(text.split("\n")) == 600
+        assert text == looped_segments(args, *ends, **style)
 
     def test_degenerate_ranges(self):
         ends = ([1.0, 2.0], [5.0, 6.0], [3.0, 4.0], [7.0, 8.0])
         args = ((2.0, 2.0), (6.0, 6.0))
-        elements = batched_segments(args, *ends, stroke="#aa3322", dashed=True)
-        assert elements == looped_segments(args, *ends, stroke="#aa3322", dashed=True)
+        text = batched_segments(args, *ends, stroke="#aa3322", dashed=True)
+        assert text == looped_segments(args, *ends, stroke="#aa3322", dashed=True)
         assert all('x1="320.000" y1="240.000" x2="320.000" y2="240.000"' in e
-                   for e in elements)
+                   for e in text.split("\n"))
 
     def test_negative_zero_prints_zero(self):
         canvas = Canvas((0.0, 1.0), (0.0, 1.0))
@@ -225,9 +228,9 @@ class TestSegments:
         assert f"{canvas._sx(x):.3f}" == "-0.000"
         args = ((0.0, 1.0), (0.0, 1.0))
         ends = ([0.5], [0.5], [x], [0.25])
-        elements = batched_segments(args, *ends)
-        assert elements == looped_segments(args, *ends)
-        assert 'x2="0.000"' in elements[0]
+        text = batched_segments(args, *ends)
+        assert text == looped_segments(args, *ends)
+        assert 'x2="0.000"' in text
 
     def test_empty_input_adds_nothing(self):
         canvas = Canvas((0.0, 1.0), (0.0, 1.0))
