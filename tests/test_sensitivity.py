@@ -253,6 +253,7 @@ class TestReport:
         peak = partials_of(np.array([psi_P]), *args)[1][:, 0]
         assert np.array_equal(partials_of(psis[0], *args)[1][:, -1], peak)
         nodes = partials_of(rep.segment.grid(1027), *args)[1]
+        assert list(rep.pointwise) == list(PARAMS) + ["torque"]
         h = rep.segment.length / 1026
         for i, name in enumerate(PARAMS + ("torque",)):
             assert np.array_equal(rep.pointwise[name], series[i])
