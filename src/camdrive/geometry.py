@@ -75,6 +75,15 @@ def count_text(m) -> str:
     return text if len(text) <= 32 else text[:29] + "..."
 
 
+def require_whole_count(m, where: str) -> None:
+    """Raise InvalidSpec unless the cam count m is a whole number of at most
+    MAX_CAM_COUNT in magnitude: the one whole-count rule of the model. The
+    bound comes first: float() overflows on a huge integer."""
+    if not (abs(m) <= MAX_CAM_COUNT and float(m).is_integer()):
+        raise InvalidSpec(f"cam count {count_text(m)} in {where} is not a whole number "
+                          f"of at most {MAX_CAM_COUNT} in magnitude")
+
+
 def require_positive(what: str, value) -> None:
     """Raise InvalidSpec unless value is positive and finite; NaN fails."""
     if not 0.0 < value < math.inf:
@@ -112,9 +121,9 @@ class TransmissionSpec:
             require_length(what, value)
         if not self.eta <= ETA_MAX:
             raise InvalidSpec(f"eta must be at most {ETA_MAX:g}, got {self.eta}")
-        if not 1 <= self.m <= MAX_CAM_COUNT or int(self.m) != self.m:
-            raise InvalidSpec(f"cam count must be a whole number in [1, {MAX_CAM_COUNT}], "
-                              f"got {count_text(self.m)}")
+        require_whole_count(self.m, "a transmission spec")
+        if self.m < 1:
+            raise InvalidSpec(f"a transmission spec needs at least one cam, got m={self.m}")
         if self.e <= self.r:
             raise InvalidSpec(
                 f"eccentricity e={self.e:.6g} must exceed roller radius r={self.r:.6g} "

@@ -27,13 +27,11 @@ import numpy as np
 
 from .errors import ConfigError, ForceSingular, InfeasibleCamCount, InvalidSpec
 from .geometry import (
-    MAX_CAM_COUNT,
     ROOT_SCAN_NODES,
     TAU,
     FeasibilityReport,
     TransmissionSpec,
     cam_curvature_radius,
-    count_text,
     driving_arc,
     driving_window,
     last_root,
@@ -41,6 +39,7 @@ from .geometry import (
     require_feasible,
     require_length,
     require_positive,
+    require_whole_count,
 )
 
 # fatigue design rule: allowable running pressure is 40% of the static one
@@ -58,15 +57,14 @@ MAX_TORQUE = 1e12
 FORCE_COS_MIN = 1e-9
 
 
-def require_cam_count(m) -> None:
-    """Raise InfeasibleCamCount for m < 2: one cam cannot drive a whole turn;
-    and InvalidSpec above MAX_CAM_COUNT (or NaN), before any arithmetic on m
-    can overflow."""
+def require_cam_count(m, where: str) -> None:
+    """Raise InvalidSpec unless m passes `require_whole_count`, checked before
+    any arithmetic on m can overflow, and InfeasibleCamCount for m < 2: one
+    cam cannot drive a whole turn."""
+    require_whole_count(m, where)
     if m < 2:
         raise InfeasibleCamCount(
-            f"a single cam cannot drive the follower positively (m={count_text(m)})")
-    if not m <= MAX_CAM_COUNT:
-        raise InvalidSpec(f"cam count must be at most {MAX_CAM_COUNT}, got {count_text(m)}")
+            f"a single cam cannot drive the follower positively (m={m} in {where})")
 
 
 @dataclass(frozen=True)
@@ -236,7 +234,7 @@ def active_segment(spec: TransmissionSpec, delta: float) -> ActiveSegment:
     Both the pressure angle and the Hertz pressure peak at its left end; for
     m = 2 that end is pi - delta.
     """
-    require_cam_count(spec.m)
+    require_cam_count(spec.m, "an active segment")
     a, b = driving_window(delta, spec.m)
     return ActiveSegment(a, b)
 
@@ -347,7 +345,8 @@ def pressure_sensitivities(psi, p, eta, r, torque, K_sum, L):
 
 
 class SegmentMetrics(NamedTuple):
-    """Per-pair results of `segment_metrics`: arrays, or floats for one design.
+    """Per-pair results of `segment_metrics`, arrays with one entry per pair;
+    `design_segment` unpacks a batch of one to floats.
 
     delta      closure angle, rad; NaN where eta <= 1/(2*pi) or the profile
                does not close (`driving_arc`)
@@ -440,11 +439,12 @@ def segment_metrics(p, eta, r, m, torque, K_sum, delta=None) -> SegmentMetrics:
       the pressures at the start and at the angle found is the peak.
 
     Each step is elementwise per pair, so a pair's results do not depend on
-    how the pairs are batched.
+    how the pairs are batched; a 0-d eta and r are a batch of one, as in
+    `closure_angles`. Raises as `require_cam_count` does.
     """
-    require_cam_count(m)
-    eta = np.asarray(eta, dtype=float)
-    r = np.asarray(r, dtype=float)
+    require_cam_count(m, "the segment metrics")
+    eta = np.atleast_1d(np.asarray(eta, dtype=float))
+    r = np.atleast_1d(np.asarray(r, dtype=float))
     delta, psi_rho, rho_c_min, cause = driving_arc(p, eta, r, m, delta)
     ok = cause == 0
     start = driving_window(delta, m)[0]
@@ -510,6 +510,6 @@ def max_hertz_pressure(spec: TransmissionSpec, load: LoadCase,
 
 def mechanism_size(m: int, L: float) -> float:
     """Axial size of the mechanism: m cams of width L, mm."""
-    require_cam_count(m)
+    require_cam_count(m, "a mechanism size")
     require_length("contact width", L)
     return m * L

@@ -19,8 +19,11 @@ width axes, with no loop over rows (see `sweep`), under the space's angle
 cap. The contour slices and a single candidate (a batch of one) pass an
 infinite cap and evaluate every solvable pair, as does `SweepResult.grids`,
 the full (d_cs, r, L) grid and the sweep's oracle, built only when read.
-Iso-lines of the contour slices come from a table-driven marching squares,
-and a front's hypervolume from a one-pass dimension sweep.
+A slice's locus, a two-objective front at one size, takes the same prefix
+minima as the sweep's pair fronts (`nondominated_mask`); only
+`pareto_front` filters rows in three. Iso-lines of the contour slices come
+from a table-driven marching squares, and a front's hypervolume from a
+one-pass dimension sweep.
 """
 from __future__ import annotations
 
@@ -32,18 +35,17 @@ from itertools import compress
 
 import numpy as np
 
-from .errors import InfeasibleCamCount, InvalidSpec
+from .errors import InvalidSpec
 from .geometry import (
-    MAX_CAM_COUNT,
     MAX_LENGTH,
     TAU,
     closure_angles,
-    count_text,
     driving_window,
     eta_valid,
     fully_convex,
     require_length,
     require_positive,
+    require_whole_count,
 )
 from .mechanics import (
     LoadCase,
@@ -51,6 +53,7 @@ from .mechanics import (
     compliance_sum,
     find_material,
     pressure_angle,
+    require_cam_count,
     segment_metrics,
 )
 
@@ -117,9 +120,7 @@ class DesignSpace:
             raise InvalidSpec("design space needs one or more distinct cam counts, "
                               f"got {list(self.m_values)}")
         for m in self.m_values:
-            _require_whole(m, "the design space")
-            if m < 2:
-                raise InfeasibleCamCount(f"cam count {m} in the design space")
+            require_cam_count(m, "the design space")
             lo, hi = self.L_bounds(m)
             if not lo <= hi:
                 raise InvalidSpec(f"design space has an empty L range [{lo}, {hi}] for m={m}")
@@ -136,15 +137,6 @@ class DesignSpace:
     def L_axis(self, m: int) -> np.ndarray:
         lo, hi = self.L_bounds(m)
         return np.linspace(lo, hi, self.resolution)
-
-
-def _require_whole(m, where: str) -> None:
-    """Raise InvalidSpec unless the cam count m is a whole number of at most
-    MAX_CAM_COUNT in magnitude. The bound comes first: float() overflows on
-    a huge integer."""
-    if not (abs(m) <= MAX_CAM_COUNT and float(m).is_integer()):
-        raise InvalidSpec(f"cam count {count_text(m)} in {where} is not a whole number "
-                          f"of at most {MAX_CAM_COUNT} in magnitude")
 
 
 def _sizes(space: DesignSpace, m: int, L: np.ndarray) -> np.ndarray:
@@ -216,7 +208,7 @@ def evaluate_candidate(x, space: DesignSpace) -> DesignCandidate:
     cam count below two fails geometry; a fractional count, one above
     MAX_CAM_COUNT or a width that is not a length raises InvalidSpec.
     """
-    _require_whole(x[3], "a design vector")
+    require_whole_count(x[3], "a design vector")
     d_cs, r, L, m = float(x[0]), float(x[1]), float(x[2]), int(x[3])
     require_length("contact width", L)
     D, R = np.array([d_cs]), np.array([r])
@@ -224,26 +216,6 @@ def evaluate_candidate(x, space: DesignSpace) -> DesignCandidate:
                else (np.array([False]), np.array([np.nan]), np.array([np.nan])))
     g = _evaluate_grid(space, m, D, R, *metrics, np.array([L]), _sizes(space, m, np.array([L])))
     return _candidates(space, g.table(), g.violations)[0]
-
-
-def _staircase_step(xs: list, ys: list, x: float, y: float):
-    """Where (x, y) enters a 2-D minimisation staircase, or None if it is covered.
-
-    The staircase lists its points with xs strictly ascending and ys strictly
-    descending. None means a point on it is <= (x, y) in both coordinates.
-    Otherwise (x, y) belongs at index j and replaces xs[j:k], ys[j:k], the
-    points it weakly dominates; the caller does the replacing. Only the 3-D
-    filter uses it: `hypervolume` walks its own staircase, because it adds
-    each replaced point's strip as it goes.
-    """
-    i = bisect.bisect_right(xs, x)
-    if i and ys[i - 1] <= y:
-        return None
-    j = bisect.bisect_left(xs, x)
-    k = j
-    while k < len(xs) and ys[k] >= y:
-        k += 1
-    return j, k
 
 
 def _front_mask_2d(F: np.ndarray) -> np.ndarray:
@@ -270,11 +242,16 @@ def nondominated_mask(objectives) -> np.ndarray:
     Accepts an (N, 2) or (N, 3) array. Equal rows are all retained. Both
     paths go through the rows in lexicographic order (Kung, Luccio &
     Preparata 1975), where a row can be dominated only by a row before it.
-    Two objectives take prefix minima (`_front_mask_2d`); three take one
-    pass over the distinct rows, keeping a row exactly when no earlier kept
-    row is <= in (f1, f2), which a staircase of the kept rows answers.
-    O(N log N); the brute-force O(N^2) filter is kept in the test suite as
-    their oracle.
+    Two objectives take prefix minima (`_front_mask_2d`): the sweep's pair
+    fronts and the contour locus. Three take one pass over the distinct
+    rows, keeping a row exactly when no earlier kept row is <= in (f1, f2),
+    which a staircase of the kept rows answers: xs strictly ascending, ys
+    strictly descending, and a kept row replaces the points it weakly
+    dominates. Of the library only `pareto_front` takes that path. It stays
+    here, not among the test oracles, because acceptance criterion 7 checks
+    this filter on three objectives; moving it would change what that
+    criterion checks. O(N log N); the brute-force O(N^2) filter is kept in
+    the test suite as their oracle.
     """
     F = np.asarray(objectives, dtype=float)
     if F.ndim != 2 or F.shape[1] not in (2, 3):
@@ -290,12 +267,15 @@ def nondominated_mask(objectives) -> np.ndarray:
     xs: list[float] = []  # staircase of the kept rows in (f1, f2)
     ys: list[float] = []
     for g, (x, y) in enumerate(uniq[:, 1:].tolist()):
-        step = _staircase_step(xs, ys, x, y)
-        if step is None:
+        i = bisect.bisect_right(xs, x)
+        if i and ys[i - 1] <= y:  # a kept row is <= in (f1, f2)
             keep[g] = False
-        else:
-            xs[step[0]:step[1]] = [x]
-            ys[step[0]:step[1]] = [y]
+            continue
+        j = k = bisect.bisect_left(xs, x)
+        while k < len(xs) and ys[k] >= y:
+            k += 1
+        xs[j:k] = [x]
+        ys[j:k] = [y]
     return keep[np.asarray(inv).reshape(-1)]
 
 
@@ -304,21 +284,14 @@ def _lex_order(table: np.ndarray) -> np.ndarray:
     return np.lexsort(table.T[::-1])
 
 
-def _front(table: np.ndarray) -> np.ndarray:
-    """Indices of the nondominated rows of a (mu, P, S, m, d_cs, r, L) table.
-
-    The objectives are the first three columns, and the rows come in
-    `_lex_order`, so identical inputs always serialise identically.
-    """
-    idx = np.flatnonzero(nondominated_mask(table[:, :3]))
-    return idx[_lex_order(table[idx])]
-
-
 def pareto_front(candidates) -> list[DesignCandidate]:
-    """Maximal set of feasible, mutually nondominated candidates, in `_front` order."""
+    """Maximal set of feasible, mutually nondominated candidates, in the
+    `_lex_order` of their (mu, P, S, m, d_cs, r, L) rows."""
     feas = [c for c in candidates if c.feasible]
-    table = np.array([(c.mu_max, c.P_max, c.S_M, c.m, c.d_cs, c.r, c.L) for c in feas])
-    return [feas[i] for i in _front(table.reshape(-1, 7))]  # (0, 7) if none is feasible
+    table = np.array([(c.mu_max, c.P_max, c.S_M, c.m, c.d_cs, c.r, c.L)
+                      for c in feas]).reshape(-1, 7)  # (0, 7) if none is feasible
+    idx = np.flatnonzero(nondominated_mask(table[:, :3]))
+    return [feas[i] for i in idx[_lex_order(table[idx])]]
 
 
 # --- vectorised grid evaluation ------------------------------------------
@@ -352,12 +325,14 @@ def _pair_metrics(space: DesignSpace, m_values, D: np.ndarray, R: np.ndarray,
     Only the pairs that can pass are solved: d_cs > 0, since d_cs = 0 puts
     the roller on the cam axis line (e = r), which no profile allows; eta
     passes `eta_valid`; and eta passes `_angle_screen` at the cap. They go
-    in chunks of _PAIR_CHUNK, which bound the kernel's (chunk,
-    ROOT_SCAN_NODES) arrays and hide its fixed cost per call. The closure
-    angle does not depend on m, so each chunk solves it once, and for each
-    m only the pairs whose arc-start |mu| is at most the cap go to
-    `segment_metrics`, with those angles. The kernel is elementwise per
-    pair, so a pair's metrics do not depend on the pairs solved with it.
+    in chunks of _PAIR_CHUNK, which bound the kernel's per-pair temporaries
+    (the closure scan takes one column per node, and only the Hertz search
+    builds a row of nodes per pair, for the pairs it searches) and hide its
+    fixed cost per call. The closure angle does not depend on m, so each
+    chunk solves it once, and for each m only the pairs whose arc-start
+    |mu| is at most the cap go to `segment_metrics`, with those angles. The
+    kernel is elementwise per pair, so a pair's metrics do not depend on
+    the pairs solved with it.
     """
     eta = eta_from_design(D, R, space.pitch)
     K_sum = compliance_sum(space.cam_material, space.roller_material)
@@ -673,13 +648,12 @@ def contour_slice(space: DesignSpace, m: int, S_M: float,
     """Objective contours over (d_cs, r) at fixed mechanism size.
 
     The locus is the two-objective (mu_max, P_max) Pareto set of the feasible
-    grid points in the slice: their `_front`, whose S column is constant. The
-    pairs are laid out at the one width S_M/m, and their size column is S_M
-    itself: m*(S_M/m) can differ from S_M in the last bit.
+    grid points in the slice, from the 2-D path of `nondominated_mask`, in
+    `_lex_order` of their (mu, P, S, m, d_cs, r, L) rows. The pairs are laid
+    out at the one width S_M/m, and their size column is S_M itself:
+    m*(S_M/m) can differ from S_M in the last bit.
     """
-    _require_whole(m, "a contour slice")
-    if m < 2:
-        raise InfeasibleCamCount(f"cam count {m} in a contour slice")
+    require_cam_count(m, "a contour slice")
     L = S_M / m
     lo, hi = space.L_bounds(m)
     if not lo <= L <= hi:
@@ -692,6 +666,7 @@ def contour_slice(space: DesignSpace, m: int, S_M: float,
     pairs = _pair_metrics(space, (m,), D, R, math.inf)[m]
     g = _evaluate_grid(space, m, D, R, *pairs, np.array([L]), np.array([S_M]))
     table = g.table()[g.feasible]
+    locus = table[nondominated_mask(table[:, :2])]
     mu_grid = g.mu_max.reshape(res, res)
     P_grid = g.P_max.reshape(res, res)
     mu_deg = np.degrees(mu_grid)
@@ -699,7 +674,8 @@ def contour_slice(space: DesignSpace, m: int, S_M: float,
     P_iso = {lev: marching_squares(d_axis, r_axis, P_grid, lev) for lev in P_levels}
     return ContourSlice(space=space, m=m, S_M=S_M, L=L, d_axis=d_axis, r_axis=r_axis,
                         mu_grid=mu_grid, P_grid=P_grid,
-                        feasible=g.feasible.reshape(res, res), locus_table=table[_front(table)],
+                        feasible=g.feasible.reshape(res, res),
+                        locus_table=locus[_lex_order(locus)],
                         mu_levels=tuple(mu_levels_deg), P_levels=tuple(P_levels),
                         mu_isolines=mu_iso, P_isolines=P_iso)
 
@@ -717,10 +693,9 @@ def hypervolume(objectives, ref) -> float:
     staircase of the entered points that are nondominated in (f0, f1), xs
     strictly ascending and ys strictly descending. A point that enters it
     replaces the points it weakly dominates, and one walk over them adds
-    the newly dominated strips, so the staircase is kept here and not by
-    `_staircase_step`, which would walk them twice. Every added term is
-    non-negative, so the sums do not cancel. O(n log n) comparisons; a list
-    insertion also moves up to n references.
+    the newly dominated strips. Every added term is non-negative, so the
+    sums do not cancel. O(n log n) comparisons; a list insertion also moves
+    up to n references.
     """
     F = np.asarray(objectives, dtype=float)
     ref = np.asarray(ref, dtype=float)

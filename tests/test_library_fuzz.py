@@ -147,8 +147,8 @@ HUGE = 10 ** 400
 
 
 @pytest.mark.parametrize("call", [
-    lambda: mechanics.require_cam_count(HUGE),
-    lambda: mechanics.require_cam_count(-HUGE),
+    lambda: mechanics.require_cam_count(HUGE, "a huge count"),
+    lambda: mechanics.require_cam_count(-HUGE, "a huge count"),
     lambda: mechanics.segment_metrics(50.0, [0.18], [4.0], HUGE, 1200.0, 2.7e-6),
     lambda: mechanics.mechanism_size(HUGE, 10.0),
     lambda: TransmissionSpec(p=50.0, eta=0.18, r=4.0, m=HUGE),

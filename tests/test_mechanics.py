@@ -14,7 +14,6 @@ from camdrive.errors import (
     InfeasibleCamCount,
     InfeasibleProfile,
     InvalidSpec,
-    ModelError,
 )
 from camdrive.geometry import (
     ROOT_NEWTON_STEPS,
@@ -33,7 +32,6 @@ from camdrive.mechanics import (
     _normal_force,
     compliance_sum,
     contact_state,
-    design_segment,
     material,
     pressure_sensitivities,
     segment_metrics,
@@ -620,16 +618,6 @@ def test_property_pressure_angle_series_matches_scalar(eta, p):
         assert mu == pytest.approx(cd.pressure_angle(float(psi), eta), rel=1e-14)
 
 
-def _design_segment(eta, r, p, m, torque, K_sum):
-    """`segment_metrics`' scalar entry point, `design_segment`; None where
-    the spec or its geometry gate rejects the pair."""
-    try:
-        spec = cd.TransmissionSpec(p=p, eta=eta, r=r, m=m)
-        return design_segment(spec, torque, K_sum)[1]
-    except ModelError:
-        return None
-
-
 _PSI, _P, _TORQUE, _L = (st.floats(0.0, TAU), st.floats(5.0, 100.0),
                          st.floats(1.0, 1e4), st.floats(1.0, 50.0))
 _ETA, _R, _M = st.floats(0.1, 2.0), st.floats(0.5, 30.0), st.sampled_from([2, 3, 5])
@@ -638,12 +626,12 @@ _CONTACT_ROW = st.tuples(_PSI, _P, _ETA, _R, _TORQUE, _K_SUM, _L)
 _SINGULAR_CONTACT = (math.pi, 50.0, 1.0 / TAU, 4.0, 1200.0, 2.0 * K_STEEL, 10.0)
 
 
-def _call(fn, singular, rows=None, shared=st.just(()), scalar=None):
-    """An entry of SCALAR_BATCH_CALLS: the function, its scalar entry point,
-    a singular row of per-pair arguments, a strategy of regular rows (None:
-    the singular row alone) and a strategy of the arguments that every pair
-    shares, passed after the per-pair ones."""
-    return fn, scalar or fn, singular, rows, shared
+def _call(fn, singular, rows=None, shared=st.just(())):
+    """An entry of SCALAR_BATCH_CALLS: the function, a singular row of
+    per-pair arguments, a strategy of regular rows (None: the singular row
+    alone) and a strategy of the arguments that every pair shares, passed
+    after the per-pair ones."""
+    return fn, singular, rows, shared
 
 
 # The singular rows: a singular eta, a blocking roller, a mid-stroke pressure
@@ -671,7 +659,7 @@ SCALAR_BATCH_CALLS = {
                          (1.0 / TAU, 4.0), st.tuples(_ETA, _R), st.tuples(_P, _M)),
     "segment_metrics": _call(lambda eta, r, p, *rest: segment_metrics(p, eta, r, *rest),
                              (1.0 / TAU, 4.0), st.tuples(_ETA, _R),
-                             st.tuples(_P, _M, _TORQUE, _K_SUM), scalar=_design_segment),
+                             st.tuples(_P, _M, _TORQUE, _K_SUM)),
 }
 
 
@@ -682,7 +670,7 @@ def test_singular_scalar_equals_batch_of_one(name, data):
     # pair's bits do not depend on its batch: a batch, each batch of one and
     # the scalar call agree, NaN and inf included, and neither raises nor
     # warns (the suite turns warnings into errors); only the gates raise.
-    fn, scalar_fn, singular, rows, shared = SCALAR_BATCH_CALLS[name]
+    fn, singular, rows, shared = SCALAR_BATCH_CALLS[name]
     batch = [singular]
     if rows is not None:
         batch += data.draw(st.lists(rows, min_size=1, max_size=6))
@@ -698,6 +686,4 @@ def test_singular_scalar_equals_batch_of_one(name, data):
     for k, row in enumerate(batch):
         one = flat(fn(*(c[k:k + 1] for c in columns), *shared))
         assert np.array_equal(flat(whole, k), one, equal_nan=True), row
-        scalar = scalar_fn(*row, *shared)
-        if scalar is not None:
-            assert np.array_equal(flat(scalar), one, equal_nan=True), row
+        assert np.array_equal(flat(fn(*row, *shared)), one, equal_nan=True), row

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import camdrive as cd
-from camdrive import optimize
+from camdrive import mechanics, optimize
 from camdrive.cli import main
 from camdrive.errors import InfeasibleCamCount, InvalidSpec
 from camdrive.optimize import (
@@ -28,6 +28,14 @@ def small_space(**over):
     base = dict(resolution=16)
     base.update(over)
     return cd.DesignSpace(**base)
+
+
+def front_rows(table):
+    """Indices of the nondominated rows of a (mu, P, S, m, d_cs, r, L) table
+    in `_lex_order`: the filter over the rows, the reference of the merged
+    front lookup."""
+    idx = np.flatnonzero(nondominated_mask(table[:, :3]))
+    return idx[optimize._lex_order(table[idx])]
 
 
 def make_candidate(mu, P, S, m=2, feasible=True):
@@ -400,14 +408,19 @@ class TestSweep:
 
     @pytest.mark.parametrize("m", [2.5, 3.0000001, math.nan, math.inf])
     def test_non_integral_cam_counts_rejected(self, m):
-        # no mechanism has a fractional cam count: the space, a slice and a
-        # design vector reject it instead of sweeping it or truncating it
+        # no mechanism has a fractional cam count: the space, a slice, a
+        # design vector, a size and the segment kernel reject it instead of
+        # sweeping, truncating or evaluating it
         with pytest.raises(InvalidSpec, match="not a whole number"):
             cd.DesignSpace(m_values=(m, 3), resolution=16)
         with pytest.raises(InvalidSpec, match="not a whole number"):
             cd.contour_slice(cd.DesignSpace(), m, 60.0, resolution=16)
         with pytest.raises(InvalidSpec, match="not a whole number"):
             cd.evaluate_candidate((2.6, 4.24, 30.0, m), cd.DesignSpace())
+        with pytest.raises(InvalidSpec, match="not a whole number"):
+            cd.mechanism_size(m, 10.0)
+        with pytest.raises(InvalidSpec, match="not a whole number"):
+            mechanics.segment_metrics(20.0, [0.3], [3.0], m, 1200.0, 2.7e-6)
 
     @pytest.mark.parametrize("m", [361, 10 ** 20, 10 ** 400, -10 ** 400])
     def test_cam_count_beyond_the_bound_rejected(self, m):
@@ -418,6 +431,10 @@ class TestSweep:
             cd.contour_slice(cd.DesignSpace(), m, 60.0, resolution=16)
         with pytest.raises(InvalidSpec, match="at most 360"):
             cd.evaluate_candidate((2.6, 4.24, 30.0, m), cd.DesignSpace())
+        with pytest.raises(InvalidSpec, match="at most 360"):
+            cd.mechanism_size(m, 10.0)
+        with pytest.raises(InvalidSpec, match="at most 360"):
+            mechanics.segment_metrics(20.0, [0.3], [3.0], m, 1200.0, 2.7e-6)
         with pytest.raises(InvalidSpec, match="360"):
             cd.TransmissionSpec(p=50.0, eta=0.18, r=4.0, m=m)
 
@@ -533,13 +550,13 @@ class TestMergedFrontLookup:
            pitch=st.floats(16.0, 26.0), mu_cap_deg=st.floats(24.0, 40.0),
            P_cap=st.floats(500.0, 1000.0))
     def test_equals_filter_over_per_m_tables(self, name, res, pitch, mu_cap_deg, P_cap):
-        # row for row and in order, the front `_front` picks from the
+        # row for row and in order, the front `front_rows` picks from the
         # concatenated per-m tables
         space = cd.DesignSpace(resolution=res, pitch=pitch, mu_cap=math.radians(mu_cap_deg),
                                P_cap=P_cap, **MERGE_SPACES[name])
         result = cd.sweep(space)
         union = np.concatenate(list(result.tables.values()))
-        assert np.array_equal(result.front_index, optimize._front(union))
+        assert np.array_equal(result.front_index, front_rows(union))
 
     @settings(max_examples=100)
     @given(st.lists(st.tuples(st.integers(0, 8), st.integers(2, 9)), max_size=10),
@@ -559,7 +576,7 @@ class TestMergedFrontLookup:
             fronts[m] = optimize._per_m_front(space, m, np.arange(n, dtype=float),
                                               np.full(n, 4.0), np.ones(n, dtype=bool), mu, P_unit)
         union = np.concatenate([table for table, _ in fronts.values()])
-        assert np.array_equal(optimize._merged_front(space, fronts), optimize._front(union))
+        assert np.array_equal(optimize._merged_front(space, fronts), front_rows(union))
 
     @pytest.mark.parametrize("name", ["m-3-2", "m-2-3-4", "L-ends-at-size-cap", "polyamide"])
     def test_cam_counts_beat_each_other(self, name):
@@ -569,22 +586,34 @@ class TestMergedFrontLookup:
         result = cd.sweep(space)
         union = np.concatenate(list(result.tables.values()))
         assert 0 < len(result.front_index) < len(union)
-        assert np.array_equal(result.front_index, optimize._front(union))
+        assert np.array_equal(result.front_index, front_rows(union))
         at_cap = [m for m, t in result.tables.items() if (t[:, 2] == space.S_cap).any()]
         assert len(at_cap) >= (1 if "L_range" in MERGE_SPACES[name] else 2)
 
 
 class TestContourSlice:
-    def test_locus_is_nondominated_and_feasible(self):
-        space = cd.DesignSpace(resolution=24)
-        sl = cd.contour_slice(space, 2, 60.0)
-        assert sl.L == pytest.approx(30.0)
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_locus_is_nondominated_and_feasible(self, m):
+        # at resolution 48 both slices have feasible cells off the locus
+        space = cd.DesignSpace(resolution=48)
+        sl = cd.contour_slice(space, m, 60.0)
+        assert sl.L == pytest.approx(60.0 / m)
         F = np.array([[c.mu_max, c.P_max] for c in sl.locus])
         ref = oracles.brute_force_front_mask(
             np.column_stack([F, np.zeros(len(F))]))
         assert ref.all()
         for c in sl.locus:
             assert c.mu_max <= space.mu_cap and c.P_max <= space.P_cap
+        # complete: the locus is every feasible cell that no other feasible
+        # cell dominates in (mu, P), in `_lex_order`
+        i, j = np.nonzero(sl.feasible)
+        n = len(i)
+        table = np.column_stack([sl.mu_grid[i, j], sl.P_grid[i, j], np.full(n, sl.S_M),
+                                 np.full(n, m), sl.d_axis[i], sl.r_axis[j], np.full(n, sl.L)])
+        front = table[oracles.brute_force_front_mask(
+            np.column_stack([table[:, :2], np.zeros(n)]))]
+        assert 0 < len(front) < n
+        assert np.array_equal(sl.locus_table, front[optimize._lex_order(front)])
 
     def test_locus_points_lie_on_grid(self):
         space = cd.DesignSpace(resolution=24)
