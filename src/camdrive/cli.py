@@ -7,6 +7,12 @@ JSON / SVG artifacts into the output directory.
 Exit codes: 0 success, 1 configuration error, 2 infeasible mechanism. The
 config module decides what is a configuration error; `main` maps the errors
 to exit codes, each with one line on stderr.
+
+A CSV file is one NUL-padded uint8 block, a row per line, written without
+its NULs in one call (`_csv_blocks`, `_write_csv`). Each column is
+formatted once per distinct value, and the distinct floats of a command in
+one `_float_text` call, which gives the bytes of `repr` from numpy
+arithmetic for magnitudes in [1e-3, 1e16) and calls `repr` for the rest.
 """
 from __future__ import annotations
 
@@ -84,53 +90,179 @@ def _wants(cfg: RunConfig, fmt: str) -> bool:
     return fmt in cfg.output.formats or "all" in cfg.output.formats
 
 
-def _column_text(values, fmt) -> list:
-    """The strings of a 1-D array's elements: `fmt` of the list of its
-    distinct values (floats by bit pattern: -0.0 and 0.0 are two), spread
-    back over the rows."""
-    values = np.asarray(values)
-    floats = values.dtype.kind == "f"
-    if floats:
-        values = values.astype(np.float64, copy=False)
-    distinct, inverse = np.unique(values.view(np.int64) if floats else values,
-                                  return_inverse=True)
-    text = np.array(fmt(distinct.view(values.dtype).tolist()), dtype=object)
-    return text[inverse].tolist()
+# --- CSV ----------------------------------------------------------------------
+
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+_POW10F = _POW10.astype(np.float64)  # exact: 10^k is a double for k <= 22
+# the four ASCII digits of 0..9999 as one uint32 each
+_DIGITS4 = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"),
+                    axis=-1).view(np.uint32).ravel()
+_LEADING = np.arange(16) >= 16 - np.arange(17)[:, None]  # [k]: the last k of 16 places
+_PLACES = np.arange(19) < np.arange(20)[:, None]         # [k]: the first k of 19 places
 
 
-def _csv_fields(values) -> list[str]:
-    """The CSV field of each value: `str`, which is `repr` for a float."""
-    return list(map(str, values))
+def _shortest(v):
+    """(s, j, d, ok) for positive doubles v in [1e-3, 1e16).
 
-
-def _csv_line_ends(values) -> list[str]:
-    """The last CSV field of each value's line, with the CRLF line end."""
-    return list(map("{}\r\n".format, values))
-
-
-def _csv_lines(*columns) -> list[str]:
-    """The CSV lines of the rows that zip the columns.
-
-    A column is a 1-D numpy array of floats, ints or bools, or a sequence of
-    strings. A column becomes the `str` of each element, an array's with one
-    `str` per distinct value (`_column_text`), and the last column's
-    strings carry the CRLF line end; each line is one `",".join`. For
-    strings holding no comma, double quote, carriage return or newline these
-    are the lines `csv.writer` writes for the same Python values: it writes
-    a float as its repr, which is `str(float)`, quotes only fields holding
-    one of those four characters and ends a line with CRLF.
+    With X = v 10^s in [1e16 - 1, 1e17), the doubles' rounding interval
+    (L, H) of v, scaled by 10^s, holds the integers whose decimal text
+    reads back as v. d is the multiple of 10^j in it nearest X for the
+    largest such j: the shortest text of v and, of those, the nearest, which
+    is what `repr` prints. X = hi + lo by Dekker's exact product (Veltkamp
+    split with 2^27 + 1), L and H exactly from the half-gaps to the
+    neighbouring doubles, powers of two. ok is False where `repr` decides
+    otherwise: at an integer L or H, whose inclusion follows round-half-even,
+    or at a tie between two nearest multiples.
     """
-    fmts = [_csv_fields] * (len(columns) - 1) + [_csv_line_ends]
-    text = [_column_text(c, fmt) if isinstance(c, np.ndarray) else fmt(c)
-            for c, fmt in zip(columns, fmts)]
-    return list(map(",".join, zip(*text)))
+    s = np.clip(16 - np.floor(np.log10(v)).astype(np.int64), 1, 19)
+    hi = v * _POW10F[s]
+    s += (hi < 1e16).astype(np.int64) - (hi >= 1e17)
+    p = _POW10F[s]
+    hi = v * p
+    t = 134217729.0 * v
+    vh = t - (t - v)
+    vl = v - vh
+    t = 134217729.0 * p
+    ph = t - (t - p)
+    pl = p - ph
+    lo = ((vh * ph - hi) + vh * pl + vl * ph) + vl * pl
+    base = hi.astype(np.int64)  # hi >= 2^53 is a whole number
+
+    def floor_of_sum(gap):
+        """floor(X + gap) and whether X + gap is whole, by two-sum of lo and gap."""
+        t = lo + gap
+        b = t - lo
+        err = (lo - (t - b)) + (gap - b)
+        f = np.floor(t)
+        whole = f == t
+        return base + f.astype(np.int64) - (whole & (err < 0)), whole & (err == 0)
+
+    # half the gaps to the neighbouring doubles, times p: v = m 2^e with m in
+    # [0.5, 1) has the gap 2^(e - 53) above it, and half that below at m = 0.5
+    m, e = np.frexp(v)
+    low, low_whole = floor_of_sum(-np.ldexp(p, e - 54 - (m == 0.5)))
+    high, high_whole = floor_of_sum(np.ldexp(p, e - 54))
+    # j counts the k = 1, 2, ... for which a multiple of 10^k lies in (L, H);
+    # low and high become floor(L / 10^j) and floor(H / 10^j)
+    j = np.zeros(len(v), np.int64)
+    rows, lq, hq = np.arange(len(v)), low, high
+    while len(rows):
+        lq, hq = lq // 10, hq // 10
+        hit = hq > lq
+        rows, lq, hq = rows[hit], lq[hit], hq[hit]
+        j[rows] += 1
+        low[rows], high[rows] = lq, hq
+    q = _POW10[j].astype(np.int64)
+    lo_floor = np.floor(lo)
+    xq, rem = np.divmod(base + lo_floor.astype(np.int64), q)  # floor(X) by 10^j
+    half, frac = q // 2, lo > lo_floor
+    up = np.where(j > 0, (rem > half) | ((rem == half) & frac), lo > lo_floor + 0.5)
+    tie = np.where(j > 0, (rem == half) & ~frac, lo == lo_floor + 0.5)
+    d = np.clip(xq + up, low + 1, high) * q
+    return s, j, d.astype(np.uint64), ~(low_whole | high_whole | tie)
 
 
-def _write_csv(path: Path, header: list[str], lines) -> None:
-    """Header, then rows that are already CSV lines, streamed to the file."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(_csv_lines(*zip(header)))  # one row: the header
-        fh.writelines(lines)
+def _bytes_block(strings) -> np.ndarray:
+    """(n, w) uint8 block of n byte strings, NUL padded."""
+    text = np.array(strings, dtype=bytes)
+    return text.view(np.uint8).reshape(len(text), text.itemsize)
+
+
+def _float_text(values) -> np.ndarray:
+    """(n, w) uint8 block of the bytes of `repr` of each float, NUL padded.
+
+    Magnitudes in [1e-3, 1e16) print in fixed notation from `_shortest`'s
+    digits d / 10^s: the integer part without leading zeros, a point, and
+    max(s - j, 1) fraction places. Zeros, values outside that range, NaN,
+    infinities and the values `_shortest` leaves to `repr` go through `repr`.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    v = np.abs(values)
+    exact = (v >= 1e-3) & (v < 1e16)
+    rows = np.flatnonzero(exact)
+    s, j, d, ok = _shortest(v[rows])
+    exact[rows[~ok]] = False
+    rows, s, j, d = rows[ok], s[ok], j[ok], d[ok]
+    whole, fraction = np.divmod(d, _POW10[s])    # whole < 10^16
+    fraction *= _POW10[19 - s]                   # 19 places, < 10^19
+    places = np.maximum(s - j, 1)
+    digits = np.maximum(np.searchsorted(_POW10[:16], whole, side="right"), 1)
+    wi, wf = int(digits.max(initial=1)), int(places.max(initial=1))
+    groups = np.empty((9, len(rows)), np.intp)   # 16 digits of whole, 20 of fraction
+    for number, last, first in ((whole, 3, 0), (fraction, 8, 4)):
+        for k in range(last, first, -1):
+            upper = number // 10000              # faster than % and divmod
+            groups[k] = number - upper * 10000
+            number = upper
+        groups[first] = number
+    chars = np.ascontiguousarray(_DIGITS4[groups].T).view(np.uint8)  # fraction at 17:36
+    text = np.empty((len(rows), wi + wf + 2), np.uint8)
+    text[:, 0] = (values[rows] < 0) * ord("-")
+    np.multiply(chars[:, 16 - wi:16], _LEADING[digits, 16 - wi:], out=text[:, 1:wi + 1])
+    text[:, wi + 1] = ord(".")
+    np.multiply(chars[:, 17:17 + wf], _PLACES[places, :wf], out=text[:, wi + 2:])
+    others = _bytes_block([repr(f).encode() for f in values[~exact].tolist()])
+    block = np.zeros((len(values), max(text.shape[1], others.shape[1])), np.uint8)
+    block[rows, :text.shape[1]] = text
+    block[~exact, :others.shape[1]] = others
+    return block
+
+
+def _str_text(distinct) -> np.ndarray:
+    """(n, w) uint8 block of `str` of each value, NUL padded."""
+    strings = [str(v).encode() for v in distinct.tolist()]
+    if any(b"\0" in s for s in strings):
+        raise ValueError("a CSV field holds a NUL character")
+    return _bytes_block(strings)
+
+
+def _csv_blocks(*tables) -> list[np.ndarray]:
+    """The CSV rows of each table as a (rows, width) uint8 block, NUL padded.
+
+    A table is a sequence of equally long columns, each a 1-D array of
+    floats, ints or bools, or a sequence of strings. A field is `str` of its
+    value, which is `repr` for a float. Each column is formatted once per
+    distinct value (floats by bit pattern: -0.0 and 0.0 are two), the
+    distinct floats of all tables in one `_float_text` call. With the NULs
+    removed, each row is the line `csv.writer` writes for the same Python
+    values, CRLF included, as long as no string holds a comma, double quote,
+    carriage return or newline (`csv.writer` would quote it).
+    """
+    tables = [[np.asarray(c) for c in table] for table in tables]
+    columns = [c for table in tables for c in table]
+    floats = [c.dtype.kind == "f" for c in columns]
+    found = [np.unique(c.astype(np.float64, copy=False).view(np.int64) if f else c,
+                       return_inverse=True) for c, f in zip(columns, floats)]
+    float_text = _float_text(np.concatenate(
+        [np.empty(0)] + [d.view(np.float64) for (d, _), f in zip(found, floats) if f]))
+    fields, at = [], 0
+    for (distinct, inverse), f in zip(found, floats):
+        if f:
+            text = float_text[at:at + len(distinct)]
+            at += len(distinct)
+        else:
+            text = _str_text(distinct)
+        fields.append(text[inverse])
+    blocks = []
+    for table in tables:
+        row, fields = fields[:len(table)], fields[len(table):]
+        block = np.zeros((len(table[0]) if table else 0,
+                          sum(f.shape[1] + 1 for f in row) + 1), np.uint8)
+        end = 0
+        for f in row:  # each field and its comma; the last comma becomes CRLF
+            block[:, end:end + f.shape[1]] = f
+            block[:, end + f.shape[1]] = ord(",")
+            end += f.shape[1] + 1
+        block[:, end - 1], block[:, end] = ord("\r"), ord("\n")
+        blocks.append(block)
+    return blocks
+
+
+def _write_csv(path: Path, header: list[str], block: np.ndarray) -> None:
+    """The header line, then the rows of a `_csv_blocks` block without NULs."""
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\r\n")
+        fh.write(block[block != 0].tobytes())
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -150,11 +282,11 @@ def cmd_profile(cfg: RunConfig) -> int:
     report = prof.report
     out = _outdir(cfg)
     if _wants(cfg, "csv"):
+        block, = _csv_blocks([prof.psi, prof.u_c, prof.v_c, prof.u_p, prof.v_p,
+                              prof.kappa_p, prof.rho_c])
         _write_csv(out / "profile.csv",
                    ["psi_rad", "u_c_mm", "v_c_mm", "u_p_mm", "v_p_mm",
-                    "kappa_p_per_mm", "rho_c_mm"],
-                   _csv_lines(prof.psi, prof.u_c, prof.v_c, prof.u_p, prof.v_p,
-                              prof.kappa_p, prof.rho_c))
+                    "kappa_p_per_mm", "rho_c_mm"], block)
     if _wants(cfg, "json"):
         _write_json(out / "profile.json", {
             **_meta(cfg),
@@ -232,13 +364,13 @@ def cmd_metrics(cfg: RunConfig) -> int:
     if _wants(cfg, "json"):
         _write_json(out / "metrics.json", payload)
     if _wants(cfg, "csv"):
+        block, = _csv_blocks([[v] for v in (
+            math.degrees(mu_max), psi_mu, P_max, psi_P, S_M,
+            report.fully_convex, report.profile_feasible, allowable)])
         _write_csv(out / "metrics.csv",
                    ["mu_max_deg", "psi_at_mu_max_rad", "p_max_mpa",
                     "psi_at_p_max_rad", "size_mm", "fully_convex",
-                    "profile_feasible", "allowable_pressure_ok"],
-                   _csv_lines(*map(np.atleast_1d, (
-                       math.degrees(mu_max), psi_mu, P_max, psi_P, S_M,
-                       report.fully_convex, report.profile_feasible, allowable))))
+                    "profile_feasible", "allowable_pressure_ok"], block)
     print(f"mu_max   = {math.degrees(mu_max):.4f} deg at psi = {psi_mu:.4f} rad")
     print(f"P_max    = {P_max:.4f} MPa at psi = {psi_P:.4f} rad")
     print(f"S_M      = {S_M:.4f} mm")
@@ -261,15 +393,14 @@ def cmd_sensitivity(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     names = list(rep.pointwise.keys())
     if _wants(cfg, "csv"):
+        series, tables = _csv_blocks(
+            [rep.psi] + [rep.pointwise[n] for n in names],
+            [["at_max", "rms"]] + [[rep.at_max[n], rep.rms[n]] for n in sensitivity.PARAMS]
+            + [[" ".join(rep.at_max_ranking), " ".join(rep.rms_ranking)]])
         _write_csv(out / "sensitivity_profile.csv",
-                   ["psi_rad"] + [f"dP_d{n}_norm_mpa" for n in names],
-                   _csv_lines(rep.psi, *(rep.pointwise[n] for n in names)))
+                   ["psi_rad"] + [f"dP_d{n}_norm_mpa" for n in names], series)
         _write_csv(out / "sensitivity_tables.csv",
-                   ["mode", "r", "eta", "p", "L", "ranking"],
-                   _csv_lines(["at_max", "rms"],
-                              *(np.array([rep.at_max[n], rep.rms[n]])
-                                for n in sensitivity.PARAMS),
-                              [" ".join(rep.at_max_ranking), " ".join(rep.rms_ranking)]))
+                   ["mode", "r", "eta", "p", "L", "ranking"], tables)
     if _wants(cfg, "json"):
         _write_json(out / "sensitivity.json", {
             **_meta(cfg),
@@ -316,13 +447,12 @@ _FRONT_HEADER = ["m", "d_cs_mm", "r_mm", "L_mm", "mu_max_deg", "p_max_mpa",
                  "s_m_mm", "feasible", "convex_profile"]
 
 
-def _table_lines(space, table) -> list[str]:
-    """The CSV lines of a (mu, P, S, m, d_cs, r, L) front table, one
-    `_FRONT_HEADER` row each."""
+def _front_columns(space, table) -> list:
+    """The `_FRONT_HEADER` columns of a (mu, P, S, m, d_cs, r, L) front table."""
     mu, P, S, m, d_cs, r, L = table.T
     convex = geometry.fully_convex(optimize.eta_from_design(d_cs, r, space.pitch))
-    return _csv_lines(m.astype(int), d_cs, r, L, np.degrees(mu), P, S,
-                      np.ones(len(table), dtype=bool), convex)
+    return [m.astype(int), d_cs, r, L, np.degrees(mu), P, S,
+            np.ones(len(table), dtype=bool), convex]
 
 
 def cmd_pareto(cfg: RunConfig) -> int:
@@ -330,13 +460,15 @@ def cmd_pareto(cfg: RunConfig) -> int:
     result = optimize.sweep(space)
     out = _outdir(cfg)
     if _wants(cfg, "csv"):
-        lines = []
+        # one block for the per-m tables stacked, which front_index indexes
+        block, = _csv_blocks(_front_columns(
+            space, np.concatenate(list(result.tables.values()))))
+        at = 0
         for m, table in result.tables.items():
-            lines_m = _table_lines(space, table)
-            _write_csv(out / f"pareto_front_m{m}.csv", _FRONT_HEADER, lines_m)
-            lines += lines_m
-        _write_csv(out / "pareto_front.csv", _FRONT_HEADER,
-                   [lines[i] for i in result.front_index.tolist()])
+            _write_csv(out / f"pareto_front_m{m}.csv", _FRONT_HEADER,
+                       block[at:at + len(table)])
+            at += len(table)
+        _write_csv(out / "pareto_front.csv", _FRONT_HEADER, block[result.front_index])
     sizes = {m: len(table) for m, table in result.tables.items()}
     if _wants(cfg, "json"):
         _write_json(out / "pareto.json", {
@@ -412,14 +544,13 @@ def cmd_contour(cfg: RunConfig) -> int:
     out = _outdir(cfg)
     if _wants(cfg, "csv"):
         res = len(sl.d_axis)
-        d_text, r_text = (_csv_fields(axis.tolist()) for axis in (sl.d_axis, sl.r_axis))
+        grid, locus = _csv_blocks(
+            [np.repeat(sl.d_axis, res), np.tile(sl.r_axis, res),
+             np.degrees(sl.mu_grid).ravel(), sl.P_grid.ravel(), sl.feasible.ravel()],
+            _front_columns(sl.space, sl.locus_table))
         _write_csv(out / "contour_grid.csv",
-                   ["d_cs_mm", "r_mm", "mu_max_deg", "p_max_mpa", "feasible"],
-                   _csv_lines([d for d in d_text for _ in range(res)], r_text * res,
-                              np.degrees(sl.mu_grid).ravel(), sl.P_grid.ravel(),
-                              sl.feasible.ravel()))
-        _write_csv(out / "contour_locus.csv", _FRONT_HEADER,
-                   _table_lines(sl.space, sl.locus_table))
+                   ["d_cs_mm", "r_mm", "mu_max_deg", "p_max_mpa", "feasible"], grid)
+        _write_csv(out / "contour_locus.csv", _FRONT_HEADER, locus)
     if _wants(cfg, "json"):
         _write_json(out / "contour.json", {
             **_meta(cfg),

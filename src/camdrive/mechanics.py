@@ -63,8 +63,8 @@ def require_cam_count(m, where: str) -> None:
     cam cannot drive a whole turn."""
     require_whole_count(m, where)
     if m < 2:
-        raise InfeasibleCamCount(
-            f"a single cam cannot drive the follower positively (m={m} in {where})")
+        what = "a single cam cannot" if m == 1 else "at least two cams are needed to"
+        raise InfeasibleCamCount(f"{what} drive the follower positively (m={m} in {where})")
 
 
 @dataclass(frozen=True)

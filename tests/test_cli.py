@@ -5,9 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from camdrive import cli, geometry, optimize, sensitivity
-from camdrive.cli import _csv_lines, main
+from camdrive.cli import _csv_blocks, _float_text, main
 from camdrive.config import (
     MAX_GRID_CANDIDATES,
     RESOLUTION_FIELDS,
@@ -362,8 +364,118 @@ class TestWriters:
             assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
+class TestOracleOnDrawnConfigs:
+    """`profile.csv` and `contour_grid.csv` of drawn valid configs are the
+    bytes `csv.writer` writes for the library's own values."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_profile(self, tmp_path, seed):
+        rng = np.random.default_rng([seed, 31])
+        config = {"mechanism": {"pitch_mm": float(rng.uniform(30.0, 60.0)),
+                                "eta": float(rng.uniform(0.2, 0.6)),
+                                "roller_radius_mm": float(rng.uniform(1.0, 3.0)),
+                                "cam_count": int(rng.choice([2, 3]))},
+                  "profile": {"resolution": 2048}}
+        out = tmp_path / "p"
+        assert run(tmp_path, "profile", "--out", str(out), config=config) == 0
+        prof = geometry.sample_profile(parse_config(config).spec(), 2048)
+        rows = zip(prof.psi, prof.u_c, prof.v_c, prof.u_p, prof.v_p, prof.kappa_p,
+                   prof.rho_c)
+        assert (out / "profile.csv").read_bytes() == cell_csv(
+            tmp_path / "profile.csv", read_csv(out / "profile.csv")[0], rows)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_contour_grid(self, tmp_path, seed):
+        rng = np.random.default_rng([seed, 32])
+        m, s_m = (2, 3)[seed % 2], float(rng.uniform(40.0, 88.0))
+        config = {"design_space": {"pitch_mm": float(rng.uniform(18.0, 24.0))},
+                  "contour": {"m": m, "s_m_mm": s_m, "resolution": 96}}
+        out = tmp_path / "c"
+        assert run(tmp_path, "contour", "--out", str(out), config=config) == 0
+        sl = optimize.contour_slice(parse_config(config).space(), m, s_m, resolution=96)
+        rows = ([sl.d_axis[i], sl.r_axis[j], math.degrees(sl.mu_grid[i, j]),
+                 sl.P_grid[i, j], bool(sl.feasible[i, j])]
+                for i in range(96) for j in range(96))
+        assert (out / "contour_grid.csv").read_bytes() == cell_csv(
+            tmp_path / "grid.csv", read_csv(out / "contour_grid.csv")[0], rows)
+
+
+def float_lines(values) -> list[bytes]:
+    """The rows of `_float_text`, NULs removed."""
+    block = _float_text(values)
+    ends = np.full((len(block), 1), ord("\n"), np.uint8)
+    text = np.concatenate([block, ends], axis=1)
+    return text[text != 0].tobytes().split(b"\n")[:-1]
+
+
+def check_reprs(values) -> None:
+    values = np.asarray(values, dtype=np.float64)
+    want = [repr(v).encode() for v in values.tolist()]
+    bad = [(w, g) for w, g in zip(want, float_lines(values)) if w != g]
+    assert not bad, f"{len(bad)} of {len(want)} differ from repr, e.g. {bad[:5]}"
+
+
+def bit_patterns(rng, lo, hi, n=200_000) -> np.ndarray:
+    """n doubles drawn uniformly among the bit patterns of [lo, hi)."""
+    ends = np.array([lo, hi]).view(np.int64)
+    return rng.integers(ends[0], ends[1], n).view(np.float64)
+
+
+class TestFloatText:
+    """`_float_text` gives the bytes of `repr`, and the exact path, not the
+    `repr` branch, formats the study's kind of values."""
+
+    def test_any_bit_pattern(self):
+        rng = np.random.default_rng(41)
+        check_reprs(rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64).view(np.float64))
+
+    def test_bit_patterns_of_the_exact_range(self):
+        rng = np.random.default_rng(42)
+        check_reprs(bit_patterns(rng, 1e-3, 1e16) * rng.choice([-1.0, 1.0], 200_000))
+
+    def test_log_uniform_magnitudes(self):
+        rng = np.random.default_rng(43)
+        check_reprs(10.0 ** rng.uniform(-6.0, 20.0, 100_000) * rng.choice([-1.0, 1.0], 100_000))
+
+    def test_rounded_values_and_integers(self):
+        rng = np.random.default_rng(44)
+        x = rng.uniform(-1000.0, 1000.0, 20_000)
+        check_reprs(np.concatenate([x.round(k) for k in range(7)]))
+        check_reprs(np.arange(-50_000.0, 50_000.0))
+        check_reprs(rng.integers(-2 ** 53, 2 ** 53, 20_000).astype(np.float64))
+
+    def test_powers_and_their_neighbours(self):
+        powers = np.concatenate([2.0 ** np.arange(-1074, 1024),
+                                 np.array([float(f"1e{k}") for k in range(-323, 309)])])
+        x = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+        check_reprs(np.concatenate([x, -x]))
+
+    def test_special_values(self):
+        check_reprs([5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                     0.0, -0.0, math.inf, -math.inf, math.nan, 1e16, 9999999999999998.0,
+                     1e-3, 0.0009999999999999998, 0.1 + 0.2])
+        assert _float_text(np.array([])).shape[0] == 0
+
+    @given(st.lists(st.floats(), max_size=64))
+    def test_hypothesis_floats(self, values):
+        check_reprs(values)
+
+    def test_exact_path_covers_the_study_values(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "repr", lambda v: calls.append(v) or repr(v), raising=False)
+        values = bit_patterns(np.random.default_rng(45), 1e-3, 1e4)
+        _float_text(values)
+        assert len(calls) <= 0.01 * len(values)
+
+
+def csv_lines(*columns) -> list[str]:
+    """The rows of the `_csv_blocks` block of one table, NULs removed."""
+    block, = _csv_blocks(columns)
+    return [row[row != 0].tobytes().decode() for row in block]
+
+
 class TestCsvLines:
-    """`_csv_lines` writes the lines `csv.writer` writes for the same rows."""
+    """`_csv_blocks` writes the lines `csv.writer` writes for the same rows."""
 
     @staticmethod
     def writer_bytes(path, rows) -> bytes:
@@ -373,8 +485,8 @@ class TestCsvLines:
 
     @staticmethod
     def line_bytes(path, columns) -> bytes:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(_csv_lines(*columns))
+        block, = _csv_blocks(columns)
+        path.write_bytes(block[block != 0].tobytes())
         return path.read_bytes()
 
     def test_special_values(self, tmp_path):
@@ -399,8 +511,8 @@ class TestCsvLines:
 
     def test_header_and_one_row(self, tmp_path):
         header = ["mode", "r", "eta", "p", "L", "ranking"]
-        assert list(_csv_lines(*zip(header))) == ["mode,r,eta,p,L,ranking\r\n"]
-        assert list(_csv_lines()) == []
+        assert csv_lines(*zip(header)) == ["mode,r,eta,p,L,ranking\r\n"]
+        assert csv_lines() == []
 
     def check_arrays(self, tmp_path, columns):
         """Lines of array columns against `csv.writer` on their Python values."""
@@ -427,7 +539,7 @@ class TestCsvLines:
                                            np.arange(-8, len(floats) - 8)])
         assert b"-0.0,0.0,True,-5\r\n0.0,-0.0,False,-4\r\n" in got
         # zero and minus zero apart as the last column, which carries the line end
-        assert _csv_lines(np.array([0.0, -0.0, 0.0])) == ["0.0\r\n", "-0.0\r\n", "0.0\r\n"]
+        assert csv_lines(np.array([0.0, -0.0, 0.0])) == ["0.0\r\n", "-0.0\r\n", "0.0\r\n"]
 
     def test_strided_columns_of_a_table(self, tmp_path):
         table = np.random.default_rng(10).standard_normal((50, 3)).round(1)
@@ -440,13 +552,13 @@ class TestCsvLines:
     def test_string_columns_of_float_reprs_equal_the_arrays(self):
         values, flags = np.array([0.5, -0.0, 1e16]), np.array([True, False, True])
         text = list(map(repr, values.tolist()))
-        assert _csv_lines(text, text, flags) == _csv_lines(values, values, flags) == \
+        assert csv_lines(text, text, flags) == csv_lines(values, values, flags) == \
             ["0.5,0.5,True\r\n", "-0.0,-0.0,False\r\n", "1e+16,1e+16,True\r\n"]
 
     def test_array_one_row_and_no_rows(self, tmp_path):
-        assert _csv_lines(np.array([2.5]), np.array([3]), np.array([True])) == \
+        assert csv_lines(np.array([2.5]), np.array([3]), np.array([True])) == \
             ["2.5,3,True\r\n"]
-        assert _csv_lines(np.array([]), np.array([], dtype=bool)) == []
+        assert csv_lines(np.array([]), np.array([], dtype=bool)) == []
 
 
 # configs that every command rejects as config errors

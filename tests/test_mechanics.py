@@ -525,6 +525,14 @@ class TestMechanismSize:
         with pytest.raises(InfeasibleCamCount):
             cd.mechanism_size(1, 30.0)
 
+    def test_counts_below_one_ask_for_two_cams(self):
+        with pytest.raises(InfeasibleCamCount,
+                           match=r"at least two cams .*\(m=0 in a mechanism size\)"):
+            cd.mechanism_size(0, 10.0)
+        with pytest.raises(InfeasibleCamCount,
+                           match=r"at least two cams .*\(m=-3 in the design space\)"):
+            cd.DesignSpace(m_values=(-3, 2))
+
 
 class TestLoadCase:
     def test_torque_positive(self):
